@@ -3,8 +3,10 @@
 One job per invocation: load JSON descriptions of pairs, modules, and subpair
 embeddings, run a verification or homology computation, and emit the result as
 JSON or TSV.  Exit codes: 0 success, 2 validation failure (schema or
-mathematical), 3 computation finished but a stabilization certificate was not
-reached (the window data is still emitted).
+mathematical, including the library's named failures on well-formed input:
+a degenerate band operator, a band table the vector-field oracle refutes, an
+algebra without an sl2 triple), 3 computation finished but a stabilization
+certificate was not reached (the window data is still emitted).
 """
 
 import argparse
@@ -13,17 +15,21 @@ import sys
 from fractions import Fraction
 
 from .hcomplexes import check_h_axioms
-from .liepairs import _unit
+from .linalg import unit_vec
 from .relhomology import (RelativeStandardComplex, coinvariants,
                           euler_poincare, ext_via_duality)
 from .resolution import StandardResolution
-from .bands import UncertifiedStabilizationError
+from .bands import DegenerateBandError, UncertifiedStabilizationError
+from .gkmodules import UnsupportedAlgebraError
 from .schemas import SchemaError, load_finite_module, load_pair, load_subpair
-from .sl2 import SUBPAIR_CATALOG, sl2_branching_report
+from .sl2 import SUBPAIR_CATALOG, OracleMismatchError, sl2_branching_report
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_UNCERTIFIED = 3
+
+# library failures on well-formed input: exit 2, named by their class
+LIBRARY_ERRORS = (DegenerateBandError, OracleMismatchError, UnsupportedAlgebraError)
 
 
 def _read_json(path: str, what: str):
@@ -110,7 +116,7 @@ def _cmd_ep(args) -> int:
 
 def _cmd_coinv(args) -> int:
     emb, module = _load_subpair_module(args)
-    h_basis = [_unit(emb.small.g.dim, j) for j in range(emb.small.g.dim)]
+    h_basis = [unit_vec(emb.small.g.dim, j) for j in range(emb.small.g.dim)]
     report = coinvariants(module, h_basis)
     _emit(_json_text({"dim": report.dims[0]}), args.output)
     return EXIT_OK
@@ -231,6 +237,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SchemaError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_INVALID
+    except LIBRARY_ERRORS as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INVALID
 
 

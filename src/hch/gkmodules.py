@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bands import BandOp
 from .liepairs import Character, Pair, SubpairEmbedding, ValidationReport
-from .linalg import Matrix, Vector, kernel_basis
+from .linalg import Matrix, Vector, kernel_basis, unit_vec
 from .poly import Poly
 from .scalars import ONE, ZERO, Scalar, as_scalar
 
@@ -166,13 +166,9 @@ def restrict_module(emb: SubpairEmbedding, m: FiniteModule) -> FiniteModule:
     if m.pair is not emb.big and m.pair.to_json() != emb.big.to_json():
         raise ValueError("module is not over the big pair of the embedding")
     weights = [emb.grp_embed.restrict(ch) for ch in m.k_weights]
-    action = [m.action_matrix(emb.embed(_unit(emb.small.g.dim, j)))
+    action = [m.action_matrix(emb.embed(unit_vec(emb.small.g.dim, j)))
               for j in range(emb.small.g.dim)]
     return FiniteModule(emb.small, weights, action)
-
-
-def _unit(n: int, j: int) -> Vector:
-    return tuple(ONE if k == j else ZERO for k in range(n))
 
 
 # -- local Z(g)-finiteness certificate (sl2 Casimir) ---------------------------
@@ -191,13 +187,13 @@ def _find_sl2_triple(pair: Pair) -> Tuple[Vector, Vector, Vector]:
     labels = pair.g.basis_labels
     d = pair.g.dim
     if set(labels) >= {"e", "h", "f"}:
-        e = _unit(d, labels.index("e"))
-        h = _unit(d, labels.index("h"))
-        f = _unit(d, labels.index("f"))
+        e = unit_vec(d, labels.index("e"))
+        h = unit_vec(d, labels.index("h"))
+        f = unit_vec(d, labels.index("f"))
     elif set(labels) >= {"u+", "k0", "u-"}:
         half = Scalar(1) / Scalar(2)
         e = tuple(half if k == labels.index("u+") else ZERO for k in range(d))
-        h = _unit(d, labels.index("k0"))
+        h = unit_vec(d, labels.index("k0"))
         f = tuple(half if k == labels.index("u-") else ZERO for k in range(d))
     else:
         raise UnsupportedAlgebraError(

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import Matrix, Vector, rank, vec, vec_is_zero, zero_vec
-from .scalars import ONE, ZERO, Scalar, as_scalar
+from .linalg import Matrix, Vector, rank, unit_vec, vec, vec_is_zero, zero_vec
+from .scalars import ZERO, Scalar, as_scalar
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ class LieAlgebra:
 
     def ad(self, x: Vector) -> Matrix:
         """Matrix of ad(x) = [x, .] in the chosen basis."""
-        cols = [self.bracket(x, _unit(self.dim, k)) for k in range(self.dim)]
+        cols = [self.bracket(x, unit_vec(self.dim, k)) for k in range(self.dim)]
         return Matrix.from_columns(cols, rows=self.dim)
 
     def check_jacobi(self) -> ValidationReport:
@@ -103,7 +103,7 @@ class LieAlgebra:
         for j in range(self.dim):
             for k in range(j + 1, self.dim):
                 for l in range(k + 1, self.dim):
-                    xj, xk, xl = (_unit(self.dim, m) for m in (j, k, l))
+                    xj, xk, xl = (unit_vec(self.dim, m) for m in (j, k, l))
                     s = _vadd(
                         self.bracket(xj, self.bracket(xk, xl)),
                         self.bracket(xk, self.bracket(xl, xj)),
@@ -126,10 +126,6 @@ class LieAlgebra:
         for j, k, l, re, im in obj.get("brackets", []):
             brackets.setdefault((j, k), {})[l] = Scalar(re, im)
         return LieAlgebra(int(obj["dim"]), obj.get("basis_labels"), brackets)
-
-
-def _unit(n: int, j: int) -> Vector:
-    return tuple(ONE if k == j else ZERO for k in range(n))
 
 
 def _vadd(*vs: Vector) -> Vector:
@@ -361,8 +357,8 @@ class SubpairEmbedding:
         # bracket preservation
         for j in range(self.small.g.dim):
             for k in range(j + 1, self.small.g.dim):
-                lhs = self.big.g.bracket(self.embed(_unit(self.small.g.dim, j)),
-                                         self.embed(_unit(self.small.g.dim, k)))
+                lhs = self.big.g.bracket(self.embed(unit_vec(self.small.g.dim, j)),
+                                         self.embed(unit_vec(self.small.g.dim, k)))
                 rhs = self.embed(self.small.g.bracket_basis(j, k))
                 if lhs != rhs:
                     bad.append(f"alg_embed does not preserve bracket on basis pair ({j},{k})")
@@ -375,7 +371,7 @@ class SubpairEmbedding:
         # weight compatibility: components of an embedded weight vector restrict correctly
         for j in range(self.small.g.dim):
             want = self.small.ad_grading[j]
-            img = self.embed(_unit(self.small.g.dim, j))
+            img = self.embed(unit_vec(self.small.g.dim, j))
             for idx, a in enumerate(img):
                 if a.is_zero():
                     continue

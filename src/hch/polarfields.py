@@ -13,16 +13,21 @@ band tables from first principles instead of trusting hand algebra.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Dict, Tuple
 
-from .scalars import I, Scalar, as_scalar
+from .scalars import I, ZERO, Scalar, as_scalar
 
 # a K-finite function is a sparse map {n: c_n} standing for sum c_n r^lam z^n
 KFunction = Dict[int, Scalar]
 
+HALF = Scalar(Fraction(1, 2))
+HALF_I = Scalar(0, Fraction(1, 2))  # i/2
+NEG_HALF_I = -HALF_I                # -i/2 = 1/(2i)
+
 
 def _addto(acc: KFunction, n: int, c: Scalar) -> None:
-    s = acc.get(n, Scalar(0)) + c
+    s = acc.get(n, ZERO) + c
     if s.is_zero():
         acc.pop(n, None)
     else:
@@ -39,23 +44,26 @@ def vector_field_apply(X: Tuple[Tuple, Tuple], lam, f: KFunction) -> KFunction:
     (a, b), (c, d) = X
     a, b, c, d = (as_scalar(x) for x in (a, b, c, d))
     lam = as_scalar(lam)
-    half = Scalar("1/2")
+    # first slot coefficient a*x1 + c*x2, second b*x1 + d*x2 (row vector x X):
+    # one slot per nonzero entry: (coefficient of z, of 1/z, partial derivative 1 or 2)
+    slots = []
+    for entry, plus, minus, deriv in ((a, HALF, HALF, 1), (c, NEG_HALF_I, HALF_I, 1),
+                                      (b, HALF, HALF, 2), (d, NEG_HALF_I, HALF_I, 2)):
+        if not entry.is_zero():
+            slots.append((entry * plus, entry * minus, deriv))
     out: KFunction = {}
     for n, cn in f.items():
         ns = as_scalar(n)
         # r^{lam-1}-graded pieces of the partial derivatives
-        d1 = {n + 1: (lam - ns) * half, n - 1: (lam + ns) * half}
-        d2 = {n + 1: I * (ns - lam) * half, n - 1: I * (ns + lam) * half}
-        # first slot coefficient  a*x1 + c*x2, second  b*x1 + d*x2 (row vector x X)
-        for coeff, dd in (({1: a * half, -1: a * half}, d1),
-                          ({1: c * half / I, -1: -c * half / I}, d1),
-                          ({1: b * half, -1: b * half}, d2),
-                          ({1: d * half / I, -1: -d * half / I}, d2)):
-            for s, u in coeff.items():
-                if u.is_zero():
-                    continue
-                for m, v in dd.items():
-                    _addto(out, m + s, cn * u * v)
+        up, down = (lam - ns) * HALF, (lam + ns) * HALF
+        d1 = ((n + 1, up), (n - 1, down))
+        d2 = ((n + 1, -(I * up)), (n - 1, I * down))
+        for u_plus, u_minus, deriv in slots:
+            dd = d1 if deriv == 1 else d2
+            for s, u in ((1, u_plus), (-1, u_minus)):
+                cu = cn * u
+                for m, v in dd:
+                    _addto(out, m + s, cu * v)
     return out
 
 

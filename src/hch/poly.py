@@ -126,17 +126,29 @@ class Poly:
 
 
 def interpolate(points) -> Poly:
-    """Lagrange interpolation through (x, y) pairs with distinct x, exact."""
+    """Interpolation through (x, y) pairs with distinct x, exact.
+
+    Newton divided differences c_j = f[x_0..x_j], expanded to monomial
+    coefficients by nested multiplication c_j + (n - x_j) * (...): O(k^2)
+    scalar operations for k points.  The interpolant is unique, so this is
+    the Lagrange polynomial.  A repeated x raises ZeroDivisionError.
+    """
     pts = [(as_scalar(x), as_scalar(y)) for x, y in points]
-    out = Poly()
-    for i, (xi, yi) in enumerate(pts):
-        term = Poly.const(yi)
-        for j, (xj, _) in enumerate(pts):
-            if j == i:
-                continue
-            term = term * Poly([-xj, ONE]) * ((xi - xj).inverse())
-        out = out + term
-    return out
+    xs = [x for x, _ in pts]
+    c = [y for _, y in pts]
+    k = len(pts)
+    for j in range(1, k):
+        for i in range(k - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
+    coeffs: List[Scalar] = []
+    for j in range(k - 1, -1, -1):
+        # coeffs <- coeffs * (n - x_j) + c_j
+        xj = xs[j]
+        coeffs = [ZERO] + coeffs
+        for m in range(len(coeffs) - 1):
+            coeffs[m] = coeffs[m] - xj * coeffs[m + 1]
+        coeffs[0] = coeffs[0] + c[j]
+    return Poly(coeffs)
 
 
 def _as_poly(x) -> Poly:

@@ -30,10 +30,11 @@ from .linalg import (
     inverse,
     kernel_basis,
     rank,
+    unit_vec,
 )
 from .pbw import add_into
 from .reports import HomologyReport
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ZERO, Scalar
 
 
 def p_complement(pair: Pair) -> Tuple[List[Vector], Matrix]:
@@ -50,9 +51,9 @@ def p_complement(pair: Pair) -> Tuple[List[Vector], Matrix]:
     for j in range(g.dim):
         if pair.ad_grading[j] != zero:
             chosen.append(j)
-        elif span.add(_unit(g.dim, j)):
+        elif span.add(unit_vec(g.dim, j)):
             chosen.append(j)
-    p_basis = [_unit(g.dim, j) for j in chosen]
+    p_basis = [unit_vec(g.dim, j) for j in chosen]
     cols = torus_cols + p_basis
     if len(cols) != g.dim:
         raise ValueError("complement of the torus image is not K-stable")
@@ -65,10 +66,6 @@ def p_complement(pair: Pair) -> Tuple[List[Vector], Matrix]:
             if not v.is_zero():
                 ents[(r, c)] = v
     return p_basis, Matrix(len(p_basis), g.dim, ents)
-
-
-def _unit(n: int, j: int) -> Vector:
-    return tuple(ONE if k == j else ZERO for k in range(n))
 
 
 class RelativeStandardComplex:
@@ -238,7 +235,7 @@ def coinvariants(M: FiniteModule, h_basis: Sequence[Vector],
                     v[index[r]] = x
             images.append(tuple(v))
     reps = independent_over(len(kept), images,
-                            [_unit(len(kept), i) for i in range(len(kept))])
+                            [unit_vec(len(kept), i) for i in range(len(kept))])
     report = HomologyReport()
     report.dims[0] = len(reps)
     report.representatives[0] = reps

@@ -7,8 +7,10 @@ Basis conventions, fixed once:
   Lie algebra of the rotation group.
 
 Principal-series band tables are never written down by hand: they are
-derived per lambda from the polar vector-field oracle by exact interpolation
-in the K-type index and re-verified on a window.
+derived per lambda from the polar vector-field oracle.  Each table takes one
+oracle pass over a check window of K-types: the coefficients are interpolated
+exactly in the K-type index from seven of those images, and the table is then
+re-verified against every image of the window.
 """
 
 from __future__ import annotations
@@ -128,15 +130,20 @@ class OracleMismatchError(RuntimeError):
 def _derive_band(mat, lam, parity: int, check_radius: int = 20) -> BandOp:
     """Band table of a vector field on the K-types f_n, n = parity mod 2.
 
-    The shift-s coefficient is interpolated in n from oracle evaluations and
-    then re-checked against the oracle on every |n| <= check_radius.
+    One oracle pass: the vector field is applied once to each f_n of the
+    check window |n| <= check_radius (plus the seven samples, should they lie
+    outside it).  The shift-s coefficient is interpolated in n from the images
+    at the seven samples n = parity + 2t, |t| <= 3, must be affine there, and
+    the resulting table must then reproduce every image of the window.
     """
     lam = as_scalar(lam)
     samples = [parity + 2 * t for t in range(-3, 4)]
+    window = [n for n in range(-check_radius, check_radius + 1) if n % 2 == parity]
+    images = {n: vector_field_apply(mat, lam, {n: Scalar(1)})
+              for n in sorted(set(window).union(samples))}
     by_shift: Dict[int, List] = {}
     for n in samples:
-        img = vector_field_apply(mat, lam, {n: Scalar(1)})
-        for t, c in img.items():
+        for t, c in images[n].items():
             by_shift.setdefault(t - n, []).append((n, c))
     table = {}
     for s, pts in by_shift.items():
@@ -147,10 +154,8 @@ def _derive_band(mat, lam, parity: int, check_radius: int = 20) -> BandOp:
         if not p.is_zero():
             table[s] = p
     op = BandOp(table)
-    for n in range(-check_radius, check_radius + 1):
-        if n % 2 != parity:
-            continue
-        if op.apply_line(n) != vector_field_apply(mat, lam, {n: Scalar(1)}):
+    for n in window:
+        if op.apply_line(n) != images[n]:
             raise OracleMismatchError(f"band table disagrees with the oracle at n={n}")
     return op
 

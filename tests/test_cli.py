@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+from hch.bands import DegenerateBandError
 from hch.cli import main
-from hch.gkmodules import restrict_module
-from hch.sl2 import SUBPAIR_CATALOG, finite_irrep_so2, so2_pair
+from hch.gkmodules import UnsupportedAlgebraError, restrict_module
+from hch.scalars import Scalar
+from hch.sl2 import SUBPAIR_CATALOG, OracleMismatchError, finite_irrep_so2, so2_pair
 
 
 @pytest.fixture()
@@ -125,3 +127,35 @@ def test_output_file_and_bad_lambda(files, tmp_path, capsys):
     assert target.read_text().startswith("lambda\t")
     code, _, err = run(capsys, "sl2-demo", "--lambda", "0,zebra")
     assert code == 2 and "lambda" in err
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("target, exc, argv", [
+    ("hch.sl2.band_kernel", DegenerateBandError("window dimensions keep growing"),
+     ["sl2-demo", "--lambda", "2"]),
+    ("hch.sl2.principal_series", OracleMismatchError("band table disagrees"),
+     ["sl2-demo", "--lambda", "2"]),
+    ("hch.cli.euler_poincare", UnsupportedAlgebraError("no sl2 triple"),
+     ["ep", "--subpair", "diag", "--module", "F2"]),
+])
+def test_library_errors_are_exit_2_with_class_name(files, capsys, monkeypatch,
+                                                   target, exc, argv):
+    monkeypatch.setattr(target, _raise(exc))
+    argv = [files.get(a, a) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {type(exc).__name__}: {exc}\n"
+
+
+def test_oracle_mismatch_from_a_wrong_vector_field_is_exit_2(capsys, monkeypatch):
+    # a shift-2 coefficient quadratic in n cannot come from a vector field
+    monkeypatch.setattr("hch.sl2.vector_field_apply",
+                        lambda mat, lam, f: {n + 2: Scalar(n * n) for n in f})
+    code, _, err = run(capsys, "sl2-demo", "--lambda", "2")
+    assert code == 2
+    assert err.startswith("error: OracleMismatchError: shift 2 coefficient not affine")

@@ -11,11 +11,14 @@ from hch.liepairs import SubpairEmbedding
 from hch.poly import Poly
 from hch.polarfields import vector_field_apply, x1x2_power
 from hch.scalars import I, Scalar
+import hch.sl2
 from hch.sl2 import (
     E_MAT,
     F_MAT,
     H_MAT,
+    KAPPA_MAT,
     SUBPAIR_CATALOG,
+    OracleMismatchError,
     finite_irrep,
     branching_table,
     principal_series,
@@ -167,6 +170,49 @@ def test_derivation_oracle_consistency_window():
     for n in range(-15, 16, 2):
         for op, mat in ((ps.theta, H_MAT), (ps.e, E_MAT), (ps.f, F_MAT)):
             assert op.apply_line(n) == vector_field_apply(mat, Scalar(lam), {n: Scalar(1)})
+
+
+def _perturbed_oracle(extra):
+    """The true oracle plus extra(n) on the shift-2 coefficient of f_n."""
+    def oracle(mat, lam, f):
+        (n, c), = f.items()
+        out = dict(vector_field_apply(mat, lam, f))
+        delta = extra(n)
+        if delta:
+            out[n + 2] = out.get(n + 2, Scalar(0)) + c * delta
+        return out
+    return oracle
+
+
+def test_derivation_rejects_a_non_affine_oracle(monkeypatch):
+    monkeypatch.setattr(hch.sl2, "vector_field_apply",
+                        _perturbed_oracle(lambda n: Scalar(n * n)))
+    with pytest.raises(OracleMismatchError, match="shift 2 coefficient not affine"):
+        hch.sl2._derive_band(H_MAT, Scalar(3), 0)
+
+
+def test_derivation_checks_the_whole_window_not_only_the_samples(monkeypatch):
+    # right on the seven samples |n| <= 6, wrong only at the window's ends
+    monkeypatch.setattr(hch.sl2, "vector_field_apply",
+                        _perturbed_oracle(lambda n: Scalar(1) if abs(n) == 20 else 0))
+    with pytest.raises(OracleMismatchError, match=r"disagrees with the oracle at n=-?20$"):
+        hch.sl2._derive_band(E_MAT, Scalar(Fraction(7, 3)), 0)
+
+
+@pytest.mark.parametrize("parity, calls", [(0, 21), (1, 20)])
+def test_derivation_applies_the_oracle_once_per_window_index(monkeypatch, parity, calls):
+    seen = []
+
+    def counting(mat, lam, f):
+        seen.extend(f)
+        return vector_field_apply(mat, lam, f)
+
+    monkeypatch.setattr(hch.sl2, "vector_field_apply", counting)
+    for mat in (H_MAT, E_MAT, F_MAT, KAPPA_MAT):
+        seen.clear()
+        hch.sl2._derive_band(mat, Scalar(5), parity)
+        assert len(seen) == calls
+        assert sorted(seen) == [n for n in range(-20, 21) if n % 2 == parity]
 
 
 def test_subpair_catalog_validates():
