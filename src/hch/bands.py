@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .linalg import Matrix, kernel_basis
+from .linalg import Matrix, add_into, kernel_basis
 from .poly import Poly
 from .reports import Stabilization
 from .scalars import Scalar, as_scalar
@@ -57,11 +57,7 @@ class BandOp:
     def __add__(self, other: "BandOp") -> "BandOp":
         out = dict(self.table)
         for s, p in other.table.items():
-            q = out.get(s, Poly()) + p
-            if q.is_zero():
-                out.pop(s, None)
-            else:
-                out[s] = q
+            add_into(out, s, p)
         return BandOp(out)
 
     def __neg__(self):
@@ -81,12 +77,7 @@ class BandOp:
         out: Dict[int, Poly] = {}
         for sb, pb in other.table.items():
             for sa, pa in self.table.items():
-                s = sa + sb
-                q = out.get(s, Poly()) + pa.shift(sb) * pb
-                if q.is_zero():
-                    out.pop(s, None)
-                else:
-                    out[s] = q
+                add_into(out, sa + sb, pa.shift(sb) * pb)
         return BandOp(out)
 
     def __matmul__(self, other):
@@ -167,6 +158,30 @@ def _check_growth(dims: List[int]):
         )
 
 
+def _stabilize(kind: str, policy: StabilizationPolicy,
+               window: Callable[[int], Tuple[List[int], Matrix]]):
+    """Kernel on growing windows until two consecutive dims agree.
+
+    window(N) returns the indices of the matrix columns and the matrix for
+    window N.  Returns (dim, representatives, Stabilization), with
+    representatives built for the last window only.
+    """
+    windows = list(policy.capped())
+    dims: List[int] = []
+    for k, N in enumerate(windows):
+        columns, mat = window(N)
+        basis = kernel_basis(mat)
+        dims.append(len(basis))
+        _check_growth(dims)
+        if k >= 1 and dims[-1] == dims[-2]:
+            reps = [{n: c for n, c in zip(columns, v) if not c.is_zero()} for v in basis]
+            return dims[-1], reps, Stabilization(windows[: k + 1], dims, True)
+    raise UncertifiedStabilizationError(
+        f"{kind} dims {dims} did not stabilize within windows {windows}",
+        Stabilization(windows, dims, False),
+    )
+
+
 def band_kernel(op: BandOp, indices: Callable[[int], List[int]],
                 policy: StabilizationPolicy = StabilizationPolicy()):
     """Stabilized kernel of a band operator restricted to the given index classes.
@@ -176,26 +191,11 @@ def band_kernel(op: BandOp, indices: Callable[[int], List[int]],
     UncertifiedStabilizationError when the window list is exhausted without two
     consecutive agreements.
     """
-    windows = list(policy.capped())
-    dims: List[int] = []
-    reps: List[Dict[int, Scalar]] = []
-    for k, N in enumerate(windows):
+    def window(N):
         source = indices(N)
-        _, mat = op.windowed_matrix(source)
-        basis = kernel_basis(mat)
-        dims.append(len(basis))
-        reps = [
-            {n: c for n, c in zip(source, v) if not c.is_zero()}
-            for v in basis
-        ]
-        _check_growth(dims)
-        if k >= 1 and dims[-1] == dims[-2]:
-            stab = Stabilization(windows[: k + 1], dims, True)
-            return dims[-1], reps, stab
-    stab = Stabilization(windows, dims, False)
-    raise UncertifiedStabilizationError(
-        f"kernel dims {dims} did not stabilize within windows {windows}", stab
-    )
+        return source, op.windowed_matrix(source)[1]
+
+    return _stabilize("kernel", policy, window)
 
 
 def band_cokernel(op: BandOp, source_indices: Callable[[int], List[int]],
@@ -212,40 +212,23 @@ def band_cokernel(op: BandOp, source_indices: Callable[[int], List[int]],
     """
     if op.is_zero():
         raise DegenerateBandError("cokernel of the zero band operator is not finite")
-    windows = list(policy.capped())
     shifts = op.shifts()
-    dims: List[int] = []
-    reps: List[Dict[int, Scalar]] = []
-    for k, N in enumerate(windows):
+
+    def window(N):
         targets = target_indices(N)
         tindex = {n: i for i, n in enumerate(targets)}
-        rows = []
+        ents = {}
+        nrows = 0
         for n in source_indices(N):
             if all((n + s) in tindex for s in shifts):
-                row = {}
                 for s in shifts:
                     c = op.coeff(s)(n)
                     if not c.is_zero():
-                        row[(len(rows), tindex[n + s])] = c
-                rows.append(row)
-        ents = {}
-        for row in rows:
-            ents.update(row)
-        mat = Matrix(len(rows), len(targets), ents)
-        basis = kernel_basis(mat)
-        dims.append(len(basis))
-        reps = [
-            {n: c for n, c in zip(targets, v) if not c.is_zero()}
-            for v in basis
-        ]
-        _check_growth(dims)
-        if k >= 1 and dims[-1] == dims[-2]:
-            stab = Stabilization(windows[: k + 1], dims, True)
-            return dims[-1], reps, stab
-    stab = Stabilization(windows, dims, False)
-    raise UncertifiedStabilizationError(
-        f"cokernel dims {dims} did not stabilize within windows {windows}", stab
-    )
+                        ents[(nrows, tindex[n + s])] = c
+                nrows += 1
+        return targets, Matrix(nrows, len(targets), ents)
+
+    return _stabilize("cokernel", policy, window)
 
 
 def class_indices(residue: int, modulus: int) -> Callable[[int], List[int]]:

@@ -16,8 +16,7 @@ from fractions import Fraction
 
 from .hcomplexes import check_h_axioms
 from .linalg import unit_vec
-from .relhomology import (RelativeStandardComplex, coinvariants,
-                          euler_poincare, ext_via_duality)
+from .relhomology import coinvariants, euler_poincare, rel_homology
 from .resolution import StandardResolution
 from .bands import DegenerateBandError, UncertifiedStabilizationError
 from .gkmodules import UnsupportedAlgebraError
@@ -91,7 +90,6 @@ def _load_subpair_module(args):
 
 def _cmd_homology(args) -> int:
     emb, module = _load_subpair_module(args)
-    from .relhomology import rel_homology
     report = rel_homology(emb, module)
     top = max(report.dims) if report.dims else 0
     _emit(_json_text({"H": _trimmed_dims(report.dims, top)}), args.output)
@@ -100,10 +98,12 @@ def _cmd_homology(args) -> int:
 
 def _cmd_ext(args) -> int:
     emb, module = _load_subpair_module(args)
+    # Ext^n(M, C) = H_n of the relative standard complex (ext_via_duality)
+    report = rel_homology(emb, module)
     top = args.max_degree
     if top is None:
-        top = RelativeStandardComplex(emb, module).p_dim
-    dims = {n: ext_via_duality(emb, module, n) for n in range(top + 1)}
+        top = max(report.dims)
+    dims = {n: report.dims.get(n, 0) for n in range(top + 1)}
     _emit(_json_text({"Ext": _trimmed_dims(dims, top)}), args.output)
     return EXIT_OK
 

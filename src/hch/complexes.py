@@ -8,22 +8,22 @@ asserted only on the marked columns, where the truncation is known closed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import signs
-from .gkmodules import FiniteModule, direct_sum, kron, tensor, trivial_module
+from .gkmodules import FiniteModule, direct_sum, kron, tensor
 from .liepairs import DiagGroup, LieAlgebra, Pair, ValidationReport
 from .linalg import (
     Matrix,
-    Subspace,
     Vector,
-    independent_over,
+    add_into,
+    homology_at,
     kernel_basis,
     rank,
     solve,
 )
 from .reports import HomologyReport
-from .scalars import ONE, ZERO, Scalar, as_scalar
+from .scalars import ONE, Scalar, as_scalar
 
 _TRIVIAL_PAIR: Optional[Pair] = None
 
@@ -101,13 +101,8 @@ class Complex:
     def homology(self) -> HomologyReport:
         report = HomologyReport()
         for n in self.degrees():
-            cycles = kernel_basis(self.diff(n))
-            prev = self.diff(n - 1)
-            boundaries = [prev.column(c) for c in range(prev.cols)]
-            reps = independent_over(self.dim_at(n), boundaries, cycles)
-            dim = len(cycles) - rank(prev)
-            assert dim == len(reps)
-            report.dims[n] = dim
+            reps = homology_at(self.diff(n), self.diff(n - 1))
+            report.dims[n] = len(reps)
             report.representatives[n] = reps
         return report
 
@@ -259,17 +254,13 @@ class TensorLayout:
     def dim_at(self, n: int) -> int:
         return sum(self.M.dim_at(i) * self.N.dim_at(n - i) for i in self.blocks.get(n, []))
 
-    def place(self, n: int, i: int, block: Matrix, target_i: int, ents: Dict) -> None:
-        """Add a block mapping the (i, n-i) slot into the (target_i, n+1-target_i) slot."""
-        roff = self.offsets[(n + 1, target_i)]
-        coff = self.offsets[(n, i)]
+    def place(self, block: Matrix, source: Tuple[int, int], target: Tuple[int, int],
+              ents: Dict) -> None:
+        """Add a block mapping slot source into slot target; slot (n, i) is M^i (x) N^{n-i}."""
+        roff = self.offsets[target]
+        coff = self.offsets[source]
         for (r, c), v in block.entries.items():
-            key = (roff + r, coff + c)
-            s = ents.get(key, ZERO) + v
-            if s.is_zero():
-                ents.pop(key, None)
-            else:
-                ents[key] = s
+            add_into(ents, (roff + r, coff + c), v)
 
 
 def tensor_complex(M: Complex, N: Complex) -> Complex:
@@ -308,11 +299,12 @@ def tensor_complex(M: Complex, N: Complex) -> Complex:
             j = n - i
             dm = M.diff(i)
             if not dm.is_zero() and (n + 1, i + 1) in lay.offsets:
-                lay.place(n, i, kron(dm, Matrix.identity(N.dim_at(j))), i + 1, ents)
+                lay.place(kron(dm, Matrix.identity(N.dim_at(j))), (n, i), (n + 1, i + 1), ents)
             dn = N.diff(j)
             if not dn.is_zero() and (n + 1, i) in lay.offsets:
                 sgn = as_scalar(signs.koszul_right_sign(i))
-                lay.place(n, i, kron(Matrix.identity(M.dim_at(i)), dn).scale(sgn), i, ents)
+                lay.place(kron(Matrix.identity(M.dim_at(i)), dn).scale(sgn), (n, i), (n + 1, i),
+                          ents)
         d = Matrix(lay.dim_at(n + 1), lay.dim_at(n), ents)
         if not d.is_zero():
             diffs[n] = d
@@ -362,14 +354,6 @@ def _hom_diff(M: Complex, N: Complex, n: int) -> Matrix:
     dst = HomLayout(M, N, n + 1)
     sgn = as_scalar(signs.hom_precompose_sign(n))
     ents: Dict = {}
-
-    def add(row: int, col: int, v: Scalar):
-        s = ents.get((row, col), ZERO) + v
-        if s.is_zero():
-            ents.pop((row, col), None)
-        else:
-            ents[(row, col)] = s
-
     for i in src.blocks:
         cols_m = M.dim_at(i)
         # d_N o f : block i -> block i (degree raises on the N side)
@@ -378,8 +362,8 @@ def _hom_diff(M: Complex, N: Complex, n: int) -> Matrix:
             for (a, b), v in dn.entries.items():
                 # (d f)(x_c) row a = sum_b dn[a,b] f[b,c]
                 for c in range(cols_m):
-                    add(dst.offsets[i] + a * cols_m + c,
-                        src.offsets[i] + b * cols_m + c, v)
+                    add_into(ents, (dst.offsets[i] + a * cols_m + c,
+                                    src.offsets[i] + b * cols_m + c), v)
         # f o d_M : block i -> block i-1 (degree raises on the M side)
         dm = M.diff(i - 1)
         if (i - 1) in dst.offsets and not dm.is_zero():
@@ -388,8 +372,8 @@ def _hom_diff(M: Complex, N: Complex, n: int) -> Matrix:
             for (b, c), v in dm.entries.items():
                 # (f d)(x_c) row a = sum_b f[a,b] dm[b,c]
                 for a in range(rows_n):
-                    add(dst.offsets[i - 1] + a * cols_m1 + c,
-                        src.offsets[i] + a * cols_m + b, sgn * v)
+                    add_into(ents, (dst.offsets[i - 1] + a * cols_m1 + c,
+                                    src.offsets[i] + a * cols_m + b), sgn * v)
     return Matrix(dst.dim, src.dim, ents)
 
 
@@ -418,13 +402,10 @@ def _equivariance_constraints(M: Complex, N: Complex, n: int) -> Matrix:
                     row: Dict[int, Scalar] = {}
                     for (a, b), v in an.entries.items():
                         if a == r:
-                            key = lay.offsets[i] + b * cols_m + c
-                            row[key] = row.get(key, ZERO) + v
+                            add_into(row, lay.offsets[i] + b * cols_m + c, v)
                     for (b, c2), v in am.entries.items():
                         if c2 == c:
-                            key = lay.offsets[i] + r * cols_m + b
-                            row[key] = row.get(key, ZERO) - v
-                    row = {k: v for k, v in row.items() if not v.is_zero()}
+                            add_into(row, lay.offsets[i] + r * cols_m + b, -v)
                     if row:
                         rows.append(row)
     ents = {}

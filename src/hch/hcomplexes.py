@@ -8,13 +8,13 @@ genuine module structure, which is verified degreewise.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from . import signs
 from .complexes import Complex, ComplexMap, TensorLayout, cone, tensor_complex
-from .gkmodules import FiniteModule, kron
+from .gkmodules import kron
 from .liepairs import ValidationReport
-from .linalg import Matrix, Subspace, kernel_basis
+from .linalg import Matrix, independent_over, kernel_basis
 from .scalars import as_scalar
 
 
@@ -98,14 +98,11 @@ def h_cohomology_modules(h: HComplex) -> ValidationReport:
     for n in base.degrees():
         cycles = kernel_basis(base.diff(n))
         prev = base.diff(n - 1)
-        image = Subspace(base.dim_at(n),
-                         [prev.column(c) for c in range(prev.cols)])
+        boundaries = [prev.column(c) for c in range(prev.cols)]
         for t in range(base.pair.K.torus_rank):
             w = base.term(n).defect().maps[t]
-            for v in cycles:
-                if not image.contains(w.apply(v)):
-                    bad.append(f"defect of xi{t} does not vanish on H^{n}")
-                    break
+            if independent_over(base.dim_at(n), boundaries, [w.apply(v) for v in cycles]):
+                bad.append(f"defect of xi{t} does not vanish on H^{n}")
     return ValidationReport.good() if not bad else ValidationReport.bad(*bad)
 
 
@@ -186,33 +183,18 @@ def h_tensor(a: HComplex, b: HComplex) -> HComplex:
                 j = n - i
                 ia = a.i_at(t, i)
                 if not ia.is_zero() and (n - 1, i - 1) in lay.offsets:
-                    _place_down(lay, n, i, kron(ia, Matrix.identity(b.base.dim_at(j))),
-                                i - 1, ents)
+                    lay.place(kron(ia, Matrix.identity(b.base.dim_at(j))),
+                              (n, i), (n - 1, i - 1), ents)
                 ib = b.i_at(t, j)
                 if not ib.is_zero() and (n - 1, i) in lay.offsets:
                     sgn = as_scalar(signs.tensor_contraction_right_sign(i))
-                    _place_down(lay, n, i,
-                                kron(Matrix.identity(a.base.dim_at(i)), ib).scale(sgn),
-                                i, ents)
+                    lay.place(kron(Matrix.identity(a.base.dim_at(i)), ib).scale(sgn),
+                              (n, i), (n - 1, i), ents)
             m = Matrix(rows, cols, ents)
             if not m.is_zero():
                 per[n] = m
         i_maps[t] = per
     return HComplex(base, i_maps)
-
-
-def _place_down(lay: TensorLayout, n: int, i: int, block: Matrix, target_i: int,
-                ents: Dict) -> None:
-    """Like TensorLayout.place but for degree-lowering maps (into degree n-1)."""
-    roff = lay.offsets[(n - 1, target_i)]
-    coff = lay.offsets[(n, i)]
-    for (r, c), v in block.entries.items():
-        key = (roff + r, coff + c)
-        s = ents.get(key, as_scalar(0)) + v
-        if s.is_zero():
-            ents.pop(key, None)
-        else:
-            ents[key] = s
 
 
 def zero_contraction(base: Complex) -> HComplex:

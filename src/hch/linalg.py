@@ -1,9 +1,11 @@
 """Exact sparse linear algebra over Q(i): rank, kernel, solve, span arithmetic.
 
-Matrices are stored as sparse maps (row, col) -> Scalar with no explicit
-zeros.  All eliminations are exact; pivot rows are chosen by minimal support
-with lowest-index tie-break so that every basis this module returns is
-deterministic across runs.
+Matrices are stored as sparse maps (row, col) -> Scalar, and elimination
+rows as sparse maps col -> Scalar.  No sparse map in the package holds an
+explicit zero: ``add_into`` is the one way to accumulate into such a map, and
+every module that builds one goes through it.  All eliminations are exact;
+pivot rows are chosen by minimal support with lowest-index tie-break so that
+every basis this module returns is deterministic across runs.
 """
 
 from __future__ import annotations
@@ -13,6 +15,24 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .scalars import ONE, ZERO, Scalar, as_scalar
 
 Vector = Tuple[Scalar, ...]
+
+
+def add_into(acc: Dict, key, v) -> None:
+    """acc[key] += v on a sparse map that holds no zeros.
+
+    A key that sums to zero is dropped; a new key stores v itself, so v must
+    be immutable (Scalar, Poly).  Surviving keys keep their insertion order.
+    """
+    old = acc.get(key)
+    if old is None:
+        if not v.is_zero():
+            acc[key] = v
+        return
+    s = old + v
+    if s.is_zero():
+        del acc[key]
+    else:
+        acc[key] = s
 
 
 def vec(entries: Iterable) -> Vector:
@@ -150,11 +170,7 @@ class Matrix:
             raise ValueError("shape mismatch in matrix addition")
         ents = dict(self.entries)
         for rc, v in other.entries.items():
-            s = ents.get(rc, ZERO) + v
-            if s.is_zero():
-                ents.pop(rc, None)
-            else:
-                ents[rc] = s
+            add_into(ents, rc, v)
         return Matrix._raw(self.rows, self.cols, ents)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
@@ -179,12 +195,7 @@ class Matrix:
         acc: Dict[Tuple[int, int], Scalar] = {}
         for (r, k), v in self.entries.items():
             for c, w in by_row.get(k, ()):
-                rc = (r, c)
-                s = acc.get(rc, ZERO) + v * w
-                if s.is_zero():
-                    acc.pop(rc, None)
-                else:
-                    acc[rc] = s
+                add_into(acc, (r, c), v * w)
         return Matrix._raw(self.rows, other.cols, acc)
 
     def __mul__(self, other):
@@ -280,6 +291,13 @@ class Matrix:
 # -- elimination --------------------------------------------------------------
 
 
+def _row_step(row: Dict[int, Scalar], c: Scalar, prow: Dict[int, Scalar]) -> None:
+    """row -= c * prow, in place."""
+    neg = -c
+    for k, v in prow.items():
+        add_into(row, k, neg * v)
+
+
 def _rref(rows: List[Dict[int, Scalar]], ncols: int) -> Tuple[List[Dict[int, Scalar]], List[int]]:
     """In-place reduced row echelon form on sparse rows; returns (rows, pivot cols).
 
@@ -304,19 +322,10 @@ def _rref(rows: List[Dict[int, Scalar]], ncols: int) -> Tuple[List[Dict[int, Sca
         inv = prow[col].inverse()
         prow = {c: inv * v for c, v in prow.items()}
         live[top] = prow
-        for k in range(len(live)):
-            if k == top:
-                continue
-            other = live[k]
+        for k, other in enumerate(live):
             coeff = other.get(col)
-            if coeff is None:
-                continue
-            for c, v in prow.items():
-                s = other.get(c, ZERO) - coeff * v
-                if s.is_zero():
-                    other.pop(c, None)
-                else:
-                    other[c] = s
+            if coeff is not None and k != top:
+                _row_step(other, coeff, prow)
         pivots.append(col)
         top += 1
         if top == len(live):
@@ -410,52 +419,34 @@ class Subspace:
     def dim(self) -> int:
         return len(self._rows)
 
-    def add(self, v: Vector) -> bool:
-        """Insert v; returns True if the dimension grew."""
+    def _reduce(self, v: Vector) -> Dict[int, Scalar]:
+        """v minus its projection onto the span along the pivot columns."""
         row = {c: x for c, x in enumerate(v) if not x.is_zero()}
         for prow, pcol in zip(self._rows, self._pivots):
             coeff = row.get(pcol)
-            if coeff is None:
-                continue
-            for c, w in prow.items():
-                s = row.get(c, ZERO) - coeff * w
-                if s.is_zero():
-                    row.pop(c, None)
-                else:
-                    row[c] = s
+            if coeff is not None:
+                _row_step(row, coeff, prow)
+        return row
+
+    def add(self, v: Vector) -> bool:
+        """Insert v; returns True if the dimension grew."""
+        row = self._reduce(v)
         if not row:
             return False
         pcol = min(row)
         inv = row[pcol].inverse()
         row = {c: inv * w for c, w in row.items()}
         # back-substitute into existing rows to keep reduced form
-        for k, prow in enumerate(self._rows):
+        for prow in self._rows:
             coeff = prow.get(pcol)
-            if coeff is None:
-                continue
-            for c, w in row.items():
-                s = prow.get(c, ZERO) - coeff * w
-                if s.is_zero():
-                    prow.pop(c, None)
-                else:
-                    prow[c] = s
+            if coeff is not None:
+                _row_step(prow, coeff, row)
         self._rows.append(row)
         self._pivots.append(pcol)
         return True
 
     def contains(self, v: Vector) -> bool:
-        row = {c: x for c, x in enumerate(v) if not x.is_zero()}
-        for prow, pcol in zip(self._rows, self._pivots):
-            coeff = row.get(pcol)
-            if coeff is None:
-                continue
-            for c, w in prow.items():
-                s = row.get(c, ZERO) - coeff * w
-                if s.is_zero():
-                    row.pop(c, None)
-                else:
-                    row[c] = s
-        return not row
+        return not self._reduce(v)
 
 
 def independent_over(ambient: int, base: Iterable[Vector], candidates: Iterable[Vector]) -> List[Vector]:
@@ -466,3 +457,19 @@ def independent_over(ambient: int, base: Iterable[Vector], candidates: Iterable[
         if space.add(v):
             out.append(v)
     return out
+
+
+def homology_at(d_out: Matrix, d_in: Matrix) -> List[Vector]:
+    """Canonical representatives of ker d_out / im d_in.
+
+    The cycles are the canonical kernel basis of d_out; each one that extends
+    the span of the boundaries and of the cycles before it is kept.  Raises
+    ValueError when the boundaries are not cycles (d_out @ d_in != 0).
+    """
+    cycles = kernel_basis(d_out)
+    image = Subspace(d_out.cols, [d_in.column(c) for c in range(d_in.cols)])
+    boundary_rank = image.dim
+    reps = [v for v in cycles if image.add(v)]
+    if len(reps) != len(cycles) - boundary_rank:
+        raise ValueError("not a complex: boundaries are not cycles (d_out @ d_in != 0)")
+    return reps

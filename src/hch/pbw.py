@@ -11,7 +11,8 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from .liepairs import LieAlgebra
-from .scalars import ONE, ZERO, Scalar
+from .linalg import add_into
+from .scalars import ONE, Scalar
 
 Mono = Tuple[int, ...]
 Element = Dict[Mono, Scalar]
@@ -19,14 +20,6 @@ Element = Dict[Mono, Scalar]
 
 def degree(m: Mono) -> int:
     return sum(m)
-
-
-def add_into(acc: Element, m: Mono, c: Scalar) -> None:
-    s = acc.get(m, ZERO) + c
-    if s.is_zero():
-        acc.pop(m, None)
-    else:
-        acc[m] = s
 
 
 class PBW:

@@ -16,7 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .scalars import I, ZERO, Scalar, as_scalar
+from .linalg import add_into
+from .scalars import I, Scalar, as_scalar
 
 # a K-finite function is a sparse map {n: c_n} standing for sum c_n r^lam z^n
 KFunction = Dict[int, Scalar]
@@ -24,14 +25,6 @@ KFunction = Dict[int, Scalar]
 HALF = Scalar(Fraction(1, 2))
 HALF_I = Scalar(0, Fraction(1, 2))  # i/2
 NEG_HALF_I = -HALF_I                # -i/2 = 1/(2i)
-
-
-def _addto(acc: KFunction, n: int, c: Scalar) -> None:
-    s = acc.get(n, ZERO) + c
-    if s.is_zero():
-        acc.pop(n, None)
-    else:
-        acc[n] = s
 
 
 def vector_field_apply(X: Tuple[Tuple, Tuple], lam, f: KFunction) -> KFunction:
@@ -63,7 +56,7 @@ def vector_field_apply(X: Tuple[Tuple, Tuple], lam, f: KFunction) -> KFunction:
             for s, u in ((1, u_plus), (-1, u_minus)):
                 cu = cn * u
                 for m, v in dd:
-                    _addto(out, m + s, cu * v)
+                    add_into(out, m + s, cu * v)
     return out
 
 
@@ -78,7 +71,7 @@ def x1x2_power(k: int) -> KFunction:
         nxt: KFunction = {}
         for n, c in out.items():
             for m, d in base.items():
-                _addto(nxt, n + m, c * d)
+                add_into(nxt, n + m, c * d)
         out = nxt
     return out
 
@@ -90,5 +83,5 @@ def quarter_rotation_apply(k: int, f: KFunction) -> KFunction:
     """
     out: KFunction = {}
     for n, c in f.items():
-        _addto(out, n, c * (I ** ((k * n) % 4)))
+        add_into(out, n, c * (I ** ((k * n) % 4)))
     return out

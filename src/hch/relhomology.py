@@ -26,13 +26,12 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    add_into,
+    homology_at,
     independent_over,
     inverse,
-    kernel_basis,
-    rank,
     unit_vec,
 )
-from .pbw import add_into
 from .reports import HomologyReport
 from .scalars import ZERO, Scalar
 
@@ -125,20 +124,12 @@ class RelativeStandardComplex:
             col = self.module.g_action[l].column(k)
             for r, v in enumerate(col):
                 if not v.is_zero():
-                    add_into_int(out, r, a * v)
+                    add_into(out, r, a * v)
         return out
 
     def _boundary(self, n: int, full_index) -> Matrix:
         rows_idx = full_index[n - 1]
         ents: Dict = {}
-
-        def add(key, v):
-            s = ents.get(key, ZERO) + v
-            if s.is_zero():
-                ents.pop(key, None)
-            else:
-                ents[key] = s
-
         g = self.pair.g
         for col, (subset, k) in enumerate(self.kept[n]):
             for i, si in enumerate(subset):
@@ -148,7 +139,7 @@ class RelativeStandardComplex:
                     row = rows_idx.get((rest, r))
                     if row is None:
                         raise AssertionError("boundary leaves the coinvariant part")
-                    add((row, col), sgn * v)
+                    add_into(ents, (row, col), sgn * v)
             for p in range(n):
                 for q in range(p + 1, n):
                     sgn0 = Scalar(signs.wedge_pair_sign(p, q))
@@ -164,7 +155,7 @@ class RelativeStandardComplex:
                         row = rows_idx.get((wedge, k))
                         if row is None:
                             raise AssertionError("boundary leaves the coinvariant part")
-                        add((row, col), sgn0 * isgn * cl)
+                        add_into(ents, (row, col), sgn0 * isgn * cl)
         return Matrix(self.dim(n - 1), len(self.kept[n]), ents)
 
     def validate(self) -> ValidationReport:
@@ -186,14 +177,6 @@ class RelativeStandardComplex:
         return Complex(trivial_pair(), terms, diffs)
 
 
-def add_into_int(acc: Dict[int, Scalar], k: int, v: Scalar) -> None:
-    s = acc.get(k, ZERO) + v
-    if s.is_zero():
-        acc.pop(k, None)
-    else:
-        acc[k] = s
-
-
 def rel_homology(emb: SubpairEmbedding, M: FiniteModule) -> HomologyReport:
     cx = RelativeStandardComplex(emb, M)
     rep = cx.validate()
@@ -201,11 +184,8 @@ def rel_homology(emb: SubpairEmbedding, M: FiniteModule) -> HomologyReport:
         raise ValueError("; ".join(rep.violations))
     report = HomologyReport()
     for n in range(cx.p_dim + 1):
-        cycles = kernel_basis(cx.boundary(n)) if cx.dim(n) else []
-        nxt = cx.boundary(n + 1) if n < cx.p_dim else Matrix.zeros(cx.dim(n), 0)
-        boundaries = [nxt.column(c) for c in range(nxt.cols)]
-        reps = independent_over(cx.dim(n), boundaries, cycles)
-        report.dims[n] = len(cycles) - rank(nxt)
+        reps = homology_at(cx.boundary(n), cx.boundary(n + 1))
+        report.dims[n] = len(reps)
         report.representatives[n] = reps
     return report
 

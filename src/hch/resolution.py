@@ -17,9 +17,9 @@ from .complexes import Complex
 from .gkmodules import FiniteModule
 from .hcomplexes import HComplex
 from .liepairs import Character, Pair, ValidationReport
-from .linalg import Matrix, Subspace, kernel_basis
+from .linalg import Matrix, add_into, independent_over, kernel_basis
 from .pbw import PBW, Mono, degree
-from .scalars import ONE, ZERO, Scalar, as_scalar
+from .scalars import ONE, as_scalar
 
 
 def _wedge_insert(idx: int, subset: Tuple[int, ...]):
@@ -93,14 +93,6 @@ class StandardResolution:
         """Boundary wedge^n -> wedge^{n-1} (cochain map at degree -n)."""
         rows, cols = self.dim_at_wedge(n - 1), self.dim_at_wedge(n)
         ents: Dict = {}
-
-        def add(r: int, c: int, v: Scalar):
-            s = ents.get((r, c), ZERO) + v
-            if s.is_zero():
-                ents.pop((r, c), None)
-            else:
-                ents[(r, c)] = s
-
         g = self.pair.g
         for subset in self.subsets[n]:
             for mono in self.monos:
@@ -111,7 +103,7 @@ class StandardResolution:
                     for m2, c in self.u.mono_times_gen(mono, si).items():
                         if degree(m2) > self.cutoff:
                             continue
-                        add(self._index(n - 1, rest, m2), col, sgn * c)
+                        add_into(ents, (self._index(n - 1, rest, m2), col), sgn * c)
                 for p in range(n):
                     for q in range(p + 1, n):
                         sgn0 = as_scalar(signs.wedge_pair_sign(p, q))
@@ -124,8 +116,8 @@ class StandardResolution:
                             if ins is None:
                                 continue
                             isgn, wedge = ins
-                            add(self._index(n - 1, wedge, mono), col,
-                                sgn0 * as_scalar(isgn) * cl)
+                            add_into(ents, (self._index(n - 1, wedge, mono), col),
+                                     sgn0 * as_scalar(isgn) * cl)
         return Matrix(rows, cols, ents)
 
     def _i_map(self, t: int, n: int) -> Matrix:
@@ -144,12 +136,8 @@ class StandardResolution:
                     if ins is None:
                         continue
                     isgn, wedge = ins
-                    key = (self._index(n + 1, wedge, mono), col)
-                    s = ents.get(key, ZERO) - as_scalar(isgn) * v
-                    if s.is_zero():
-                        ents.pop(key, None)
-                    else:
-                        ents[key] = s
+                    add_into(ents, (self._index(n + 1, wedge, mono), col),
+                             -as_scalar(isgn) * v)
         return Matrix(rows, cols, ents)
 
     def _interior_cols(self, n: int) -> List[int]:
@@ -198,9 +186,7 @@ class StandardResolution:
             stacked = Matrix(roff, base.dim_at(n), ents)
             cycles = kernel_basis(stacked)
             prev = base.diff(n - 1)
-            image = Subspace(base.dim_at(n), [prev.column(c) for c in range(prev.cols)])
-            for v in cycles:
-                if not image.contains(v):
-                    bad.append(f"interior cycle not a boundary at degree {n}")
-                    break
+            boundaries = [prev.column(c) for c in range(prev.cols)]
+            if independent_over(base.dim_at(n), boundaries, cycles):
+                bad.append(f"interior cycle not a boundary at degree {n}")
         return ValidationReport.good() if not bad else ValidationReport.bad(*bad)

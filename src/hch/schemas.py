@@ -3,7 +3,8 @@
 Every loader checks the raw JSON against the expected shape before handing it
 to the ``from_json`` constructors, so a malformed file fails with the name and
 location of the offending field (e.g. ``pair.g.brackets[3]``) instead of a
-KeyError deep inside the library.
+KeyError deep inside the library.  Modules are also checked mathematically
+(bracket representation, K-equivariance) before anything is computed on them.
 """
 
 from fractions import Fraction
@@ -195,6 +196,10 @@ def load_finite_module(pair: Pair, obj: Any, loc: str = "module") -> FiniteModul
                           f"need one matrix per algebra basis vector ({pair.g.dim}), "
                           f"got {len(obj['g_action'])}")
     try:
-        return FiniteModule.from_json(pair, obj)
+        module = FiniteModule.from_json(pair, obj)
     except ValueError as e:
         raise SchemaError(loc, str(e)) from None
+    rep = module.validate()
+    if not rep:
+        raise SchemaError(loc, rep.violations[0])
+    return module

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from hch.bands import DegenerateBandError
+from hch import cli
 from hch.cli import main
 from hch.gkmodules import UnsupportedAlgebraError, restrict_module
 from hch.scalars import Scalar
@@ -59,10 +60,20 @@ def test_homology_matches_direct_value(files, capsys):
     assert json.loads(out) == {"H": [1, 1]}
 
 
-def test_ext_ep_coinv(files, capsys):
+def test_ext_ep_coinv(files, capsys, monkeypatch):
+    calls = []
+    real = cli.rel_homology
+    monkeypatch.setattr(cli, "rel_homology", lambda *a: calls.append(a) or real(*a))
     code, out, _ = run(capsys, "ext",
                        "--subpair", files["diag"], "--module", files["F2"])
     assert code == 0 and json.loads(out) == {"Ext": [1, 1]}
+    assert len(calls) == 1  # one homology pass for every degree
+    # p_dim is 1 here: degrees above it read 0 and are trimmed away
+    for top, want in (("0", "[\n    1\n  ]"), ("1", "[\n    1,\n    1\n  ]"),
+                      ("3", "[\n    1,\n    1\n  ]")):
+        code, out, _ = run(capsys, "ext", "--subpair", files["diag"],
+                           "--module", files["F2"], "--max-degree", top)
+        assert code == 0 and out == '{\n  "Ext": ' + want + "\n}\n"
     code, out, _ = run(capsys, "ep",
                        "--subpair", files["diag"], "--module", files["F2"])
     assert code == 0 and json.loads(out) == {"EP": 0}
@@ -83,6 +94,18 @@ def test_schema_error_names_field_and_location(files, tmp_path, capsys):
                        "--subpair", files["diag"], "--module", str(p))
     assert code == 2
     assert "module" in err and "g_action" in err
+
+
+@pytest.mark.parametrize("command", ["homology", "ext", "ep", "coinv"])
+def test_non_equivariant_module_is_exit_2(files, tmp_path, capsys, command):
+    obj = json.loads(open(files["F2"]).read())
+    for w, f in zip(obj["k_weights"], [0, 1, 0]):  # K^H-characters the action does not respect
+        w["finite"] = [f]
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(obj))
+    code, out, err = run(capsys, command, "--subpair", files["diag"], "--module", str(p))
+    assert code == 2 and out == ""
+    assert err == "error: module: action of g-basis 0 is not K-equivariant at entry (0,1)\n"
 
 
 def test_sl2_demo_sweep_table(capsys):

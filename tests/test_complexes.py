@@ -1,7 +1,13 @@
 """Complex constructions and their sign conventions."""
 
+import os
 import random
+import subprocess
+import sys
 
+import pytest
+
+import hch
 from hch.complexes import (
     Complex,
     ComplexMap,
@@ -14,7 +20,7 @@ from hch.complexes import (
     tensor_complex,
     trivial_pair,
 )
-from hch.linalg import Matrix
+from hch.linalg import Matrix, homology_at, kernel_basis, rank
 from hch.scalars import Scalar
 
 
@@ -89,6 +95,26 @@ def test_euler_characteristic_matches_homology():
         assert c.check_complex().ok
         h = c.homology()
         assert c.euler_characteristic() == h.euler_characteristic()
+        for n in c.degrees():
+            d_out, d_in = c.diff(n), c.diff(n - 1)
+            reps = homology_at(d_out, d_in)
+            assert len(reps) == len(kernel_basis(d_out)) - rank(d_in) == h.dims[n]
+
+
+def test_homology_of_a_non_complex_raises():
+    bad = plain_complex([1, 1, 1], {0: [[1]], 1: [[1]]})
+    with pytest.raises(ValueError, match="boundaries are not cycles"):
+        bad.homology()
+    # a ValueError, not an assert: python -O keeps the check
+    script = ("from hch.complexes import Complex, plain_space, trivial_pair\n"
+              "from hch.linalg import Matrix\n"
+              "one = Matrix.from_rows([[1]])\n"
+              "Complex(trivial_pair(), {n: plain_space(1) for n in range(3)},"
+              " {0: one, 1: one}).homology()\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hch.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert "ValueError: not a complex" in proc.stderr
 
 
 def test_shift_involution_and_sign():

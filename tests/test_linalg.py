@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hch.linalg import (
     Matrix,
     Subspace,
+    add_into,
     cokernel_dim,
     kernel_basis,
     rank,
@@ -112,6 +113,22 @@ def test_subspace():
     assert s.dim == 2
     assert s.contains(vec([2, -3, 2]))
     assert not s.contains(vec([0, 0, 1]))
+
+
+def test_add_into_drops_zeros_and_keeps_order():
+    acc = {}
+    add_into(acc, "a", Scalar(1))
+    add_into(acc, "b", Scalar(2))
+    add_into(acc, "z", ZERO)
+    add_into(acc, "c", Scalar(3))
+    assert list(acc) == ["a", "b", "c"]
+    add_into(acc, "a", Scalar(4))      # an updated key keeps its place
+    assert list(acc.items()) == [("a", Scalar(5)), ("b", Scalar(2)), ("c", Scalar(3))]
+    add_into(acc, "b", Scalar(-2))     # a key that sums to zero is dropped
+    assert list(acc) == ["a", "c"]
+    add_into(acc, "b", I)              # and comes back at the end
+    assert list(acc.items()) == [("a", Scalar(5)), ("c", Scalar(3)), ("b", I)]
+    assert all(not v.is_zero() for v in acc.values())
 
 
 def test_matrix_json_roundtrip():

@@ -74,6 +74,16 @@ def test_tensor_of_two_truncations():
     assert check_h_axioms(t).ok
 
 
+def test_exactness_failure_is_reported(monkeypatch):
+    # with every boundary zero, the interior cycles x, x^2 at degree 0 are not boundaries
+    monkeypatch.setattr(
+        StandardResolution, "_diff",
+        lambda self, n: Matrix.zeros(self.dim_at_wedge(n - 1), self.dim_at_wedge(n)))
+    rep = StandardResolution(line_pair(), 4).check_exactness()
+    assert not rep.ok
+    assert "interior cycle not a boundary at degree 0" in rep.violations
+
+
 def test_cutoff_guard():
     with pytest.raises(ValueError):
         StandardResolution(line_pair(), 1)
