@@ -54,10 +54,11 @@ class LieAlgebra:
                 comp = {l: as_scalar(v) for l, v in comp.items() if not as_scalar(v).is_zero()}
                 if not comp:
                     continue
-                if j < k:
-                    self._brackets[(j, k)] = comp
-                else:
-                    self._brackets[(k, j)] = {l: -v for l, v in comp.items()}
+                if j > k:
+                    j, k, comp = k, j, {l: -v for l, v in comp.items()}
+                if (j, k) in self._brackets:
+                    raise ValueError(f"bracket [x{j}, x{k}] given in both orders")
+                self._brackets[(j, k)] = comp
 
     def structure_constant(self, j: int, k: int, l: int) -> Scalar:
         if j == k:
@@ -124,7 +125,10 @@ class LieAlgebra:
     def from_json(obj) -> "LieAlgebra":
         brackets: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
         for j, k, l, re, im in obj.get("brackets", []):
-            brackets.setdefault((j, k), {})[l] = Scalar(re, im)
+            comp = brackets.setdefault((j, k), {})
+            if l in comp:
+                raise ValueError(f"bracket entry ({j}, {k}, {l}) given twice")
+            comp[l] = Scalar(re, im)
         return LieAlgebra(int(obj["dim"]), obj.get("basis_labels"), brackets)
 
 

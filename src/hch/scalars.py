@@ -24,26 +24,28 @@ class Scalar:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
+        _set_re(self, _frac(re))
+        _set_im(self, _frac(im))
 
     def __setattr__(self, *a):
         raise AttributeError("Scalar is immutable")
+
+    __delattr__ = __setattr__
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
         other = as_scalar(other)
-        return Scalar(self.re + other.re, self.im + other.im)
+        return _of(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        return _of(-self.re, -self.im)
 
     def __sub__(self, other):
         other = as_scalar(other)
-        return Scalar(self.re - other.re, self.im - other.im)
+        return _of(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         return as_scalar(other) - self
@@ -51,8 +53,8 @@ class Scalar:
     def __mul__(self, other):
         other = as_scalar(other)
         if self.im == 0 and other.im == 0:
-            return Scalar(self.re * other.re)
-        return Scalar(
+            return _of(self.re * other.re, _FRAC_ZERO)
+        return _of(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -63,7 +65,7 @@ class Scalar:
         n = self.re * self.re + self.im * self.im
         if n == 0:
             raise ZeroDivisionError("inverse of zero in Q(i)")
-        return Scalar(self.re / n, -self.im / n)
+        return _of(self.re / n, -self.im / n)
 
     def __truediv__(self, other):
         return self * as_scalar(other).inverse()
@@ -72,7 +74,7 @@ class Scalar:
         return as_scalar(other) * self.inverse()
 
     def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        return _of(self.re, -self.im)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -123,6 +125,22 @@ class Scalar:
         if isinstance(obj, (int, str)):
             return Scalar(Fraction(obj))
         raise TypeError(f"cannot parse scalar from {obj!r}")
+
+
+_set_re = Scalar.re.__set__
+_set_im = Scalar.im.__set__
+
+
+def _of(re: Fraction, im: Fraction) -> Scalar:
+    """Trusted constructor for components that are already Fractions.
+
+    Arithmetic results take this path; it skips the coercion that
+    ``Scalar(...)`` applies to outside input.
+    """
+    s = object.__new__(Scalar)
+    _set_re(s, re)
+    _set_im(s, im)
+    return s
 
 
 def as_scalar(x) -> Scalar:

@@ -115,6 +115,9 @@ def check_algebra(obj: Any, loc: str) -> None:
         for i, name in enumerate(labels):
             if not isinstance(name, str):
                 raise SchemaError(f"{loc}.basis_labels[{i}]", "labels are strings")
+    # each bracket [x_j, x_k] is given in one order, each of its components once
+    first_order = {}  # unordered pair -> (row, (j, k)) of its first entry
+    first_entry = {}  # (unordered pair, l) -> row
     for i, row in enumerate(_check_list(obj.get("brackets", []), f"{loc}.brackets")):
         where = f"{loc}.brackets[{i}]"
         row = _check_list(row, where)
@@ -126,6 +129,19 @@ def check_algebra(obj: Any, loc: str) -> None:
                 raise SchemaError(f"{where}[{pos}]", f"basis index {idx} outside 0..{dim - 1}")
         _check_rational(row[3], f"{where}[3]")
         _check_rational(row[4], f"{where}[4]")
+        j, k, l = row[:3]
+        if j == k:
+            if Fraction(row[3]) or Fraction(row[4]):
+                raise SchemaError(where, f"nonzero bracket of x{j} with itself")
+            continue
+        pair = (min(j, k), max(j, k))
+        if (pair, l) in first_entry:
+            raise SchemaError(where, f"duplicates brackets[{first_entry[pair, l]}]")
+        first_entry[pair, l] = i
+        i0, order = first_order.setdefault(pair, (i, (j, k)))
+        if order != (j, k):
+            raise SchemaError(where, f"gives [x{j}, x{k}] but brackets[{i0}] gives "
+                                     f"[x{k}, x{j}]; give each bracket in one order")
 
 
 def check_pair(obj: Any, loc: str = "pair") -> None:

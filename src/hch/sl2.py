@@ -10,12 +10,16 @@ Principal-series band tables are never written down by hand: they are
 derived per lambda from the polar vector-field oracle.  Each table takes one
 oracle pass over a check window of K-types: the coefficients are interpolated
 exactly in the K-type index from seven of those images, and the table is then
-re-verified against every image of the window.
+re-verified against every image of the window.  ``principal_series`` derives
+only the theta table up front, which is all the branching reports read; the
+e, f and kappa tables and the rotation-adapted module are derived, and checked
+the same way, when they are first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional
 
 from .bands import (
@@ -165,17 +169,37 @@ class PrincipalSeriesModel:
     """K-finite model of the spherical/non-spherical principal series.
 
     f_n = r^lam e^{i n phi}, n = epsilon mod 2.  Band tables for the standard
-    and rotation-adapted bases, all oracle-derived; module is the BandModule
-    over the (sl2, SO(2)) pair.
+    and rotation-adapted bases, all oracle-derived.  theta is derived and
+    checked on construction; e, f, kappa and module (the BandModule over the
+    (sl2, SO(2)) pair) are derived and checked on first read, so an oracle
+    mismatch in one of them raises OracleMismatchError there.
     """
 
     lam: Scalar
     epsilon: int
     theta: BandOp
-    e: BandOp
-    f: BandOp
-    kappa: BandOp
-    module: BandModule
+
+    @cached_property
+    def e(self) -> BandOp:
+        return _derive_band(E_MAT, self.lam, self.epsilon)
+
+    @cached_property
+    def f(self) -> BandOp:
+        return _derive_band(F_MAT, self.lam, self.epsilon)
+
+    @cached_property
+    def kappa(self) -> BandOp:
+        return _derive_band(KAPPA_MAT, self.lam, self.epsilon)
+
+    @cached_property
+    def module(self) -> BandModule:
+        # rotation-adapted ops: u± = theta ± i(e+f), k0 = -i(e-f)
+        i_sum = (self.e + self.f).scale(I)
+        u_plus = self.theta + i_sum
+        u_minus = self.theta - i_sum
+        k0 = (self.e - self.f).scale(-I)
+        return BandModule(so2_pair(), self.epsilon, [u_plus, k0, u_minus],
+                          params={"lambda": self.lam})
 
     def w_value(self, n: int) -> Scalar:
         """Action of the rotation w = [[0,1],[-1,0]] on f_n (oracle-derived)."""
@@ -190,17 +214,7 @@ class PrincipalSeriesModel:
 def principal_series(lam, epsilon: int) -> PrincipalSeriesModel:
     lam = as_scalar(lam)
     epsilon = epsilon % 2
-    theta = _derive_band(H_MAT, lam, epsilon)
-    e_band = _derive_band(E_MAT, lam, epsilon)
-    f_band = _derive_band(F_MAT, lam, epsilon)
-    kappa = _derive_band(KAPPA_MAT, lam, epsilon)
-    # rotation-adapted ops: u± = theta ± i(e+f), k0 = -i(e-f)
-    u_plus = theta + (e_band + f_band).scale(I)
-    u_minus = theta - (e_band + f_band).scale(I)
-    k0 = (e_band - f_band).scale(-I)
-    module = BandModule(so2_pair(), epsilon, [u_plus, k0, u_minus],
-                        params={"lambda": lam})
-    return PrincipalSeriesModel(lam, epsilon, theta, e_band, f_band, kappa, module)
+    return PrincipalSeriesModel(lam, epsilon, _derive_band(H_MAT, lam, epsilon))
 
 
 # -- subpair catalog -------------------------------------------------------------

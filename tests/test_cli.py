@@ -53,6 +53,28 @@ def test_verify_bad_bracket_is_exit_2(tmp_path, capsys):
     assert not json.loads(out)["ok"]
 
 
+@pytest.mark.parametrize("brackets, message", [
+    # [x0, x1] = x0 beside [x1, x0] = x1: the loader used to keep only the later
+    ([[0, 1, 0, "1", "0"], [1, 0, 1, "1", "0"]],
+     "brackets[1]: gives [x1, x0] but brackets[0] gives [x0, x1]; give each bracket in one order"),
+    ([[0, 1, 0, "1", "0"], [1, 0, 0, "1", "0"]], "brackets[1]: duplicates brackets[0]"),
+    ([[0, 1, 1, "1", "0"], [0, 1, 1, "2", "0"]], "brackets[1]: duplicates brackets[0]"),
+    ([[0, 1, 0, "1", "0"], [1, 1, 0, "0", "1"]], "brackets[1]: nonzero bracket of x1 with itself"),
+])
+def test_verify_conflicting_brackets_is_exit_2(tmp_path, capsys, brackets, message):
+    obj = {"g": {"dim": 2, "brackets": brackets}, "K": {},
+           "ad_grading": [{}, {}]}
+    p = tmp_path / "pair.json"
+    p.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "--pair", str(p))
+    assert code == 2 and out == ""
+    assert err == f"error: pair.g.{message}\n"
+    obj["g"]["brackets"] = brackets[:1] + [[1, 1, 0, "0", "0"]]  # a zero self-bracket is fine
+    p.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "verify", "--pair", str(p))
+    assert code == 0 and json.loads(out)["ok"]
+
+
 def test_homology_matches_direct_value(files, capsys):
     code, out, _ = run(capsys, "homology",
                        "--subpair", files["diag"], "--module", files["F2"])

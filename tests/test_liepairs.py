@@ -33,6 +33,17 @@ def test_jacobi_ok():
     assert make_sl2().check_jacobi().ok
 
 
+def test_bracket_given_twice_raises():
+    # the (1, 0) entry used to replace the (0, 1) one
+    with pytest.raises(ValueError, match=r"bracket \[x0, x1\] given in both orders"):
+        LieAlgebra(2, None, {(0, 1): {0: Scalar(1)}, (1, 0): {1: Scalar(1)}})
+    with pytest.raises(ValueError, match=r"bracket entry \(0, 1, 1\) given twice"):
+        LieAlgebra.from_json({"dim": 2, "brackets": [[0, 1, 1, "1", "0"], [0, 1, 1, "2", "0"]]})
+    # one order only: the components add up to the bracket
+    g = LieAlgebra.from_json({"dim": 2, "brackets": [[1, 0, 0, "1", "0"], [1, 0, 1, "3", "0"]]})
+    assert g.bracket_basis(0, 1) == (Scalar(-1), Scalar(-3))
+
+
 def test_jacobi_violation():
     tampered = LieAlgebra(3, ["e", "h", "f"], {
         (0, 1): {0: Scalar(-2)},

@@ -215,6 +215,60 @@ def test_derivation_applies_the_oracle_once_per_window_index(monkeypatch, parity
         assert sorted(seen) == [n for n in range(-20, 21) if n % 2 == parity]
 
 
+def test_branching_report_derives_only_theta(monkeypatch):
+    calls = []
+    real = hch.sl2._derive_band
+
+    def counting(mat, lam, parity):
+        calls.append(mat)
+        return real(mat, lam, parity)
+
+    monkeypatch.setattr(hch.sl2, "_derive_band", counting)
+    sl2_branching_report(4, 0)
+    assert calls == [H_MAT]
+    ps = principal_series(4, 0)
+    assert len(calls) == 2
+    ps.module
+    assert calls == [H_MAT, H_MAT, E_MAT, F_MAT]
+    assert ps.module is ps.module and ps.e is ps.e
+    assert len(calls) == 4
+    ps.kappa
+    assert calls[4:] == [KAPPA_MAT]
+
+
+def _items(op):
+    return [(s, p.coeffs) for s, p in op.table.items()]
+
+
+@pytest.mark.parametrize("eps", [0, 1])
+def test_lazy_bands_equal_direct_derivation(eps):
+    derive = hch.sl2._derive_band
+    for lam in [*range(-4, 13), Fraction(7, 3), Fraction(-5, 2)]:
+        ps = principal_series(lam, eps)
+        lam = Scalar(lam)
+        theta, e, f, kappa = (derive(m, lam, eps) for m in (H_MAT, E_MAT, F_MAT, KAPPA_MAT))
+        for got, want in ((ps.theta, theta), (ps.e, e), (ps.f, f), (ps.kappa, kappa)):
+            assert _items(got) == _items(want), lam
+        i_sum = (e + f).scale(I)
+        want_ops = [theta + i_sum, (e - f).scale(-I), theta - i_sum]
+        assert [_items(op) for op in ps.module.band_ops] == [_items(op) for op in want_ops]
+
+
+def test_e_band_mismatch_raises_on_first_read(monkeypatch):
+    wrong = _perturbed_oracle(lambda n: Scalar(1) if abs(n) == 20 else 0)
+
+    def oracle(mat, lam, f):
+        return (wrong if mat == E_MAT else vector_field_apply)(mat, lam, f)
+
+    monkeypatch.setattr(hch.sl2, "vector_field_apply", oracle)
+    ps = principal_series(3, 0)
+    assert ps.f == hch.sl2._derive_band(F_MAT, Scalar(3), 0)
+    with pytest.raises(OracleMismatchError, match="disagrees with the oracle"):
+        ps.e
+    with pytest.raises(OracleMismatchError, match="disagrees with the oracle"):
+        principal_series(3, 0).module
+
+
 def test_subpair_catalog_validates():
     for name, make in SUBPAIR_CATALOG.items():
         emb = make()
