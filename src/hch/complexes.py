@@ -330,10 +330,6 @@ class HomLayout:
                 off += sz
         self.dim = off
 
-    def coords_of(self, i: int, r: int, c: int) -> int:
-        # entry (r, c) of the block map M^i -> N^{i+n}
-        return self.offsets[i] + r * self.M.dim_at(i) + c
-
     def unpack(self, v: Vector) -> Dict[int, Matrix]:
         out = {}
         for i in self.blocks:

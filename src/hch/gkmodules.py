@@ -84,12 +84,6 @@ class FiniteModule:
     def is_genuine(self) -> bool:
         return all(m.is_zero() for m in self.defect().maps)
 
-    def weight_indices(self) -> Dict[Character, List[int]]:
-        out: Dict[Character, List[int]] = {}
-        for r, ch in enumerate(self.k_weights):
-            out.setdefault(ch, []).append(r)
-        return out
-
     def to_json(self):
         return {
             "k_weights": [ch.to_json() for ch in self.k_weights],

@@ -7,10 +7,10 @@ iota of the torus Lie algebra into g.  Validation checks are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
-from .linalg import Matrix, Vector, rank, unit_vec, vec, vec_is_zero, zero_vec
+from .linalg import Matrix, Vector, rank, unit_vec, vec_is_zero
 from .scalars import ZERO, Scalar, as_scalar
 
 
@@ -49,23 +49,16 @@ class LieAlgebra:
             for (j, k), comp in brackets.items():
                 if not (0 <= j < dim and 0 <= k < dim):
                     raise IndexError("bracket index out of range")
-                if j == k:
-                    continue
                 comp = {l: as_scalar(v) for l, v in comp.items() if not as_scalar(v).is_zero()}
                 if not comp:
                     continue
+                if j == k:
+                    raise ValueError(f"bracket [x{j}, x{j}] must be zero")
                 if j > k:
                     j, k, comp = k, j, {l: -v for l, v in comp.items()}
                 if (j, k) in self._brackets:
                     raise ValueError(f"bracket [x{j}, x{k}] given in both orders")
                 self._brackets[(j, k)] = comp
-
-    def structure_constant(self, j: int, k: int, l: int) -> Scalar:
-        if j == k:
-            return ZERO
-        if j < k:
-            return self._brackets.get((j, k), {}).get(l, ZERO)
-        return -self._brackets.get((k, j), {}).get(l, ZERO)
 
     def bracket_basis(self, j: int, k: int) -> Vector:
         out = [ZERO] * self.dim
@@ -190,9 +183,6 @@ class DiagGroup:
     def neg(self, a: Character) -> Character:
         return self.character([-x for x in a.torus], [-x for x in a.finite])
 
-    def is_trivial(self) -> bool:
-        return self.torus_rank == 0 and all(n == 1 for n in self.finite_invariants)
-
     def __eq__(self, other):
         if not isinstance(other, DiagGroup):
             return NotImplemented
@@ -231,12 +221,6 @@ class Pair:
 
     def iota_vec(self, t: int) -> Vector:
         return self.iota.column(t)
-
-    def weight_indices(self) -> Dict[Character, List[int]]:
-        out: Dict[Character, List[int]] = {}
-        for j, ch in enumerate(self.ad_grading):
-            out.setdefault(ch, []).append(j)
-        return out
 
     def validate(self) -> ValidationReport:
         bad = []

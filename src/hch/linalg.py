@@ -10,6 +10,7 @@ every basis this module returns is deterministic across runs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .scalars import ONE, ZERO, Scalar, as_scalar
@@ -45,17 +46,6 @@ def zero_vec(n: int) -> Vector:
 
 def unit_vec(n: int, j: int) -> Vector:
     return tuple(ONE if k == j else ZERO for k in range(n))
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c: Scalar, v: Vector) -> Vector:
-    return tuple(c * a for a in v)
 
 
 def vec_is_zero(v: Vector) -> bool:
@@ -136,14 +126,8 @@ class Matrix:
     def __getitem__(self, rc: Tuple[int, int]) -> Scalar:
         return self.entries.get(rc, ZERO)
 
-    def row(self, r: int) -> Vector:
-        return tuple(self.entries.get((r, c), ZERO) for c in range(self.cols))
-
     def column(self, c: int) -> Vector:
         return tuple(self.entries.get((r, c), ZERO) for r in range(self.rows))
-
-    def to_rows(self) -> List[List[Scalar]]:
-        return [list(self.row(r)) for r in range(self.rows)]
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -406,7 +390,11 @@ def solve(m: Matrix, b: Vector) -> Optional[Vector]:
 
 
 class Subspace:
-    """A subspace of an ambient coordinate space, held in reduced echelon form."""
+    """A subspace of an ambient coordinate space, held in reduced echelon form.
+
+    The rows are sorted by pivot column, so two spans that are equal are held
+    identically, however they were built.
+    """
 
     def __init__(self, dim_ambient: int, vectors: Iterable[Vector] = ()):
         self.dim_ambient = dim_ambient
@@ -441,12 +429,23 @@ class Subspace:
             coeff = prow.get(pcol)
             if coeff is not None:
                 _row_step(prow, coeff, row)
-        self._rows.append(row)
-        self._pivots.append(pcol)
+        pos = bisect_left(self._pivots, pcol)
+        self._rows.insert(pos, row)
+        self._pivots.insert(pos, pcol)
         return True
 
     def contains(self, v: Vector) -> bool:
         return not self._reduce(v)
+
+
+def column_space(m: Matrix) -> Subspace:
+    """The span of the columns of m, by one elimination over its sparse columns."""
+    cols: List[Dict[int, Scalar]] = [dict() for _ in range(m.cols)]
+    for (r, c), v in m.entries.items():
+        cols[c][r] = v
+    space = Subspace(m.rows)
+    space._rows, space._pivots = _rref(cols, m.rows)
+    return space
 
 
 def independent_over(ambient: int, base: Iterable[Vector], candidates: Iterable[Vector]) -> List[Vector]:
@@ -467,7 +466,7 @@ def homology_at(d_out: Matrix, d_in: Matrix) -> List[Vector]:
     ValueError when the boundaries are not cycles (d_out @ d_in != 0).
     """
     cycles = kernel_basis(d_out)
-    image = Subspace(d_out.cols, [d_in.column(c) for c in range(d_in.cols)])
+    image = column_space(d_in)
     boundary_rank = image.dim
     reps = [v for v in cycles if image.add(v)]
     if len(reps) != len(cycles) - boundary_rank:

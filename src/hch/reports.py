@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-from .scalars import Scalar
+from typing import Dict, List
 
 
 @dataclass
@@ -57,12 +55,3 @@ class HomologyReport:
             "representatives": reps,
             "stabilization": {str(n): s.to_json() for n, s in sorted(self.stabilization.items())},
         }
-
-    def to_table(self) -> str:
-        lines = ["degree  dim  certified  windows"]
-        for n in sorted(self.dims):
-            stab = self.stabilization.get(n)
-            cert = "-" if stab is None else ("yes" if stab.certified else "NO")
-            wins = "-" if stab is None else ",".join(str(w) for w in stab.windows)
-            lines.append(f"{n:>6}  {self.dims[n]:>3}  {cert:>9}  {wins}")
-        return "\n".join(lines)

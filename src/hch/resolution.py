@@ -5,21 +5,30 @@ the cochain degree, the contractions i_xi lower it by wedging a torus
 generator on the left.  Only columns whose PBW degree stays two below the
 cutoff are marked interior: identities are exact there and meaningless
 beyond.
+
+Left multiplication by x_j leaves the wedge factor alone, so g acts on every
+term as I (x) L_j, with L_j the truncated left-multiplication matrix on the
+PBW monomials.  An instance straightens each L_j once, builds its h-complex
+once, and ``check_exactness`` reuses that build.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import signs
 from .complexes import Complex
 from .gkmodules import FiniteModule
 from .hcomplexes import HComplex
 from .liepairs import Character, Pair, ValidationReport
-from .linalg import Matrix, add_into, independent_over, kernel_basis
-from .pbw import PBW, Mono, degree
-from .scalars import ONE, as_scalar
+from .linalg import Matrix, add_into, column_space, kernel_basis
+from .pbw import PBW, Element, Mono, degree
+from .scalars import ONE, ZERO, Scalar, as_scalar
+
+# a sparse column as (row, coefficient) pairs
+Column = List[Tuple[int, Scalar]]
 
 
 def _wedge_insert(idx: int, subset: Tuple[int, ...]):
@@ -45,15 +54,30 @@ class StandardResolution:
         self.subsets: Dict[int, List[Tuple[int, ...]]] = {
             n: list(combinations(range(g.dim), n)) for n in range(g.dim + 1)
         }
+        # a subset's length is its wedge degree, so one map serves every n
+        self._slot = {sub: s for subs in self.subsets.values() for s, sub in enumerate(subs)}
+        self._h: Optional[HComplex] = None
 
     # -- basis bookkeeping: index = subset_slot * len(monos) + mono_slot --------
 
     def dim_at_wedge(self, n: int) -> int:
         return len(self.subsets.get(n, ())) * len(self.monos)
 
-    def _index(self, n: int, subset: Tuple[int, ...], mono: Mono) -> int:
-        s = self.subsets[n].index(subset)
-        return s * len(self.monos) + self._mono_index[mono]
+    def _truncated(self, e: Element) -> Column:
+        """(monomial slot, coefficient) of e, without the monomials above the cutoff."""
+        return [(self._mono_index[m], c) for m, c in e.items() if degree(m) <= self.cutoff]
+
+    @cached_property
+    def _left(self) -> List[List[Column]]:
+        """L_j by columns: ``_left[j][mi]`` is x_j * monos[mi], truncated."""
+        return [[self._truncated(self.u.gen_times(j, {mono: ONE})) for mono in self.monos]
+                for j in range(self.pair.g.dim)]
+
+    @cached_property
+    def _right(self) -> List[List[Column]]:
+        """Right multiplication by columns: ``_right[j][mi]`` is monos[mi] * x_j, truncated."""
+        return [[self._truncated(self.u.mono_times_gen(mono, j)) for mono in self.monos]
+                for j in range(self.pair.g.dim)]
 
     def _weight(self, subset: Tuple[int, ...], mono: Mono) -> Character:
         K = self.pair.K
@@ -71,74 +95,77 @@ class StandardResolution:
         return Character(tuple(torus), tuple(finite))
 
     def _term(self, n: int) -> FiniteModule:
-        weights = []
-        for subset in self.subsets[n]:
-            for mono in self.monos:
-                weights.append(self._weight(subset, mono))
+        weights = [self._weight(subset, mono)
+                   for subset in self.subsets[n] for mono in self.monos]
+        dim, nm = len(weights), len(self.monos)
         actions = []
-        nm = len(self.monos)
-        for j in range(self.pair.g.dim):
+        for table in self._left:
             ents = {}
-            for s, subset in enumerate(self.subsets[n]):
-                for mi, mono in enumerate(self.monos):
-                    col = s * nm + mi
-                    for m2, c in self.u.gen_times(j, {mono: ONE}).items():
-                        if degree(m2) > self.cutoff:
-                            continue
-                        ents[(s * nm + self._mono_index[m2], col)] = c
-            actions.append(Matrix(len(weights), len(weights), ents))
+            for off in range(0, dim, nm):
+                for mi, column in enumerate(table):
+                    for r, c in column:
+                        ents[(off + r, off + mi)] = c
+            actions.append(Matrix._raw(dim, dim, ents))
         return FiniteModule(self.pair, weights, actions)
+
+    def _place_wedge_terms(self, ents: Dict, col_off: int, terms: Column) -> None:
+        """Add c times the identity on monomials, from the wedge block at column
+        offset col_off to the block at row offset r, for each (r, c) in terms."""
+        for mi in range(len(self.monos)):
+            for row_off, c in terms:
+                add_into(ents, (row_off + mi, col_off + mi), c)
 
     def _diff(self, n: int) -> Matrix:
         """Boundary wedge^n -> wedge^{n-1} (cochain map at degree -n)."""
         rows, cols = self.dim_at_wedge(n - 1), self.dim_at_wedge(n)
+        nm = len(self.monos)
         ents: Dict = {}
         g = self.pair.g
         for subset in self.subsets[n]:
-            for mono in self.monos:
-                col = self._index(n, subset, mono)
-                for i, si in enumerate(subset):
-                    sgn = as_scalar(signs.wedge_out_sign(i))
-                    rest = subset[:i] + subset[i + 1:]
-                    for m2, c in self.u.mono_times_gen(mono, si).items():
-                        if degree(m2) > self.cutoff:
+            off = self._slot[subset] * nm
+            # u (x) x_s ^ rest -> +- u x_s (x) rest
+            for i, si in enumerate(subset):
+                sgn = signs.wedge_out_sign(i)
+                row_off = self._slot[subset[:i] + subset[i + 1:]] * nm
+                for mi, column in enumerate(self._right[si]):
+                    for r, c in column:
+                        add_into(ents, (row_off + r, off + mi), c if sgn == 1 else -c)
+            # u (x) x_p ^ x_q ^ rest -> +- u (x) [x_p, x_q] ^ rest
+            terms = []
+            for p in range(n):
+                for q in range(p + 1, n):
+                    sgn0 = as_scalar(signs.wedge_pair_sign(p, q))
+                    rest = subset[:p] + subset[p + 1:q] + subset[q + 1:]
+                    for l, cl in enumerate(g.bracket_basis(subset[p], subset[q])):
+                        if cl.is_zero():
                             continue
-                        add_into(ents, (self._index(n - 1, rest, m2), col), sgn * c)
-                for p in range(n):
-                    for q in range(p + 1, n):
-                        sgn0 = as_scalar(signs.wedge_pair_sign(p, q))
-                        rest = tuple(x for k, x in enumerate(subset)
-                                     if k not in (p, q))
-                        for l, cl in enumerate(g.bracket_basis(subset[p], subset[q])):
-                            if cl.is_zero():
-                                continue
-                            ins = _wedge_insert(l, rest)
-                            if ins is None:
-                                continue
-                            isgn, wedge = ins
-                            add_into(ents, (self._index(n - 1, wedge, mono), col),
-                                     sgn0 * as_scalar(isgn) * cl)
-        return Matrix(rows, cols, ents)
+                        ins = _wedge_insert(l, rest)
+                        if ins is None:
+                            continue
+                        isgn, wedge = ins
+                        terms.append((self._slot[wedge] * nm, sgn0 * as_scalar(isgn) * cl))
+            self._place_wedge_terms(ents, off, terms)
+        return Matrix._raw(rows, cols, ents)
 
     def _i_map(self, t: int, n: int) -> Matrix:
         """i_xi at cochain degree -n: wedge^n -> wedge^{n+1}, u (x) l -> -u (x) xi ^ l."""
         rows, cols = self.dim_at_wedge(n + 1), self.dim_at_wedge(n)
+        nm = len(self.monos)
         ents: Dict = {}
         iota = self.pair.iota
         for subset in self.subsets[n]:
-            for mono in self.monos:
-                col = self._index(n, subset, mono)
-                for j in range(self.pair.g.dim):
-                    v = iota[(j, t)]
-                    if v.is_zero():
-                        continue
-                    ins = _wedge_insert(j, subset)
-                    if ins is None:
-                        continue
-                    isgn, wedge = ins
-                    add_into(ents, (self._index(n + 1, wedge, mono), col),
-                             -as_scalar(isgn) * v)
-        return Matrix(rows, cols, ents)
+            terms = []
+            for j in range(self.pair.g.dim):
+                v = iota[(j, t)]
+                if v.is_zero():
+                    continue
+                ins = _wedge_insert(j, subset)
+                if ins is None:
+                    continue
+                isgn, wedge = ins
+                terms.append((self._slot[wedge] * nm, -as_scalar(isgn) * v))
+            self._place_wedge_terms(ents, self._slot[subset] * nm, terms)
+        return Matrix._raw(rows, cols, ents)
 
     def _interior_cols(self, n: int) -> List[int]:
         nm = len(self.monos)
@@ -149,6 +176,12 @@ class StandardResolution:
         return out
 
     def hcomplex(self) -> HComplex:
+        """The truncated h-complex, built on the first call and returned after."""
+        if self._h is None:
+            self._h = self._build()
+        return self._h
+
+    def _build(self) -> HComplex:
         d = self.pair.g.dim
         terms = {-n: self._term(n) for n in range(d + 1)}
         diffs = {}
@@ -169,24 +202,17 @@ class StandardResolution:
 
     def check_exactness(self) -> ValidationReport:
         """Interior-supported cycles are boundaries (including the counit level)."""
-        h = self.hcomplex()
-        base = h.base
+        base = self.hcomplex().base
         bad = []
-        d = self.pair.g.dim
-        for n in range(-d, 1):
+        for n in range(-self.pair.g.dim, 1):
             out = base.diff(n) if n < 0 else self.augmentation()
-            interior = set(base.interior_cols(n))
-            ext_rows = [{c: ONE} for c in range(base.dim_at(n)) if c not in interior]
-            ents = dict(out.entries)
-            roff = out.rows
-            for row in ext_rows:
-                for c, v in row.items():
-                    ents[(roff, c)] = v
-                roff += 1
-            stacked = Matrix(roff, base.dim_at(n), ents)
-            cycles = kernel_basis(stacked)
-            prev = base.diff(n - 1)
-            boundaries = [prev.column(c) for c in range(prev.cols)]
-            if independent_over(base.dim_at(n), boundaries, cycles):
-                bad.append(f"interior cycle not a boundary at degree {n}")
+            interior = base.interior_cols(n)
+            image = column_space(base.diff(n - 1))
+            for w in kernel_basis(out.restrict_columns(interior)):
+                v = [ZERO] * base.dim_at(n)
+                for c, x in zip(interior, w):
+                    v[c] = x
+                if not image.contains(tuple(v)):
+                    bad.append(f"interior cycle not a boundary at degree {n}")
+                    break
         return ValidationReport.good() if not bad else ValidationReport.bad(*bad)

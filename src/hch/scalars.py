@@ -52,7 +52,7 @@ class Scalar:
 
     def __mul__(self, other):
         other = as_scalar(other)
-        if self.im == 0 and other.im == 0:
+        if not self.im and not other.im:
             return _of(self.re * other.re, _FRAC_ZERO)
         return _of(
             self.re * other.re - self.im * other.im,
@@ -91,7 +91,7 @@ class Scalar:
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.re and not self.im
 
     def __bool__(self):
         return not self.is_zero()

@@ -44,6 +44,15 @@ def test_bracket_given_twice_raises():
     assert g.bracket_basis(0, 1) == (Scalar(-1), Scalar(-3))
 
 
+def test_nonzero_self_bracket_raises():
+    # a nonzero self-bracket is an error, not a bracket to drop
+    with pytest.raises(ValueError, match=r"bracket \[x0, x0\] must be zero"):
+        LieAlgebra(2, None, {(0, 0): {1: Scalar(1)}, (0, 1): {0: Scalar(1)}})
+    # a zero self-bracket is accepted and changes nothing
+    g = LieAlgebra(2, None, {(1, 1): {0: Scalar(0)}, (0, 1): {0: Scalar(1)}})
+    assert g.bracket_basis(1, 1) == (Scalar(0), Scalar(0))
+    assert g.bracket_basis(0, 1) == (Scalar(1), Scalar(0))
+
 def test_jacobi_violation():
     tampered = LieAlgebra(3, ["e", "h", "f"], {
         (0, 1): {0: Scalar(-2)},

@@ -10,6 +10,7 @@ from hch.linalg import (
     Subspace,
     add_into,
     cokernel_dim,
+    column_space,
     kernel_basis,
     rank,
     solve,
@@ -114,6 +115,56 @@ def test_subspace():
     assert s.contains(vec([2, -3, 2]))
     assert not s.contains(vec([0, 0, 1]))
 
+
+
+def _random_scalar(rng: random.Random) -> Scalar:
+    im = rng.randint(-2, 2) if rng.random() < 0.4 else 0
+    return Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), im)
+
+
+def _random_columns(rng: random.Random, rows: int, cols: int):
+    """Sparse random columns, some zero and some combinations of earlier ones."""
+    out = []
+    for _ in range(cols):
+        kind = rng.random()
+        if kind < 0.15 or rows == 0:
+            out.append((ZERO,) * rows)
+        elif kind < 0.35 and out:
+            a, b = rng.choice(out), rng.choice(out)
+            ca, cb = _random_scalar(rng), _random_scalar(rng)
+            out.append(tuple(ca * x + cb * y for x, y in zip(a, b)))
+        else:
+            out.append(tuple(_random_scalar(rng) if rng.random() < 0.4 else ZERO
+                             for _ in range(rows)))
+    return out
+
+
+EMPTY_SHAPES = [(0, 3), (3, 0), (0, 0)]
+
+
+@pytest.mark.parametrize("seed", range(len(EMPTY_SHAPES) + 30))
+def test_column_space_matches_dense_subspace(seed):
+    # the reduced echelon form of a span is unique, so both builds hold the same rows
+    rng = random.Random(seed)
+    if seed < len(EMPTY_SHAPES):
+        rows, cols = EMPTY_SHAPES[seed]
+    else:
+        rows, cols = rng.randint(1, 8), rng.randint(1, 9)
+    columns = _random_columns(rng, rows, cols)
+    m = Matrix.from_columns(columns, rows=rows)
+    sparse = column_space(m)
+    dense = Subspace(m.rows, [m.column(c) for c in range(m.cols)])
+    assert sparse.dim_ambient == dense.dim_ambient == rows
+    assert sparse._pivots == dense._pivots
+    assert sparse._rows == dense._rows
+    assert sparse.dim == rank(m)
+    for _ in range(10):
+        v = tuple(_random_scalar(rng) for _ in range(rows))
+        assert sparse.contains(v) == dense.contains(v)
+        if columns:
+            a, b = rng.choice(columns), rng.choice(columns)
+            c = _random_scalar(rng)
+            assert sparse.contains(tuple(x + c * y for x, y in zip(a, b)))
 
 def test_add_into_drops_zeros_and_keeps_order():
     acc = {}

@@ -1,13 +1,17 @@
 """Truncated standard resolutions: axioms, exactness, small closed forms."""
 
+import json
+
 import pytest
 
+from hch import cli, signs
 from hch.hcomplexes import check_h_axioms, h_cone, h_shift, h_tensor, HComplexMap
 from hch.liepairs import DiagGroup, LieAlgebra, Pair
-from hch.linalg import Matrix
+from hch.linalg import Matrix, add_into
+from hch.pbw import PBW, degree
 from hch.resolution import StandardResolution
-from hch.scalars import Scalar
-from hch.sl2 import torus_pair, trivial_k_pair
+from hch.scalars import ONE, Scalar
+from hch.sl2 import so2_pair, torus_pair, trivial_k_pair
 
 
 def line_pair() -> Pair:
@@ -87,3 +91,83 @@ def test_exactness_failure_is_reported(monkeypatch):
 def test_cutoff_guard():
     with pytest.raises(ValueError):
         StandardResolution(line_pair(), 1)
+
+
+PAIRS = {"so2": so2_pair, "torus": torus_pair, "trivial_k": trivial_k_pair, "line": line_pair}
+
+
+def reference_action(res, n, j):
+    """x_j on wedge degree n, straightened again for every (subset, monomial)."""
+    u, nm = PBW(res.pair.g), len(res.monos)
+    dim = len(res.subsets[n]) * nm
+    ents = {}
+    for s in range(len(res.subsets[n])):
+        for mi, mono in enumerate(res.monos):
+            for m2, c in u.gen_times(j, {mono: ONE}).items():
+                if degree(m2) <= res.cutoff:
+                    ents[(s * nm + res._mono_index[m2], s * nm + mi)] = c
+    return Matrix(dim, dim, ents)
+
+
+def reference_boundary(res, n):
+    """wedge^n -> wedge^{n-1}, one (subset, monomial) column at a time."""
+    u, nm, g = PBW(res.pair.g), len(res.monos), res.pair.g
+
+    def index(subset, mono):
+        return res.subsets[len(subset)].index(subset) * nm + res._mono_index[mono]
+
+    ents = {}
+    for subset in res.subsets[n]:
+        for mono in res.monos:
+            col = index(subset, mono)
+            for i, si in enumerate(subset):
+                rest = subset[:i] + subset[i + 1:]
+                for m2, c in u.mono_times_gen(mono, si).items():
+                    if degree(m2) <= res.cutoff:
+                        add_into(ents, (index(rest, m2), col), signs.wedge_out_sign(i) * c)
+            for p in range(n):
+                for q in range(p + 1, n):
+                    rest = tuple(x for k, x in enumerate(subset) if k not in (p, q))
+                    for l, cl in enumerate(g.bracket_basis(subset[p], subset[q])):
+                        if cl.is_zero() or l in rest:
+                            continue
+                        pos = sum(1 for x in rest if x < l)
+                        wedge = rest[:pos] + (l,) + rest[pos:]
+                        sgn = signs.wedge_pair_sign(p, q) * signs.wedge_out_sign(pos)
+                        add_into(ents, (index(wedge, mono), col), sgn * cl)
+    return Matrix(res.dim_at_wedge(n - 1), res.dim_at_wedge(n), ents)
+
+
+@pytest.mark.parametrize("cutoff", [2, 3, 4, 5])
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_terms_and_boundaries_match_per_subset_straightening(name, cutoff):
+    res = StandardResolution(PAIRS[name](), cutoff)
+    base = res.hcomplex().base
+    d = res.pair.g.dim
+    for n in range(d + 1):
+        term = base.term(-n)
+        for j in range(d):
+            assert term.g_action[j] == reference_action(res, n, j), (n, j)
+        if n:
+            assert base.diff(-n) == reference_boundary(res, n), n
+
+
+def test_hcheck_builds_the_resolution_once(tmp_path, capsys, monkeypatch):
+    calls = {"gen_times": 0, "_diff": 0}
+
+    def counted(cls, name):
+        f = getattr(cls, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(PBW, "gen_times")
+    counted(StandardResolution, "_diff")
+    path = tmp_path / "so2.json"
+    path.write_text(json.dumps(so2_pair().to_json()))
+    assert cli.main(["hcheck", "--pair", str(path), "--cutoff", "4"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"ok": True, "violations": []}
+    # one straightening per (generator, monomial): 3 * 35; one boundary per wedge degree
+    assert calls == {"gen_times": 3 * 35, "_diff": 3}
