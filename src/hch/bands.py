@@ -108,7 +108,7 @@ class BandOp:
         for j, n in enumerate(source):
             for m, c in self.apply_line(n).items():
                 ents[(tindex[m], j)] = c
-        return targets, Matrix(len(targets), len(source), ents)
+        return targets, Matrix._raw(len(targets), len(source), ents)
 
     def __repr__(self):
         if not self.table:
@@ -226,7 +226,7 @@ def band_cokernel(op: BandOp, source_indices: Callable[[int], List[int]],
                     if not c.is_zero():
                         ents[(nrows, tindex[n + s])] = c
                 nrows += 1
-        return targets, Matrix(nrows, len(targets), ents)
+        return targets, Matrix._raw(nrows, len(targets), ents)
 
     return _stabilize("cokernel", policy, window)
 

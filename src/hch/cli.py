@@ -123,6 +123,8 @@ def _cmd_coinv(args) -> int:
 
 
 def _cmd_hcheck(args) -> int:
+    if args.cutoff < 2:
+        raise SchemaError("--cutoff", f"must be at least 2, got {args.cutoff}")
     pair = load_pair(_read_json(args.pair, "pair"))
     res = StandardResolution(pair, args.cutoff)
     problems = list(check_h_axioms(res.hcomplex()).violations)

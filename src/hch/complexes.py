@@ -4,26 +4,32 @@ Terms live over a common pair; plain vector spaces are modules over the
 trivial pair.  A complex may carry "interior" column marks per degree: for
 truncations of infinite objects, identities (d^2 = 0, axiom checks) are
 asserted only on the marked columns, where the truncation is known closed.
+
+Every block of a tensor, Hom or cone matrix is placed by one signed
+Kronecker placer, ``gkmodules.kron_into``, with identity factors given as
+sizes.  The tensor differential d (x) 1 + sign 1 (x) d and the h-tensor
+contraction i (x) 1 + sign 1 (x) i are one Leibniz loop,
+``TensorLayout.leibniz``; the cone differential and the h-cone contraction
+are both ``cone_matrix``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import signs
-from .gkmodules import FiniteModule, direct_sum, kron, tensor
+from .gkmodules import FiniteModule, direct_sum, kron_into, tensor_into
 from .liepairs import DiagGroup, LieAlgebra, Pair, ValidationReport
 from .linalg import (
     Matrix,
     Vector,
-    add_into,
     homology_at,
     kernel_basis,
     rank,
     solve,
 )
 from .reports import HomologyReport
-from .scalars import ONE, Scalar, as_scalar
+from .scalars import ONE
 
 _TRIVIAL_PAIR: Optional[Pair] = None
 
@@ -165,6 +171,24 @@ class ComplexMap:
         return ComplexMap(source, target, {})
 
 
+def cone_matrix(rows: int, cols: int, split_row: int, split_col: int,
+                shifted: Optional[Matrix], shifted_sign: int,
+                lower_left: Optional[Matrix], lower_right: Optional[Matrix]) -> Matrix:
+    """The cone block matrix [[shifted_sign * shifted, 0], [lower_left, lower_right]].
+
+    The M[1] summand takes the first split_row rows and split_col columns;
+    a missing block is zero.  Both the cone differential and the h-cone
+    contraction are placed through here.
+    """
+    ents: Dict = {}
+    for block, roff, coff, negate in ((shifted, 0, 0, shifted_sign < 0),
+                                      (lower_left, split_row, 0, False),
+                                      (lower_right, split_row, split_col, False)):
+        if block is not None:
+            kron_into(ents, 1, block, roff, coff, negate)
+    return Matrix._raw(rows, cols, ents)
+
+
 def cone(f: ComplexMap) -> Tuple[Complex, ComplexMap, ComplexMap]:
     """Mapping cone with the natural maps N -> Cone(f) -> M[1].
 
@@ -174,39 +198,20 @@ def cone(f: ComplexMap) -> Tuple[Complex, ComplexMap, ComplexMap]:
     if not rep:
         raise ValueError("cone of a non-chain-map: " + "; ".join(rep.violations))
     M, N = f.source, f.target
-    pair = N.pair
     degs = sorted({n - 1 for n in M.degrees()} | set(N.degrees()))
     terms = {}
     for n in degs:
-        parts = []
-        if M.dim_at(n + 1):
-            parts.append(M.term(n + 1))
-        if N.dim_at(n):
-            parts.append(N.term(n))
-        if not parts:
-            continue
-        t = parts[0]
-        for p in parts[1:]:
-            t = direct_sum(t, p)
-        terms[n] = t
-    sgn = as_scalar(signs.cone_shifted_part_sign())
+        parts = [t for t in (M.terms.get(n + 1), N.terms.get(n)) if t is not None]
+        if parts:
+            terms[n] = parts[0] if len(parts) == 1 else direct_sum(*parts)
+    sgn = signs.cone_shifted_part_sign()
     diffs = {}
     for n in degs:
         rows = M.dim_at(n + 2) + N.dim_at(n + 1)
         cols = M.dim_at(n + 1) + N.dim_at(n)
-        if rows == 0 or cols == 0:
-            continue
-        ents = {}
-        dm = M.diff(n + 1)
-        for (r, c), v in dm.entries.items():
-            ents[(r, c)] = sgn * v
-        fm = f.at(n + 1)
-        for (r, c), v in fm.entries.items():
-            ents[(M.dim_at(n + 2) + r, c)] = v
-        dn = N.diff(n)
-        for (r, c), v in dn.entries.items():
-            ents[(M.dim_at(n + 2) + r, M.dim_at(n + 1) + c)] = v
-        diffs[n] = Matrix(rows, cols, ents)
+        if rows and cols:
+            diffs[n] = cone_matrix(rows, cols, M.dim_at(n + 2), M.dim_at(n + 1),
+                                   M.diffs.get(n + 1), sgn, f.maps.get(n + 1), N.diffs.get(n))
     interior = None
     if M.interior is not None or N.interior is not None:
         interior = {}
@@ -214,100 +219,100 @@ def cone(f: ComplexMap) -> Tuple[Complex, ComplexMap, ComplexMap]:
             cols = list(M.interior_cols(n + 1))
             cols += [M.dim_at(n + 1) + c for c in N.interior_cols(n)]
             interior[n] = cols
-    c = Complex(pair, terms, diffs, interior)
+    c = Complex(N.pair, terms, diffs, interior)
     incl = ComplexMap(N, c, {
-        n: Matrix(c.dim_at(n), N.dim_at(n),
-                  {(M.dim_at(n + 1) + r, r): ONE for r in range(N.dim_at(n))})
+        n: Matrix._raw(c.dim_at(n), N.dim_at(n),
+                       {(M.dim_at(n + 1) + r, r): ONE for r in range(N.dim_at(n))})
         for n in N.degrees()
     })
     proj = ComplexMap(c, M.shift(1), {
-        n: Matrix(M.dim_at(n + 1), c.dim_at(n),
-                  {(r, r): ONE for r in range(M.dim_at(n + 1))})
+        n: Matrix._raw(M.dim_at(n + 1), c.dim_at(n),
+                       {(r, r): ONE for r in range(M.dim_at(n + 1))})
         for n in degs if M.dim_at(n + 1)
     })
     return c, incl, proj
 
 
 class TensorLayout:
-    """Basis bookkeeping for (M (x) N)^n = sum_{i+j=n} M^i (x) N^j."""
+    """Basis bookkeeping for (M (x) N)^n = sum_{i+j=n} M^i (x) N^j.
+
+    Slot (n, i) is the block M^i (x) N^{n-i}, at offset offsets[(n, i)] of
+    degree n; inside it, basis vector a (x) b sits at a * dim N^{n-i} + b.
+    """
 
     def __init__(self, M: Complex, N: Complex):
         self.M, self.N = M, N
         self.blocks: Dict[int, List[int]] = {}   # degree -> ordered list of i
         self.offsets: Dict[Tuple[int, int], int] = {}
-        degs = set()
-        for i in M.degrees():
-            for j in N.degrees():
-                degs.add(i + j)
-        for n in sorted(degs):
+        self.dims: Dict[int, int] = {}
+        for n in sorted({i + j for i in M.degrees() for j in N.degrees()}):
             off = 0
             blist = []
-            for i in sorted(M.degrees()):
-                j = n - i
-                sz = M.dim_at(i) * N.dim_at(j)
+            for i in M.degrees():
+                sz = M.dim_at(i) * N.dim_at(n - i)
                 if sz:
                     blist.append(i)
                     self.offsets[(n, i)] = off
                     off += sz
             self.blocks[n] = blist
+            self.dims[n] = off
 
     def dim_at(self, n: int) -> int:
-        return sum(self.M.dim_at(i) * self.N.dim_at(n - i) for i in self.blocks.get(n, []))
+        return self.dims.get(n, 0)
 
-    def place(self, block: Matrix, source: Tuple[int, int], target: Tuple[int, int],
-              ents: Dict) -> None:
-        """Add a block mapping slot source into slot target; slot (n, i) is M^i (x) N^{n-i}."""
-        roff = self.offsets[target]
-        coff = self.offsets[source]
-        for (r, c), v in block.entries.items():
-            add_into(ents, (roff + r, coff + c), v)
+    def leibniz(self, left: Dict[int, Matrix], right: Dict[int, Matrix], step: int,
+                right_sign: Callable[[int], int]) -> Dict[int, Matrix]:
+        """The degree-step map a (x) b -> left a (x) b + right_sign(i) a (x) right b.
+
+        left[i] maps M^i to M^{i+step} and right[j] maps N^j to N^{j+step}
+        (step +1 for differentials, -1 for contractions), a has degree i.
+        Returns the nonzero maps by source degree; the identity factors are
+        placed, not multiplied.
+        """
+        M, N = self.M, self.N
+        out = {}
+        for n, blist in self.blocks.items():
+            ents: Dict = {}
+            for i in blist:
+                j = n - i
+                coff = self.offsets[(n, i)]
+                a, b = left.get(i), right.get(j)
+                if a is not None:
+                    kron_into(ents, a, N.dim_at(j), self.offsets[(n + step, i + step)], coff)
+                if b is not None:
+                    kron_into(ents, M.dim_at(i), b, self.offsets[(n + step, i)], coff,
+                              right_sign(i) < 0)
+            if ents:
+                out[n] = Matrix._raw(self.dims[n + step], self.dims[n], ents)
+        return out
 
 
 def tensor_complex(M: Complex, N: Complex) -> Complex:
+    """M (x) N with d = d_M (x) 1 + koszul_right_sign(i) 1 (x) d_N (TensorLayout.leibniz).
+
+    Each term is written block by block at the layout offsets: weights add
+    and g acts by the Leibniz rule, as in gkmodules.tensor.
+    """
     lay = TensorLayout(M, N)
     terms = {}
     for n, blist in lay.blocks.items():
-        parts = [tensor(M.term(i), N.term(n - i)) for i in blist]
-        if not parts:
-            continue
-        t = parts[0]
-        for p in parts[1:]:
-            t = direct_sum(t, p)
-        if t.dim:
-            terms[n] = t
-    diffs = {}
+        weights: List = []
+        action: List[Dict] = [{} for _ in range(M.pair.g.dim)]
+        for i in blist:
+            tensor_into(weights, action, M.terms[i], N.terms[n - i], lay.offsets[(n, i)])
+        d = lay.dims[n]
+        terms[n] = FiniteModule(M.pair, weights, [Matrix._raw(d, d, e) for e in action])
     interior = None
     if M.interior is not None or N.interior is not None:
         interior = {}
         for n, blist in lay.blocks.items():
             cols = []
             for i in blist:
-                mi = set(M.interior_cols(i))
-                nj = set(N.interior_cols(n - i))
-                base = lay.offsets[(n, i)]
-                ndim = N.dim_at(n - i)
-                for a in range(M.dim_at(i)):
-                    for b in range(ndim):
-                        if a in mi and b in nj:
-                            cols.append(base + a * ndim + b)
+                base, ndim = lay.offsets[(n, i)], N.dim_at(n - i)
+                cols += [base + a * ndim + b for a in sorted(set(M.interior_cols(i)))
+                         for b in sorted(set(N.interior_cols(n - i)))]
             interior[n] = cols
-    for n in sorted(lay.blocks):
-        if lay.dim_at(n + 1) == 0 or lay.dim_at(n) == 0:
-            continue
-        ents: Dict = {}
-        for i in lay.blocks[n]:
-            j = n - i
-            dm = M.diff(i)
-            if not dm.is_zero() and (n + 1, i + 1) in lay.offsets:
-                lay.place(kron(dm, Matrix.identity(N.dim_at(j))), (n, i), (n + 1, i + 1), ents)
-            dn = N.diff(j)
-            if not dn.is_zero() and (n + 1, i) in lay.offsets:
-                sgn = as_scalar(signs.koszul_right_sign(i))
-                lay.place(kron(Matrix.identity(M.dim_at(i)), dn).scale(sgn), (n, i), (n + 1, i),
-                          ents)
-        d = Matrix(lay.dim_at(n + 1), lay.dim_at(n), ents)
-        if not d.is_zero():
-            diffs[n] = d
+    diffs = lay.leibniz(M.diffs, N.diffs, 1, signs.koszul_right_sign)
     return Complex(M.pair, terms, diffs, interior)
 
 
@@ -340,75 +345,53 @@ class HomLayout:
                     x = v[self.offsets[i] + r * cols + c]
                     if not x.is_zero():
                         ents[(r, c)] = x
-            out[i] = Matrix(rows, cols, ents)
+            out[i] = Matrix._raw(rows, cols, ents)
         return out
 
 
 def _hom_diff(M: Complex, N: Complex, n: int) -> Matrix:
-    """Matrix of delta: Hom^n -> Hom^{n+1}, delta f = d_N f + sign(n) f d_M."""
+    """Matrix of delta: Hom^n -> Hom^{n+1}, delta f = d_N f + sign(n) f d_M.
+
+    A block f: M^i -> N^{i+n} is stored row-major, so in these coordinates
+    f -> d_N f is d_N (x) 1 and f -> f d_M is 1 (x) d_M^T.
+    """
     src = HomLayout(M, N, n)
     dst = HomLayout(M, N, n + 1)
-    sgn = as_scalar(signs.hom_precompose_sign(n))
+    negate = signs.hom_precompose_sign(n) < 0
     ents: Dict = {}
     for i in src.blocks:
-        cols_m = M.dim_at(i)
-        # d_N o f : block i -> block i (degree raises on the N side)
-        dn = N.diff(i + n)
-        if i in dst.offsets and not dn.is_zero():
-            for (a, b), v in dn.entries.items():
-                # (d f)(x_c) row a = sum_b dn[a,b] f[b,c]
-                for c in range(cols_m):
-                    add_into(ents, (dst.offsets[i] + a * cols_m + c,
-                                    src.offsets[i] + b * cols_m + c), v)
-        # f o d_M : block i -> block i-1 (degree raises on the M side)
-        dm = M.diff(i - 1)
-        if (i - 1) in dst.offsets and not dm.is_zero():
-            cols_m1 = M.dim_at(i - 1)
-            rows_n = N.dim_at(i + n)
-            for (b, c), v in dm.entries.items():
-                # (f d)(x_c) row a = sum_b f[a,b] dm[b,c]
-                for a in range(rows_n):
-                    add_into(ents, (dst.offsets[i - 1] + a * cols_m1 + c,
-                                    src.offsets[i] + a * cols_m + b), sgn * v)
-    return Matrix(dst.dim, src.dim, ents)
+        coff = src.offsets[i]
+        dn = N.diffs.get(i + n)
+        if dn is not None:
+            kron_into(ents, dn, M.dim_at(i), dst.offsets[i], coff)
+        dm = M.diffs.get(i - 1)
+        if dm is not None:
+            kron_into(ents, N.dim_at(i + n), dm.transpose(), dst.offsets[i - 1], coff, negate)
+    return Matrix._raw(dst.dim, src.dim, ents)
 
 
 def _equivariance_constraints(M: Complex, N: Complex, n: int) -> Matrix:
     """Linear conditions for degree-n maps to be (g, K)-morphisms.
 
-    Rows: commutation with every g-basis action in every block, plus weight
-    compatibility (entries pairing different K-weights must vanish).
+    Per block F: M^i -> N^{i+n}: one row per entry pairing different
+    K-weights (it must vanish), then for each g-basis action the rows of
+    an F - F am = (an (x) 1 - 1 (x) am^T) F; rows may be empty.
     """
     lay = HomLayout(M, N, n)
-    rows: List[Dict[int, Scalar]] = []
-    K = M.pair.K
+    ents: Dict = {}
+    nrows = 0
     for i in lay.blocks:
-        tm, tn = M.term(i), N.term(i + n)
-        cols_m = tm.dim
-        # weight mismatch entries forced to zero
-        for r in range(tn.dim):
-            for c in range(cols_m):
-                if tn.k_weights[r] != tm.k_weights[c]:
-                    rows.append({lay.offsets[i] + r * cols_m + c: ONE})
-        for j in range(M.pair.g.dim):
-            am, an = tm.g_action[j], tn.g_action[j]
-            # an @ F - F @ am = 0, one row per output entry
-            for r in range(tn.dim):
-                for c in range(cols_m):
-                    row: Dict[int, Scalar] = {}
-                    for (a, b), v in an.entries.items():
-                        if a == r:
-                            add_into(row, lay.offsets[i] + b * cols_m + c, v)
-                    for (b, c2), v in am.entries.items():
-                        if c2 == c:
-                            add_into(row, lay.offsets[i] + r * cols_m + b, -v)
-                    if row:
-                        rows.append(row)
-    ents = {}
-    for ridx, row in enumerate(rows):
-        for k, v in row.items():
-            ents[(ridx, k)] = v
-    return Matrix(len(rows), lay.dim, ents)
+        tm, tn, off = M.terms[i], N.terms[i + n], lay.offsets[i]
+        for r, wr in enumerate(tn.k_weights):
+            for c, wc in enumerate(tm.k_weights):
+                if wr != wc:
+                    ents[(nrows, off + r * tm.dim + c)] = ONE
+                    nrows += 1
+        for am, an in zip(tm.g_action, tn.g_action):
+            kron_into(ents, an, tm.dim, nrows, off)
+            kron_into(ents, tn.dim, am.transpose(), nrows, off, negate=True)
+            nrows += tn.dim * tm.dim
+    return Matrix._raw(nrows, lay.dim, ents)
 
 
 def hom_complex(M: Complex, N: Complex, equivariant: bool = False) -> Complex:

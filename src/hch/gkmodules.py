@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bands import BandOp
 from .liepairs import Character, Pair, SubpairEmbedding, ValidationReport
-from .linalg import Matrix, Vector, kernel_basis, unit_vec
+from .linalg import Matrix, Vector, add_into, kernel_basis, unit_vec
 from .poly import Poly
 from .scalars import ONE, ZERO, Scalar, as_scalar
 
@@ -127,23 +127,63 @@ def direct_sum(m: FiniteModule, n: FiniteModule) -> FiniteModule:
     )
 
 
+def _factor(m: "Matrix | int", negate: bool):
+    """(rows, cols, entries, unit) of (-1 if negate) * m; an int n is I_n, and
+    unit says the entries are ones that need no multiplication."""
+    if isinstance(m, int):
+        one = -ONE if negate else ONE
+        return m, m, [((k, k), one) for k in range(m)], not negate
+    ents = [(rc, -v) for rc, v in m.entries.items()] if negate else m.entries.items()
+    return m.rows, m.cols, ents, False
+
+
+def kron_into(ents: Dict, a: "Matrix | int", b: "Matrix | int",
+              roff: int = 0, coff: int = 0, negate: bool = False) -> None:
+    """Add (-1 if negate) * (a (x) b) into the sparse map ents at offset (roff, coff).
+
+    The one placer behind every tensor, Leibniz, Hom and cone block.  An int n
+    stands for I_n, whose ones are placed, not multiplied; the sign goes on
+    one factor once.  Products of nonzero entries are nonzero, so only a key
+    already present needs add_into.
+    """
+    neg_b = negate and not isinstance(b, int)
+    brows, bcols, bents, b_unit = _factor(b, neg_b)
+    _, _, aents, a_unit = _factor(a, negate and not neg_b)
+    for (r1, c1), v1 in aents:
+        r0, c0 = roff + r1 * brows, coff + c1 * bcols
+        for (r2, c2), v2 in bents:
+            v = v2 if a_unit else (v1 if b_unit else v1 * v2)
+            key = (r0 + r2, c0 + c2)
+            if key in ents:
+                add_into(ents, key, v)
+            else:
+                ents[key] = v
+
+
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    ents = {}
-    for (r1, c1), v1 in a.entries.items():
-        left_unit = v1 == ONE
-        for (r2, c2), v2 in b.entries.items():
-            ents[(r1 * b.rows + r2, c1 * b.cols + c2)] = (
-                v2 if left_unit else (v1 if v2 == ONE else v1 * v2))
-    return Matrix(a.rows * b.rows, a.cols * b.cols, ents)
+    ents: Dict = {}
+    kron_into(ents, a, b)
+    return Matrix._raw(a.rows * b.rows, a.cols * b.cols, ents)
+
+
+def tensor_into(weights: List[Character], action: List[Dict], m: FiniteModule,
+                n: FiniteModule, off: int) -> None:
+    """Append the weights of m (x) n and add its Leibniz g-action x (x) 1 + 1 (x) x
+    into the sparse maps of action at diagonal offset off."""
+    K = m.pair.K
+    weights.extend(K.add(a, b) for a in m.k_weights for b in n.k_weights)
+    for ents, am, an in zip(action, m.g_action, n.g_action):
+        kron_into(ents, am, n.dim, off, off)
+        kron_into(ents, m.dim, an, off, off)
 
 
 def tensor(m: FiniteModule, n: FiniteModule) -> FiniteModule:
     """Tensor product: weights add, g acts by the Leibniz rule."""
-    K = m.pair.K
-    weights = [K.add(a, b) for a in m.k_weights for b in n.k_weights]
-    im, in_ = Matrix.identity(m.dim), Matrix.identity(n.dim)
-    action = [kron(am, in_) + kron(im, an) for am, an in zip(m.g_action, n.g_action)]
-    return FiniteModule(m.pair, weights, action)
+    weights: List[Character] = []
+    action: List[Dict] = [{} for _ in m.g_action]
+    tensor_into(weights, action, m, n, 0)
+    d = len(weights)
+    return FiniteModule(m.pair, weights, [Matrix._raw(d, d, e) for e in action])
 
 
 def contragredient(m: FiniteModule) -> FiniteModule:
@@ -151,7 +191,7 @@ def contragredient(m: FiniteModule) -> FiniteModule:
     return FiniteModule(
         m.pair,
         [K.neg(ch) for ch in m.k_weights],
-        [rho.transpose().scale(Scalar(-1)) for rho in m.g_action],
+        [-rho.transpose() for rho in m.g_action],
     )
 
 
@@ -345,7 +385,7 @@ class BandModule:
             for c, n in enumerate(idx):
                 for t, v in op.apply_line(n).items():
                     ents[(pos[t], c)] = v
-            mats.append(Matrix(len(enlarged), len(idx), ents))
+            mats.append(Matrix._raw(len(enlarged), len(idx), ents))
         return TruncatedSlice(idx, enlarged, mats, list(idx))
 
     def to_json(self):

@@ -3,7 +3,9 @@
 The contraction i_xi (one per torus generator of K) must be K-equivariant,
 commute with the g-action, anticommute with itself, and satisfy the homotopy
 identity d i_xi + i_xi d = w(xi).  Cohomologies of such a complex carry a
-genuine module structure, which is verified degreewise.
+genuine module structure, which is verified degreewise.  h_tensor and h_cone
+build their contractions with the Leibniz loop and the cone block of
+``complexes``, the same code that builds the differentials.
 """
 
 from __future__ import annotations
@@ -11,11 +13,9 @@ from __future__ import annotations
 from typing import Dict, List
 
 from . import signs
-from .complexes import Complex, ComplexMap, TensorLayout, cone, tensor_complex
-from .gkmodules import kron
+from .complexes import Complex, ComplexMap, TensorLayout, cone, cone_matrix, tensor_complex
 from .liepairs import ValidationReport
 from .linalg import Matrix, column_space, kernel_basis
-from .scalars import as_scalar
 
 
 class HComplex:
@@ -63,6 +63,7 @@ def check_h_axioms(h: HComplex) -> ValidationReport:
         tn = base.term(n)
         tprev = base.term(n - 1)
         d_r = base.diff(n).restrict_columns(cols)
+        defects = tn.defect().maps
         for t in range(trank):
             i_m = h.i_at(t, n)
             i_r = i_m.restrict_columns(cols)
@@ -84,7 +85,7 @@ def check_h_axioms(h: HComplex) -> ValidationReport:
                 if not anti.is_zero():
                     bad.append(f"axiom iii: i_xi{t} i_xi{s} + i_xi{s} i_xi{t} != 0 at degree {n}")
             # (iv) homotopy identity d i + i d = w
-            w = tn.defect().maps[t].restrict_columns(cols)
+            w = defects[t].restrict_columns(cols)
             hom = base.diff(n - 1) @ i_r + h.i_at(t, n + 1) @ d_r
             if hom != w:
                 bad.append(f"axiom iv: d i + i d != w for xi{t} at degree {n}")
@@ -98,8 +99,7 @@ def h_cohomology_modules(h: HComplex) -> ValidationReport:
     for n in base.degrees():
         cycles = kernel_basis(base.diff(n))
         image = column_space(base.diff(n - 1))
-        for t in range(base.pair.K.torus_rank):
-            w = base.term(n).defect().maps[t]
+        for t, w in enumerate(base.term(n).defect().maps):
             if not all(image.contains(w.apply(v)) for v in cycles):
                 bad.append(f"defect of xi{t} does not vanish on H^{n}")
     return ValidationReport.good() if not bad else ValidationReport.bad(*bad)
@@ -140,26 +140,21 @@ class HComplexMap(ComplexMap):
 
 
 def h_cone(f: HComplexMap) -> HComplex:
+    """Cone of an h-map; i(m, x) = (-i_M m, i_N x) on Cone^n = M^{n+1} (+) N^n."""
     rep = f.validate()
     if not rep:
         raise ValueError("h-cone of an invalid map: " + "; ".join(rep.violations))
     M, N = f.hsource, f.htarget
     base, _, _ = cone(f)
-    sgn = as_scalar(signs.cone_contraction_shifted_sign())
+    sgn = signs.cone_contraction_shifted_sign()
     i_maps: Dict[int, Dict[int, Matrix]] = {}
     for t in range(base.pair.K.torus_rank):
+        mt, nt = M.i_maps[t], N.i_maps[t]
         per = {}
         for n in base.degrees():
             rows = M.base.dim_at(n) + N.base.dim_at(n - 1)
-            cols = M.base.dim_at(n + 1) + N.base.dim_at(n)
-            if rows == 0 or cols == 0:
-                continue
-            ents = {}
-            for (r, c), v in M.i_at(t, n + 1).entries.items():
-                ents[(r, c)] = sgn * v
-            for (r, c), v in N.i_at(t, n).entries.items():
-                ents[(M.base.dim_at(n) + r, M.base.dim_at(n + 1) + c)] = v
-            m = Matrix(rows, cols, ents)
+            m = cone_matrix(rows, base.dim_at(n), M.base.dim_at(n), M.base.dim_at(n + 1),
+                            mt.get(n + 1), sgn, None, nt.get(n))
             if not m.is_zero():
                 per[n] = m
         i_maps[t] = per
@@ -167,32 +162,15 @@ def h_cone(f: HComplexMap) -> HComplex:
 
 
 def h_tensor(a: HComplex, b: HComplex) -> HComplex:
+    """a (x) b with i = i_a (x) 1 + tensor_contraction_right_sign(p) 1 (x) i_b.
+
+    The contraction runs through the same Leibniz loop as the differential
+    of tensor_complex, one degree down.
+    """
     base = tensor_complex(a.base, b.base)
     lay = TensorLayout(a.base, b.base)
-    i_maps: Dict[int, Dict[int, Matrix]] = {}
-    for t in range(base.pair.K.torus_rank):
-        per = {}
-        for n in sorted(lay.blocks):
-            rows = lay.dim_at(n - 1)
-            cols = lay.dim_at(n)
-            if rows == 0 or cols == 0:
-                continue
-            ents: Dict = {}
-            for i in lay.blocks[n]:
-                j = n - i
-                ia = a.i_at(t, i)
-                if not ia.is_zero() and (n - 1, i - 1) in lay.offsets:
-                    lay.place(kron(ia, Matrix.identity(b.base.dim_at(j))),
-                              (n, i), (n - 1, i - 1), ents)
-                ib = b.i_at(t, j)
-                if not ib.is_zero() and (n - 1, i) in lay.offsets:
-                    sgn = as_scalar(signs.tensor_contraction_right_sign(i))
-                    lay.place(kron(Matrix.identity(a.base.dim_at(i)), ib).scale(sgn),
-                              (n, i), (n - 1, i), ents)
-            m = Matrix(rows, cols, ents)
-            if not m.is_zero():
-                per[n] = m
-        i_maps[t] = per
+    i_maps = {t: lay.leibniz(a.i_maps[t], b.i_maps[t], -1, signs.tensor_contraction_right_sign)
+              for t in range(base.pair.K.torus_rank)}
     return HComplex(base, i_maps)
 
 

@@ -3,7 +3,11 @@
 Matrices are stored as sparse maps (row, col) -> Scalar, and elimination
 rows as sparse maps col -> Scalar.  No sparse map in the package holds an
 explicit zero: ``add_into`` is the one way to accumulate into such a map, and
-every module that builds one goes through it.  All eliminations are exact;
+every module that builds one goes through it.  ``Matrix(...)`` validates
+input from outside the library (JSON, literal rows, tests): it range-checks,
+coerces and drops zeros.  A builder whose entries it produced itself, from
+Scalars of other matrices, places them through ``Matrix._raw`` and is not
+checked again.  All eliminations are exact;
 pivot rows are chosen by minimal support with lowest-index tie-break so that
 every basis this module returns is deterministic across runs.
 """
@@ -99,11 +103,11 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, {(k, k): ONE for k in range(n)})
+        return Matrix._raw(n, n, {(k, k): ONE for k in range(n)})
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols)
+        return Matrix._raw(rows, cols, {})
 
     @staticmethod
     def from_columns(cols: Sequence[Vector], rows: Optional[int] = None) -> "Matrix":
@@ -158,15 +162,20 @@ class Matrix:
         return Matrix._raw(self.rows, self.cols, ents)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + other.scale(Scalar(-1))
+        return self + -other
 
     def __neg__(self) -> "Matrix":
-        return self.scale(Scalar(-1))
+        return Matrix._raw(self.rows, self.cols, {rc: -v for rc, v in self.entries.items()})
 
     def scale(self, c) -> "Matrix":
+        """c times self; c = 1 returns self (entries are never mutated in place)."""
         c = as_scalar(c)
         if c.is_zero():
-            return Matrix(self.rows, self.cols)
+            return Matrix.zeros(self.rows, self.cols)
+        if c == ONE:
+            return self
+        if -c == ONE:
+            return -self
         return Matrix._raw(self.rows, self.cols,
                            {rc: c * v for rc, v in self.entries.items()})
 
@@ -199,7 +208,7 @@ class Matrix:
         return tuple(out)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()})
+        return Matrix._raw(self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()})
 
     def commutator(self, other: "Matrix") -> "Matrix":
         return self @ other - other @ self
@@ -225,33 +234,7 @@ class Matrix:
                 ents[(r0 + r, c0 + c)] = v
             r0 += b.rows
             c0 += b.cols
-        return Matrix(rows, cols, ents)
-
-    @staticmethod
-    def vstack(blocks: Sequence["Matrix"]) -> "Matrix":
-        cols = blocks[0].cols if blocks else 0
-        ents = {}
-        r0 = 0
-        for b in blocks:
-            if b.cols != cols:
-                raise ValueError("vstack column mismatch")
-            for (r, c), v in b.entries.items():
-                ents[(r0 + r, c)] = v
-            r0 += b.rows
-        return Matrix(r0, cols, ents)
-
-    @staticmethod
-    def hstack(blocks: Sequence["Matrix"]) -> "Matrix":
-        rows = blocks[0].rows if blocks else 0
-        ents = {}
-        c0 = 0
-        for b in blocks:
-            if b.rows != rows:
-                raise ValueError("hstack row mismatch")
-            for (r, c), v in b.entries.items():
-                ents[(r, c0 + c)] = v
-            c0 += b.cols
-        return Matrix(rows, c0, ents)
+        return Matrix._raw(rows, cols, ents)
 
     # -- serialization --------------------------------------------------------
 
@@ -371,7 +354,7 @@ def inverse(m: Matrix) -> Matrix:
         for c, v in prow.items():
             if c >= n:
                 ents[(r, c - n)] = v
-    return Matrix(n, n, ents)
+    return Matrix._raw(n, n, ents)
 
 
 def solve(m: Matrix, b: Vector) -> Optional[Vector]:

@@ -64,7 +64,7 @@ def p_complement(pair: Pair) -> Tuple[List[Vector], Matrix]:
             v = inv[(K.torus_rank + r, c)]
             if not v.is_zero():
                 ents[(r, c)] = v
-    return p_basis, Matrix(len(p_basis), g.dim, ents)
+    return p_basis, Matrix._raw(len(p_basis), g.dim, ents)
 
 
 class RelativeStandardComplex:
@@ -156,7 +156,7 @@ class RelativeStandardComplex:
                         if row is None:
                             raise AssertionError("boundary leaves the coinvariant part")
                         add_into(ents, (row, col), sgn0 * isgn * cl)
-        return Matrix(self.dim(n - 1), len(self.kept[n]), ents)
+        return Matrix._raw(self.dim(n - 1), len(self.kept[n]), ents)
 
     def validate(self) -> ValidationReport:
         bad = []

@@ -109,6 +109,13 @@ def test_hcheck_standard_resolution(files, capsys):
     assert code == 0 and json.loads(out)["ok"]
 
 
+@pytest.mark.parametrize("cutoff", ["1", "0", "-1"])
+def test_hcheck_cutoff_below_two_is_exit_2(files, capsys, cutoff):
+    code, out, err = run(capsys, "hcheck", "--pair", files["pair"], "--cutoff", cutoff)
+    assert code == 2 and out == ""
+    assert "--cutoff: must be at least 2" in err and "Traceback" not in err
+
+
 def test_schema_error_names_field_and_location(files, tmp_path, capsys):
     p = tmp_path / "broken.json"
     p.write_text(json.dumps({"k_weights": [{"torus": [0]}]}))  # g_action missing

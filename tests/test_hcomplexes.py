@@ -98,6 +98,29 @@ def test_defect_obstruction_on_cohomology():
     assert not check_h_axioms(zero_contraction(base)).ok
 
 
+def test_defect_is_built_once_per_degree(monkeypatch):
+    """Two weak lines glued by d = i_0 = i_1 = 1 over a torus of rank 2."""
+    g = LieAlgebra(2, ["x", "y"])
+    K = DiagGroup(torus_rank=2)
+    P = Pair(g, K, [K.zero_char()] * 2, Matrix.from_rows([[1, 0], [0, 1]]))
+    m = FiniteModule(P, [K.character([1, 1])], [Matrix.zeros(1, 1)] * 2)
+    one = Matrix.from_rows([[1]])
+    h = HComplex(Complex(P, {0: m, 1: m}, {0: one}), {0: {1: one}, 1: {1: one}})
+    calls = []
+    defect = FiniteModule.defect
+
+    def counted(self):
+        calls.append(self)
+        return defect(self)
+
+    monkeypatch.setattr(FiniteModule, "defect", counted)
+    assert check_h_axioms(h).ok
+    assert len(calls) == len(h.degrees())
+    calls.clear()
+    assert h_cohomology_modules(h).ok
+    assert len(calls) == len(h.degrees())
+
+
 def test_h_cohomology_of_exact_toy():
     h = toy_h()
     assert h_cohomology_modules(h).ok  # H = 0, vacuously genuine

@@ -182,6 +182,16 @@ def test_add_into_drops_zeros_and_keeps_order():
     assert all(not v.is_zero() for v in acc.values())
 
 
+def test_scale_by_plus_or_minus_one_multiplies_nothing():
+    m = Matrix.from_rows([[1, I], [0, Scalar(Fraction(-2, 3))]])
+    assert m.scale(1) is m and m.scale(ONE) is m
+    neg = Matrix.from_rows([[-1, -I], [0, Scalar(Fraction(2, 3))]])
+    assert m.scale(-1) == -m == neg
+    assert m - m == Matrix.zeros(2, 2) and (m - m).entries == {}
+    assert m - neg == m.scale(2)
+    assert m.scale(0) == Matrix.zeros(2, 2)
+
+
 def test_matrix_json_roundtrip():
     m = Matrix.from_rows([[1, I], [0, Scalar(Fraction(1, 3))]])
     assert Matrix.from_json(m.to_json()) == m
