@@ -5,7 +5,8 @@ embeddings, run a verification or homology computation, and emit the result as
 JSON or TSV.  Exit codes: 0 success, 2 validation failure (schema or
 mathematical, including the library's named failures on well-formed input:
 a degenerate band operator, a band table the vector-field oracle refutes, an
-algebra without an sl2 triple), 3 computation finished but a stabilization
+algebra without an sl2 triple, a relative standard complex whose boundary
+does not square to zero), 3 computation finished but a stabilization
 certificate was not reached (the window data is still emitted).
 """
 
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 from .hcomplexes import check_h_axioms
 from .linalg import unit_vec
-from .relhomology import coinvariants, euler_poincare, rel_homology
+from .relhomology import NotAComplexError, coinvariants, euler_poincare, rel_homology
 from .resolution import StandardResolution
 from .bands import DegenerateBandError, UncertifiedStabilizationError
 from .gkmodules import UnsupportedAlgebraError
@@ -28,7 +29,8 @@ EXIT_INVALID = 2
 EXIT_UNCERTIFIED = 3
 
 # library failures on well-formed input: exit 2, named by their class
-LIBRARY_ERRORS = (DegenerateBandError, OracleMismatchError, UnsupportedAlgebraError)
+LIBRARY_ERRORS = (DegenerateBandError, NotAComplexError, OracleMismatchError,
+                  UnsupportedAlgebraError)
 
 
 def _read_json(path: str, what: str):

@@ -72,7 +72,8 @@ class FiniteModule:
 
     def torus_weight_matrix(self, t: int) -> Matrix:
         """d(rho)(xi_t): diagonal matrix of the t-th torus exponents."""
-        return Matrix.diagonal([as_scalar(ch.torus[t]) for ch in self.k_weights])
+        return Matrix._raw(self.dim, self.dim, {
+            (k, k): as_scalar(ch.torus[t]) for k, ch in enumerate(self.k_weights) if ch.torus[t]})
 
     def defect(self) -> "DefectMap":
         maps = []

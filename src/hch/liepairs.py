@@ -175,13 +175,18 @@ class DiagGroup:
         return Character((0,) * self.torus_rank, (0,) * len(self.finite_invariants))
 
     def add(self, a: Character, b: Character) -> Character:
-        return self.character(
-            [x + y for x, y in zip(a.torus, b.torus)],
-            [x + y for x, y in zip(a.finite, b.finite)],
+        """Sum of two characters of this group (not re-validated)."""
+        return Character(
+            tuple(x + y for x, y in zip(a.torus, b.torus)),
+            tuple((x + y) % n for x, y, n in zip(a.finite, b.finite, self.finite_invariants)),
         )
 
     def neg(self, a: Character) -> Character:
-        return self.character([-x for x in a.torus], [-x for x in a.finite])
+        """Inverse of a character of this group (not re-validated)."""
+        return Character(
+            tuple(-x for x in a.torus),
+            tuple(-x % n for x, n in zip(a.finite, self.finite_invariants)),
+        )
 
     def __eq__(self, other):
         if not isinstance(other, DiagGroup):

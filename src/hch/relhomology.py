@@ -30,10 +30,15 @@ from .linalg import (
     homology_at,
     independent_over,
     inverse,
+    rank,
     unit_vec,
 )
 from .reports import HomologyReport
 from .scalars import ZERO, Scalar
+
+
+class NotAComplexError(ValueError):
+    """A differential squared is nonzero, so there is no homology to take."""
 
 
 def p_complement(pair: Pair) -> Tuple[List[Vector], Matrix]:
@@ -177,11 +182,16 @@ class RelativeStandardComplex:
         return Complex(trivial_pair(), terms, diffs)
 
 
-def rel_homology(emb: SubpairEmbedding, M: FiniteModule) -> HomologyReport:
+def _checked_complex(emb: SubpairEmbedding, M: FiniteModule) -> RelativeStandardComplex:
     cx = RelativeStandardComplex(emb, M)
     rep = cx.validate()
     if not rep:
-        raise ValueError("; ".join(rep.violations))
+        raise NotAComplexError("; ".join(rep.violations))
+    return cx
+
+
+def rel_homology(emb: SubpairEmbedding, M: FiniteModule) -> HomologyReport:
+    cx = _checked_complex(emb, M)
     report = HomologyReport()
     for n in range(cx.p_dim + 1):
         reps = homology_at(cx.boundary(n), cx.boundary(n + 1))
@@ -223,8 +233,12 @@ def coinvariants(M: FiniteModule, h_basis: Sequence[Vector],
 
 
 def ext_via_duality(emb: SubpairEmbedding, M: FiniteModule, n: int) -> int:
-    """dim Ext^n(M, C) as dim H_n of the relative standard complex."""
-    return rel_homology(emb, M).dims.get(n, 0)
+    """dim Ext^n(M, C) as dim H_n of the relative standard complex.
+
+    Only degree n is computed: dim C_n - rank d_n - rank d_{n+1}.
+    """
+    cx = _checked_complex(emb, M)
+    return cx.dim(n) - rank(cx.boundary(n)) - rank(cx.boundary(n + 1))
 
 
 def ext_via_chain_maps(emb: SubpairEmbedding, M: FiniteModule, n: int) -> int:

@@ -8,8 +8,12 @@ from hch.bands import DegenerateBandError
 from hch import cli
 from hch.cli import main
 from hch.gkmodules import UnsupportedAlgebraError, restrict_module
+from hch.liepairs import SubpairEmbedding
+from hch.linalg import Matrix
+from hch.relhomology import RelativeStandardComplex
 from hch.scalars import Scalar
-from hch.sl2 import SUBPAIR_CATALOG, OracleMismatchError, finite_irrep_so2, so2_pair
+from hch.sl2 import (SUBPAIR_CATALOG, OracleMismatchError, finite_irrep, finite_irrep_so2,
+                     so2_pair, trivial_k_pair)
 
 
 @pytest.fixture()
@@ -211,3 +215,20 @@ def test_oracle_mismatch_from_a_wrong_vector_field_is_exit_2(capsys, monkeypatch
     code, _, err = run(capsys, "sl2-demo", "--lambda", "2")
     assert code == 2
     assert err.startswith("error: OracleMismatchError: shift 2 coefficient not affine")
+
+
+@pytest.mark.parametrize("command", ["homology", "ext"])
+def test_non_complex_is_exit_2_with_class_name(tmp_path, capsys, monkeypatch, command):
+    pair = trivial_k_pair()
+    paths = []
+    for name, obj in (("ident", SubpairEmbedding.identity(pair).to_json()),
+                      ("F1", finite_irrep(1, pair).to_json())):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(obj))
+    # a boundary of all ones squares to nonzero from degree 2 on
+    ones = lambda self, n: Matrix._raw(self.dim(n - 1), self.dim(n), {
+        (r, c): Scalar(1) for r in range(self.dim(n - 1)) for c in range(self.dim(n))})
+    monkeypatch.setattr(RelativeStandardComplex, "boundary", ones)
+    code, out, err = run(capsys, command, "--subpair", str(paths[0]), "--module", str(paths[1]))
+    assert code == 2 and out == ""
+    assert err.startswith("error: NotAComplexError: boundary squared nonzero at degree 2; ")

@@ -19,7 +19,7 @@ from hch.gkmodules import (
     trivial_module,
 )
 from hch.linalg import Matrix, kernel_basis
-from hch.scalars import Scalar
+from hch.scalars import Scalar, as_scalar
 from hch.sl2 import (
     diagonal_torus_subpair,
     finite_irrep,
@@ -182,3 +182,16 @@ def test_whitehead_pair_is_valid():
     M = finite_irrep(2, P)
     assert M.validate().ok
     assert sl2().check_jacobi().ok
+
+
+def test_torus_weight_matrix_places_nonzero_weights_without_validation(monkeypatch):
+    modules = [finite_irrep(3), finite_irrep_so2(4), trivial_module(so2_pair()),
+               tensor(finite_irrep_so2(2), finite_irrep_so2(1))]
+    want = [[Matrix.diagonal([as_scalar(ch.torus[t]) for ch in M.k_weights])
+             for t in range(M.pair.K.torus_rank)] for M in modules]
+    monkeypatch.setattr(Matrix, "__init__", None)
+    for M, mats in zip(modules, want):
+        for t, w in enumerate(mats):
+            got = M.torus_weight_matrix(t)
+            assert got == w and (got.rows, got.cols) == (M.dim, M.dim)
+            assert all(not v.is_zero() for v in got.entries.values())

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hch.liepairs import (
     CharacterRestriction,
@@ -155,3 +156,29 @@ def test_pair_json_roundtrip():
     assert P2.g.dim == 3
     assert P2.ad_grading == P.ad_grading
     assert P2.iota == P.iota
+
+
+GROUPS = [DiagGroup(), DiagGroup(2, [2, 4]), DiagGroup(1, [1, 4, 2]), DiagGroup(0, [4])]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(GROUPS), st.data())
+def test_add_and_neg_match_validated_characters(K, data):
+    ints = st.integers(-9, 9)
+    a, b = (K.character(data.draw(st.lists(ints, min_size=K.torus_rank, max_size=K.torus_rank)),
+                        data.draw(st.lists(ints, min_size=len(K.finite_invariants),
+                                           max_size=len(K.finite_invariants))))
+            for _ in range(2))
+    total = K.add(a, b)
+    assert total == K.character([x + y for x, y in zip(a.torus, b.torus)],
+                                [x + y for x, y in zip(a.finite, b.finite)])
+    assert K.neg(a) == K.character([-x for x in a.torus], [-x for x in a.finite])
+    assert K.add(a, K.neg(a)) == K.zero_char()
+    assert all(type(x) is int for x in total.torus + total.finite)
+
+
+def test_add_and_neg_do_not_revalidate(monkeypatch):
+    K = DiagGroup(1, [4])
+    a, b = K.character([3], [3]), K.character([-1], [2])
+    monkeypatch.setattr(DiagGroup, "character", None)
+    assert K.add(a, b).finite == (1,) and K.neg(a).finite == (1,)

@@ -4,7 +4,9 @@ import pytest
 
 from hch.gkmodules import direct_sum, restrict_module, trivial_module
 from hch.liepairs import SubpairEmbedding
+from hch.linalg import Matrix
 from hch.relhomology import (
+    NotAComplexError,
     RelativeStandardComplex,
     coinvariants,
     ext_via_chain_maps,
@@ -139,3 +141,30 @@ def test_euler_poincare():
     # additivity on direct sums
     both = direct_sum(f2, f2)
     assert euler_poincare(emb, both) == euler_poincare(emb, f2) * 2
+
+
+def test_ext_via_duality_computes_one_degree_like_rel_homology(monkeypatch):
+    cases = []
+    for name, mk in SUBPAIR_CATALOG.items():
+        emb = mk()
+        cases += [(name, m, emb, restrict_module(emb, finite_irrep_so2(m))) for m in range(5)]
+    ident = SubpairEmbedding.identity(trivial_k_pair())
+    cases += [("identity(trivial_k)", m, ident, finite_irrep(m, trivial_k_pair()))
+              for m in range(5)]
+    want = {(name, m): rel_homology(emb, M).dims for name, m, emb, M in cases}
+    monkeypatch.setattr("hch.relhomology.homology_at", None)  # no representatives are built
+    for name, m, emb, M in cases:
+        for n in range(5):
+            assert ext_via_duality(emb, M, n) == want[(name, m)].get(n, 0), (name, m, n)
+
+
+def test_non_complex_is_named(monkeypatch):
+    emb = SubpairEmbedding.identity(trivial_k_pair())
+    M = finite_irrep(1, trivial_k_pair())
+    ones = lambda self, n: Matrix._raw(self.dim(n - 1), self.dim(n), {
+        (r, c): Scalar(1) for r in range(self.dim(n - 1)) for c in range(self.dim(n))})
+    monkeypatch.setattr(RelativeStandardComplex, "boundary", ones)
+    for compute in (lambda: rel_homology(emb, M), lambda: ext_via_duality(emb, M, 1)):
+        with pytest.raises(NotAComplexError, match="boundary squared nonzero at degree 2"):
+            compute()
+    assert issubclass(NotAComplexError, ValueError)

@@ -1,11 +1,15 @@
 """Scalar arithmetic results against the validating constructor."""
 
+import fractions
+import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hch.scalars import Scalar
+from hch.scalars import I, ONE, ZERO, Scalar, as_scalar
+from hch.sl2 import sl2_branching_report
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 # real operands take the real branch of multiplication
@@ -68,3 +72,185 @@ def test_mixed_int_operands(a, k):
                     (a / k, Scalar(a.re / k, a.im / k))):
         assert type(r.re) is Fraction and type(r.im) is Fraction
         assert r == want and hash(r) == hash(want)
+
+
+# -- the three-int representation against the Fraction-pair model -----------
+
+
+class Ref:
+    """Reference model: a + b*i kept as two Fractions, with their arithmetic."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @staticmethod
+    def of(x):
+        if isinstance(x, Scalar):
+            return Ref(x.re, x.im)
+        return x if isinstance(x, Ref) else Ref(x)
+
+    def __add__(self, o):
+        o = Ref.of(o)
+        return Ref(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        o = Ref.of(o)
+        return Ref(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, o):
+        o = Ref.of(o)
+        return Ref(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    def __neg__(self):
+        return Ref(-self.re, -self.im)
+
+    def conjugate(self):
+        return Ref(self.re, -self.im)
+
+    def inverse(self):
+        n = self.re * self.re + self.im * self.im
+        if n == 0:
+            raise ZeroDivisionError
+        return Ref(self.re / n, -self.im / n)
+
+    def __truediv__(self, o):
+        return self * Ref.of(o).inverse()
+
+    def __pow__(self, k):
+        if k < 0:
+            return self.inverse() ** -k
+        out = Ref(1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __repr__(self):
+        if self.im == 0:
+            return str(self.re)
+        if self.re == 0:
+            return f"{self.im}i"
+        sign = "+" if self.im > 0 else "-"
+        return f"{self.re}{sign}{abs(self.im)}i"
+
+    def to_json(self):
+        return {"re": str(self.re), "im": str(self.im)}
+
+
+def assert_matches(got, want: Ref):
+    """got is a canonical Scalar equal to want, with the same hash and text."""
+    assert type(got) is Scalar
+    a, b, d = got._a, got._b, got._d
+    assert d > 0 and gcd(a, b, d) == 1
+    assert (got.re, got.im) == (want.re, want.im)
+    assert type(got.re) is Fraction and type(got.im) is Fraction
+    twin = Scalar(want.re, want.im)
+    assert got == twin and hash(got) == hash(twin)
+    assert repr(got) == repr(want) and got.to_json() == want.to_json()
+
+
+big_rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+any_rational = st.one_of(big_rationals, small_rationals, st.integers(-10**6, 10**6))
+scalars = st.one_of(st.builds(Scalar, any_rational, any_rational),
+                    st.builds(Scalar, any_rational),
+                    st.builds(Scalar, st.integers(-30, 30), st.integers(-30, 30)))
+# a Scalar, or a plain int or Fraction operand
+operands = st.one_of(scalars, st.integers(-10**6, 10**6), big_rationals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(operands, operands)
+def test_operations_match_the_fraction_pair_model(x, y):
+    assume(isinstance(x, Scalar) or isinstance(y, Scalar))
+    rx, ry = Ref.of(x), Ref.of(y)
+    assert_matches(x + y, rx + ry)
+    assert_matches(x - y, rx - ry)
+    assert_matches(x * y, rx * ry)
+    if Ref.of(y).re or Ref.of(y).im:
+        assert_matches(x / y, rx / ry)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    s, r = (x, rx) if isinstance(x, Scalar) else (y, ry)
+    assert_matches(-s, -r)
+    assert_matches(s.conjugate(), r.conjugate())
+    if s:
+        assert_matches(s.inverse(), r.inverse())
+    else:
+        with pytest.raises(ZeroDivisionError):
+            s.inverse()
+    assert (s == x) == (r.re == rx.re and r.im == rx.im)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scalars, st.integers(-5, 5))
+def test_powers_match_the_fraction_pair_model(s, k):
+    assume(k >= 0 or s)
+    assert_matches(s ** k, Ref.of(s) ** k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9),
+       st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
+def test_gaussian_integer_arithmetic_stays_integral(a, b, c, e):
+    x, y = Scalar(a, b), Scalar(c, e)
+    for r in (x + y, x - y, x * y, -x, x.conjugate(), x ** 3):
+        assert r._d == 1
+    assert_matches(x * y, Ref(a, b) * Ref(c, e))
+
+
+@pytest.mark.parametrize("re, im", [
+    ("3/6", "-4/8"), ("0", "7/14"), ("-10/4", "0"), ("1000000/999999", "-2/1000000"),
+    (Fraction(6, 4), "-5"), (12, Fraction(-9, 6)), ("0/5", "0/3"),
+])
+def test_string_and_mixed_inputs_are_canonical(re, im):
+    assert_matches(Scalar(re, im), Ref(Fraction(re), Fraction(im)))
+
+
+def test_equal_values_built_differently_hash_alike():
+    half = Scalar("3/6", "-4/8")
+    for other in (Scalar(Fraction(1, 2), Fraction(-1, 2)), (ONE - I) / 2,
+                  Scalar("1/4", "-1/4") * 2, (ONE + I).inverse()):
+        assert other == half and hash(other) == hash(half)
+    assert ZERO == Scalar("0/7", "-0/3") == Scalar(5) - 5
+    for z in (Scalar("0/7", "-0/3"), Scalar("1/3", 2) - Scalar("1/3", 2), Scalar(0, 5) * 0):
+        assert (z._a, z._b, z._d) == (0, 0, 1)
+    assert Scalar(3) == 3 and 3 == Scalar(3) and Scalar("1/2") == Fraction(1, 2)
+    assert Scalar(3, 1) != 3 and Scalar("1/2") != Fraction(1, 3)
+
+
+def test_outside_input_is_checked():
+    for bad in (0.5, None, 1j):
+        with pytest.raises(TypeError):
+            Scalar(bad)
+        with pytest.raises(TypeError):
+            as_scalar(bad)
+    with pytest.raises(ValueError):
+        Scalar("one half")
+    s = Scalar(1, 2)
+    for name in ("re", "im", "_a", "_b", "_d", "other"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(s, name)
+    assert s == Scalar(1, 2)
+
+
+def test_branching_report_constructs_no_fraction(monkeypatch):
+    original = fractions.Fraction.__dict__["__new__"]
+    outside = []
+
+    def counting(cls, *args, **kwargs):
+        caller = sys._getframe(1).f_code
+        if not (caller.co_filename.endswith("scalars.py") and caller.co_name in ("re", "im")):
+            outside.append(caller)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counting))
+    report = sl2_branching_report(4, 0)
+    assert report.dims == {0: 3, 1: 1}
+    assert outside == []
+    # the counter sees constructions: reading a component makes one
+    assert Scalar(1, 2).re == 1 and outside == []
+    Fraction(3)
+    assert len(outside) == 1
