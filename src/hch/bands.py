@@ -33,10 +33,6 @@ class BandOp:
                 if not p.is_zero():
                     self.table[int(s)] = p
 
-    @staticmethod
-    def zero() -> "BandOp":
-        return BandOp()
-
     def shifts(self) -> List[int]:
         return sorted(self.table)
 

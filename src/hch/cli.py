@@ -99,6 +99,8 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_ext(args) -> int:
+    if args.max_degree is not None and args.max_degree < 0:
+        raise SchemaError("--max-degree", f"must be at least 0, got {args.max_degree}")
     emb, module = _load_subpair_module(args)
     # Ext^n(M, C) = H_n of the relative standard complex (ext_via_duality)
     report = rel_homology(emb, module)

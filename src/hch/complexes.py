@@ -11,11 +11,14 @@ sizes.  The tensor differential d (x) 1 + sign 1 (x) d and the h-tensor
 contraction i (x) 1 + sign 1 (x) i are one Leibniz loop,
 ``TensorLayout.leibniz``; the cone differential and the h-cone contraction
 are both ``cone_matrix``.
+
+The Chevalley–Eilenberg boundary of the standard resolution and of the
+relative complex is written once, in ``ce_boundary``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Collection, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import signs
 from .gkmodules import FiniteModule, direct_sum, kron_into, tensor_into
@@ -23,13 +26,14 @@ from .liepairs import DiagGroup, LieAlgebra, Pair, ValidationReport
 from .linalg import (
     Matrix,
     Vector,
+    add_into,
     homology_at,
     kernel_basis,
     rank,
     solve,
 )
 from .reports import HomologyReport
-from .scalars import ONE
+from .scalars import ONE, Scalar
 
 _TRIVIAL_PAIR: Optional[Pair] = None
 
@@ -88,7 +92,7 @@ class Complex:
         return self.interior.get(n, [])
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** n * t.dim for n, t in self.terms.items())
+        return sum(signs.degree_sign(n) * t.dim for n, t in self.terms.items())
 
     # -- validation and homology ----------------------------------------------
 
@@ -123,6 +127,63 @@ class Complex:
 
     def tensor(self, other: "Complex") -> "Complex":
         return tensor_complex(self, other)
+
+
+def wedge_insert(idx: int, subset: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:
+    """(sign, increasing tuple) of x_idx ^ (wedge of subset) sorted into place;
+    idx must not be in subset."""
+    pos = sum(1 for s in subset if s < idx)
+    return signs.wedge_out_sign(pos), subset[:pos] + (idx,) + subset[pos:]
+
+
+# a sparse column as (row, coefficient) pairs
+SparseColumn = Sequence[Tuple[int, Scalar]]
+
+
+def ce_boundary(columns: Iterable[Tuple[Tuple[int, ...], Collection[int]]], rows: int,
+                row_of: Callable[[Tuple[int, ...]], Mapping[int, int]],
+                act: Sequence[Sequence[SparseColumn]],
+                action_sign: Callable[[int], int],
+                brackets: Dict[Tuple[int, int], SparseColumn]) -> Matrix:
+    """The Chevalley–Eilenberg boundary wedge^n (x) V -> wedge^{n-1} (x) V.
+
+    x_{s_0} ^ ... ^ x_{s_{n-1}} (x) v goes to
+      sum_i action_sign(i) (the wedge without x_{s_i}) (x) act_{s_i}(v)
+      + sum_{p<q} wedge_pair_sign(p, q) [x_{s_p}, x_{s_q}] ^ (the rest) (x) v,
+    with [x_{s_p}, x_{s_q}] ^ (the rest) sorted by ``wedge_insert``.
+
+    columns lists (subset, ks) in column order: the columns of the increasing
+    wedge subset come next, one for each coefficient basis vector k in ks.
+    row_of(subset)[k] is the row of (subset, k) in degree n - 1.
+    act[s][k] is the sparse column of x_s acting on coefficient vector k.
+    brackets[(a, b)], a < b, is the sparse [x_a, x_b] in the wedge basis.
+    The action and bracket terms are worked out once per subset.
+    """
+    ents: Dict = {}
+    col = 0
+    for subset, ks in columns:
+        n = len(subset)
+        for i, s in enumerate(subset):
+            negate = action_sign(i) < 0
+            target = row_of(subset[:i] + subset[i + 1:])
+            act_s = act[s]
+            for c, k in enumerate(ks, col):
+                for r, v in act_s[k]:
+                    add_into(ents, (target[r], c), -v if negate else v)
+        terms = []
+        for p in range(n):
+            for q in range(p + 1, n):
+                sgn = signs.wedge_pair_sign(p, q)
+                rest = subset[:p] + subset[p + 1:q] + subset[q + 1:]
+                for l, cl in brackets.get((subset[p], subset[q]), ()):
+                    if l not in rest:
+                        isgn, wedge = wedge_insert(l, rest)
+                        terms.append((row_of(wedge), cl if sgn * isgn > 0 else -cl))
+        for c, k in enumerate(ks, col):
+            for target, v in terms:
+                add_into(ents, (target[k], c), v)
+        col += len(ks)
+    return Matrix._raw(rows, col, ents)
 
 
 def trivial_dim_zero(pair: Pair) -> FiniteModule:

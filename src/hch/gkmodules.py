@@ -32,17 +32,6 @@ class FiniteModule:
             if (m.rows, m.cols) != (self.dim, self.dim):
                 raise ValueError("action matrix shape mismatch")
 
-    def act(self, x: Vector, v: Vector) -> Vector:
-        """Action of the g-element with coordinates x."""
-        out = [ZERO] * self.dim
-        for j, a in enumerate(x):
-            if a.is_zero():
-                continue
-            img = self.g_action[j].apply(v)
-            for r in range(self.dim):
-                out[r] = out[r] + a * img[r]
-        return tuple(out)
-
     def action_matrix(self, x: Vector) -> Matrix:
         out = Matrix.zeros(self.dim, self.dim)
         for j, a in enumerate(x):

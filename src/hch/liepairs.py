@@ -313,7 +313,7 @@ class CharacterRestriction:
             for j, a in enumerate(row):
                 if a:
                     ents[(j, i)] = as_scalar(a)
-        return Matrix(self.big.torus_rank, self.small.torus_rank, ents)
+        return Matrix._raw(self.big.torus_rank, self.small.torus_rank, ents)
 
     @staticmethod
     def identity(K: DiagGroup) -> "CharacterRestriction":

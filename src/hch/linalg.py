@@ -44,10 +44,6 @@ def vec(entries: Iterable) -> Vector:
     return tuple(as_scalar(x) for x in entries)
 
 
-def zero_vec(n: int) -> Vector:
-    return (ZERO,) * n
-
-
 def unit_vec(n: int, j: int) -> Vector:
     return tuple(ONE if k == j else ZERO for k in range(n))
 

@@ -4,7 +4,10 @@ Everything happens over the small pair (h, K^H) of a subpair embedding.
 The complement p of the embedded torus algebra inside h is chosen
 deterministically: all basis vectors of nonzero K^H-weight, plus the first
 weight-zero basis vectors completing the torus image.  Any K^H-stable
-choice gives the same homology; this one is reproducible.
+choice gives the same homology; this one is reproducible.  Since p is
+spanned by g-basis vectors, the Chevalley–Eilenberg boundary
+(``complexes.ce_boundary``) reads M's g-basis action matrices and g's
+structure constants projected to p, once per complex.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import signs
 from .complexes import (
     Complex,
+    ce_boundary,
     homotopy_classes_dim,
     plain_space,
     single_term,
@@ -26,7 +30,6 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
-    add_into,
     homology_at,
     independent_over,
     inverse,
@@ -34,7 +37,7 @@ from .linalg import (
     unit_vec,
 )
 from .reports import HomologyReport
-from .scalars import ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar
 
 
 class NotAComplexError(ValueError):
@@ -44,8 +47,9 @@ class NotAComplexError(ValueError):
 def p_complement(pair: Pair) -> Tuple[List[Vector], Matrix]:
     """Basis of p and the projection P: h -> p (coordinates in that basis).
 
-    Raises if the weight-zero basis vectors fail to complete the torus image
-    (cannot happen for validated pairs with diagonalizable K^H).
+    The basis vectors are g-basis vectors.  Raises if the weight-zero basis
+    vectors fail to complete the torus image (cannot happen for validated
+    pairs with diagonalizable K^H).
     """
     g, K = pair.g, pair.K
     zero = K.zero_char()
@@ -81,35 +85,45 @@ class RelativeStandardComplex:
         self.pair = M.pair
         self.module = M
         self.p_basis, self.projection = p_complement(self.pair)
-        K = self.pair.K
+        chosen = [v.index(ONE) for v in self.p_basis]
+        K, g = self.pair.K, self.pair.g
         zero = K.zero_char()
-        g = self.pair.g
-        dp = len(self.p_basis)
-        self.p_dim = dp
-        # K^H-weight of each p-basis vector (weight vectors by construction)
-        p_weights = []
-        for v in self.p_basis:
-            j = next(k for k, a in enumerate(v) if not a.is_zero())
-            p_weights.append(self.pair.ad_grading[j])
-        # kept basis: (subset, module index) of trivial total weight
+        dp = self.p_dim = len(chosen)
+        p_weights = [self.pair.ad_grading[j] for j in chosen]
+        # kept basis: (subset, module index) of trivial total weight;
+        # position[n][subset][k] is the index of (subset, k) in kept[n]
         self.kept: Dict[int, List[Tuple[Tuple[int, ...], int]]] = {}
-        full_index: Dict[int, Dict[Tuple[Tuple[int, ...], int], int]] = {}
+        position: Dict[int, Dict[Tuple[int, ...], Dict[int, int]]] = {}
         for n in range(dp + 1):
-            kept = []
-            index = {}
+            kept = self.kept[n] = []
+            position[n] = {}
             for subset in combinations(range(dp), n):
                 w = zero
                 for s in subset:
                     w = K.add(w, p_weights[s])
+                index = position[n][subset] = {}
                 for k in range(M.dim):
                     if K.add(w, M.k_weights[k]) == zero:
-                        index[(subset, k)] = len(kept)
+                        index[k] = len(kept)
                         kept.append((subset, k))
-            self.kept[n] = kept
-            full_index[n] = index
+        act = []
+        for j in chosen:
+            cols: List[List[Tuple[int, Scalar]]] = [[] for _ in range(M.dim)]
+            for (r, c), v in M.g_action[j].entries.items():
+                cols[c].append((r, v))
+            act.append(cols)
+        brackets = {}
+        for a, b in combinations(range(dp), 2):
+            br = self.projection.apply(g.bracket_basis(chosen[a], chosen[b]))
+            brackets[(a, b)] = [(l, c) for l, c in enumerate(br) if not c.is_zero()]
         self.boundaries: Dict[int, Matrix] = {}
         for n in range(1, dp + 1):
-            self.boundaries[n] = self._boundary(n, full_index)
+            try:
+                self.boundaries[n] = ce_boundary(position[n].items(), self.dim(n - 1),
+                                                 position[n - 1].__getitem__, act,
+                                                 signs.rel_action_sign, brackets)
+            except KeyError:
+                raise ValueError("boundary leaves the coinvariant part") from None
 
     def dim(self, n: int) -> int:
         return len(self.kept.get(n, ()))
@@ -119,49 +133,6 @@ class RelativeStandardComplex:
         if b is not None:
             return b
         return Matrix.zeros(self.dim(n - 1), self.dim(n))
-
-    def _act(self, j: int, k: int) -> Dict[int, Scalar]:
-        """Column k of the action of the j-th p-basis vector on M."""
-        out: Dict[int, Scalar] = {}
-        for l, a in enumerate(self.p_basis[j]):
-            if a.is_zero():
-                continue
-            col = self.module.g_action[l].column(k)
-            for r, v in enumerate(col):
-                if not v.is_zero():
-                    add_into(out, r, a * v)
-        return out
-
-    def _boundary(self, n: int, full_index) -> Matrix:
-        rows_idx = full_index[n - 1]
-        ents: Dict = {}
-        g = self.pair.g
-        for col, (subset, k) in enumerate(self.kept[n]):
-            for i, si in enumerate(subset):
-                sgn = Scalar(signs.rel_action_sign(i))
-                rest = subset[:i] + subset[i + 1:]
-                for r, v in self._act(si, k).items():
-                    row = rows_idx.get((rest, r))
-                    if row is None:
-                        raise AssertionError("boundary leaves the coinvariant part")
-                    add_into(ents, (row, col), sgn * v)
-            for p in range(n):
-                for q in range(p + 1, n):
-                    sgn0 = Scalar(signs.wedge_pair_sign(p, q))
-                    rest = tuple(x for t, x in enumerate(subset) if t not in (p, q))
-                    br = g.bracket(self.p_basis[subset[p]], self.p_basis[subset[q]])
-                    proj = self.projection.apply(br)
-                    for l, cl in enumerate(proj):
-                        if cl.is_zero() or l in rest:
-                            continue
-                        pos = sum(1 for s in rest if s < l)
-                        wedge = rest[:pos] + (l,) + rest[pos:]
-                        isgn = Scalar(signs.wedge_out_sign(pos))
-                        row = rows_idx.get((wedge, k))
-                        if row is None:
-                            raise AssertionError("boundary leaves the coinvariant part")
-                        add_into(ents, (row, col), sgn0 * isgn * cl)
-        return Matrix._raw(self.dim(n - 1), len(self.kept[n]), ents)
 
     def validate(self) -> ValidationReport:
         bad = []
@@ -249,4 +220,4 @@ def ext_via_chain_maps(emb: SubpairEmbedding, M: FiniteModule, n: int) -> int:
 
 def euler_poincare(emb: SubpairEmbedding, M: FiniteModule) -> int:
     cx = RelativeStandardComplex(emb, M)
-    return sum((-1) ** n * cx.dim(n) for n in range(cx.p_dim + 1))
+    return sum(signs.degree_sign(n) * cx.dim(n) for n in range(cx.p_dim + 1))

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from . import signs
+
 
 @dataclass
 class Stabilization:
@@ -38,7 +40,7 @@ class HomologyReport:
         return all(s.certified for s in self.stabilization.values())
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** n * d for n, d in self.dims.items())
+        return sum(signs.degree_sign(n) * d for n, d in self.dims.items())
 
     def to_json(self):
         reps = {}

@@ -10,6 +10,10 @@ Left multiplication by x_j leaves the wedge factor alone, so g acts on every
 term as I (x) L_j, with L_j the truncated left-multiplication matrix on the
 PBW monomials.  An instance straightens each L_j once, builds its h-complex
 once, and ``check_exactness`` reuses that build.
+
+The boundary is the Chevalley–Eilenberg one, built by
+``complexes.ce_boundary`` with right multiplication by x_s as the action and
+g's structure constants as the brackets.
 """
 
 from __future__ import annotations
@@ -19,24 +23,13 @@ from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
 from . import signs
-from .complexes import Complex
+from .complexes import Complex, SparseColumn, ce_boundary, wedge_insert
 from .gkmodules import FiniteModule
 from .hcomplexes import HComplex
 from .liepairs import Character, Pair, ValidationReport
-from .linalg import Matrix, add_into, column_space, kernel_basis
+from .linalg import Matrix, column_space, kernel_basis
 from .pbw import PBW, Element, Mono, degree
-from .scalars import ONE, ZERO, Scalar, as_scalar
-
-# a sparse column as (row, coefficient) pairs
-Column = List[Tuple[int, Scalar]]
-
-
-def _wedge_insert(idx: int, subset: Tuple[int, ...]):
-    """Sort idx into an increasing tuple; None if already present."""
-    if idx in subset:
-        return None
-    pos = sum(1 for s in subset if s < idx)
-    return signs.wedge_out_sign(pos), subset[:pos] + (idx,) + subset[pos:]
+from .scalars import ONE, ZERO
 
 
 class StandardResolution:
@@ -54,8 +47,11 @@ class StandardResolution:
         self.subsets: Dict[int, List[Tuple[int, ...]]] = {
             n: list(combinations(range(g.dim), n)) for n in range(g.dim + 1)
         }
-        # a subset's length is its wedge degree, so one map serves every n
-        self._slot = {sub: s for subs in self.subsets.values() for s, sub in enumerate(subs)}
+        # _blocks[subset][mi] is the index of subset (x) monos[mi]; a subset's
+        # length is its wedge degree, so one map serves every n
+        nm = len(self.monos)
+        self._blocks = {sub: list(range(s * nm, (s + 1) * nm))
+                        for subs in self.subsets.values() for s, sub in enumerate(subs)}
         self._h: Optional[HComplex] = None
 
     # -- basis bookkeeping: index = subset_slot * len(monos) + mono_slot --------
@@ -63,18 +59,18 @@ class StandardResolution:
     def dim_at_wedge(self, n: int) -> int:
         return len(self.subsets.get(n, ())) * len(self.monos)
 
-    def _truncated(self, e: Element) -> Column:
+    def _truncated(self, e: Element) -> SparseColumn:
         """(monomial slot, coefficient) of e, without the monomials above the cutoff."""
         return [(self._mono_index[m], c) for m, c in e.items() if degree(m) <= self.cutoff]
 
     @cached_property
-    def _left(self) -> List[List[Column]]:
+    def _left(self) -> List[List[SparseColumn]]:
         """L_j by columns: ``_left[j][mi]`` is x_j * monos[mi], truncated."""
         return [[self._truncated(self.u.gen_times(j, {mono: ONE})) for mono in self.monos]
                 for j in range(self.pair.g.dim)]
 
     @cached_property
-    def _right(self) -> List[List[Column]]:
+    def _right(self) -> List[List[SparseColumn]]:
         """Right multiplication by columns: ``_right[j][mi]`` is monos[mi] * x_j, truncated."""
         return [[self._truncated(self.u.mono_times_gen(mono, j)) for mono in self.monos]
                 for j in range(self.pair.g.dim)]
@@ -108,64 +104,38 @@ class StandardResolution:
             actions.append(Matrix._raw(dim, dim, ents))
         return FiniteModule(self.pair, weights, actions)
 
-    def _place_wedge_terms(self, ents: Dict, col_off: int, terms: Column) -> None:
-        """Add c times the identity on monomials, from the wedge block at column
-        offset col_off to the block at row offset r, for each (r, c) in terms."""
-        for mi in range(len(self.monos)):
-            for row_off, c in terms:
-                add_into(ents, (row_off + mi, col_off + mi), c)
+    @cached_property
+    def _brackets(self) -> Dict[Tuple[int, int], SparseColumn]:
+        """g's structure constants: ``_brackets[(a, b)]`` is [x_a, x_b] sparse, a < b."""
+        g = self.pair.g
+        return {(a, b): [(l, c) for l, c in enumerate(g.bracket_basis(a, b)) if not c.is_zero()]
+                for a, b in combinations(range(g.dim), 2)}
 
     def _diff(self, n: int) -> Matrix:
-        """Boundary wedge^n -> wedge^{n-1} (cochain map at degree -n)."""
-        rows, cols = self.dim_at_wedge(n - 1), self.dim_at_wedge(n)
-        nm = len(self.monos)
-        ents: Dict = {}
-        g = self.pair.g
-        for subset in self.subsets[n]:
-            off = self._slot[subset] * nm
-            # u (x) x_s ^ rest -> +- u x_s (x) rest
-            for i, si in enumerate(subset):
-                sgn = signs.wedge_out_sign(i)
-                row_off = self._slot[subset[:i] + subset[i + 1:]] * nm
-                for mi, column in enumerate(self._right[si]):
-                    for r, c in column:
-                        add_into(ents, (row_off + r, off + mi), c if sgn == 1 else -c)
-            # u (x) x_p ^ x_q ^ rest -> +- u (x) [x_p, x_q] ^ rest
-            terms = []
-            for p in range(n):
-                for q in range(p + 1, n):
-                    sgn0 = as_scalar(signs.wedge_pair_sign(p, q))
-                    rest = subset[:p] + subset[p + 1:q] + subset[q + 1:]
-                    for l, cl in enumerate(g.bracket_basis(subset[p], subset[q])):
-                        if cl.is_zero():
-                            continue
-                        ins = _wedge_insert(l, rest)
-                        if ins is None:
-                            continue
-                        isgn, wedge = ins
-                        terms.append((self._slot[wedge] * nm, sgn0 * as_scalar(isgn) * cl))
-            self._place_wedge_terms(ents, off, terms)
-        return Matrix._raw(rows, cols, ents)
+        """Boundary wedge^n -> wedge^{n-1} (cochain map at degree -n).
+
+        u (x) x_s ^ rest -> +- u x_s (x) rest (right multiplication), and
+        u (x) x_p ^ x_q ^ rest -> +- u (x) [x_p, x_q] ^ rest.
+        """
+        columns = [(subset, range(len(self.monos))) for subset in self.subsets[n]]
+        return ce_boundary(columns, self.dim_at_wedge(n - 1), self._blocks.__getitem__,
+                           self._right, signs.wedge_out_sign, self._brackets)
 
     def _i_map(self, t: int, n: int) -> Matrix:
         """i_xi at cochain degree -n: wedge^n -> wedge^{n+1}, u (x) l -> -u (x) xi ^ l."""
-        rows, cols = self.dim_at_wedge(n + 1), self.dim_at_wedge(n)
-        nm = len(self.monos)
         ents: Dict = {}
         iota = self.pair.iota
         for subset in self.subsets[n]:
-            terms = []
+            cols = self._blocks[subset]
             for j in range(self.pair.g.dim):
                 v = iota[(j, t)]
-                if v.is_zero():
+                if v.is_zero() or j in subset:
                     continue
-                ins = _wedge_insert(j, subset)
-                if ins is None:
-                    continue
-                isgn, wedge = ins
-                terms.append((self._slot[wedge] * nm, -as_scalar(isgn) * v))
-            self._place_wedge_terms(ents, self._slot[subset] * nm, terms)
-        return Matrix._raw(rows, cols, ents)
+                sgn, wedge = wedge_insert(j, subset)
+                v = v if sgn < 0 else -v
+                for r, c in zip(self._blocks[wedge], cols):
+                    ents[(r, c)] = v
+        return Matrix._raw(self.dim_at_wedge(n + 1), self.dim_at_wedge(n), ents)
 
     def _interior_cols(self, n: int) -> List[int]:
         nm = len(self.monos)
@@ -198,7 +168,7 @@ class StandardResolution:
     def augmentation(self) -> Matrix:
         """Counit onto the trivial module: coefficient of 1 (x) (empty wedge)."""
         unit = self._mono_index[(0,) * self.pair.g.dim]
-        return Matrix(1, self.dim_at_wedge(0), {(0, unit): ONE})
+        return Matrix._raw(1, self.dim_at_wedge(0), {(0, unit): ONE})
 
     def check_exactness(self) -> ValidationReport:
         """Interior-supported cycles are boundaries (including the counit level)."""

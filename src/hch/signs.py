@@ -6,6 +6,12 @@ here; nothing else in the package is allowed to write (-1)**k inline.
 """
 
 
+def degree_sign(n: int) -> int:
+    """(-1)^n as an int for every integer n, negative degrees included
+    (Euler characteristics)."""
+    return -1 if n % 2 else 1
+
+
 def shift_diff_sign(k: int) -> int:
     """d_{C[k]} = shift_diff_sign(k) * d_C."""
     return -1 if k % 2 else 1

@@ -32,9 +32,9 @@ from .bands import (
 from .reports import HomologyReport
 from .gkmodules import BandModule, FiniteModule
 from .liepairs import CharacterRestriction, DiagGroup, LieAlgebra, Matrix, Pair, SubpairEmbedding
-from .poly import Poly, interpolate
+from .poly import interpolate
 from .polarfields import quarter_rotation_apply, vector_field_apply
-from .scalars import I, Scalar, as_scalar
+from .scalars import I, ONE, Scalar, as_scalar
 
 # matrices of the standard basis as vector-field data ((a,b),(c,d))
 E_MAT = ((0, 1), (0, 0))
@@ -103,9 +103,9 @@ def finite_irrep(m: int, pair: Optional[Pair] = None) -> FiniteModule:
     if pair is None:
         pair = torus_pair()
     n = m + 1
-    e_m = Matrix(n, n, {(k - 1, k): as_scalar(k * (m - k + 1)) for k in range(1, n)})
-    h_m = Matrix.diagonal([m - 2 * k for k in range(n)])
-    f_m = Matrix(n, n, {(k + 1, k): Scalar(1) for k in range(n - 1)})
+    e_m = Matrix._raw(n, n, {(k - 1, k): as_scalar(k * (m - k + 1)) for k in range(1, n)})
+    h_m = Matrix._raw(n, n, {(k, k): as_scalar(m - 2 * k) for k in range(n) if m != 2 * k})
+    f_m = Matrix._raw(n, n, {(k + 1, k): ONE for k in range(n - 1)})
     if pair.K.torus_rank == 1:
         weights = [pair.K.character([m - 2 * k]) for k in range(n)]
     else:

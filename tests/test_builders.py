@@ -31,7 +31,7 @@ from hch.hcomplexes import HComplex, HComplexMap, h_cone, h_tensor
 from hch.linalg import Matrix, kernel_basis, unit_vec
 from hch.resolution import StandardResolution
 from hch.scalars import Scalar
-from hch.sl2 import finite_irrep, so2_pair, torus_pair, trivial_k_pair
+from hch.sl2 import SUBPAIR_CATALOG, finite_irrep, so2_pair, torus_pair, trivial_k_pair
 
 PAIRS = {"so2": so2_pair, "torus": torus_pair, "trivial_k": trivial_k_pair}
 
@@ -384,3 +384,31 @@ def test_h_tensor_builds_without_validation_or_kron(monkeypatch):
     got = h_tensor(h, h)
     assert calls == {"init": 0, "kron": 0}
     assert got.base.dim_at(0) == h.base.dim_at(0) ** 2
+
+
+def reference_irrep_actions(m):
+    """e, h, f of F_m, every entry validated by ``Matrix(...)``."""
+    n = m + 1
+    return [Matrix(n, n, {(k - 1, k): k * (m - k + 1) for k in range(1, n)}),
+            Matrix.diagonal([m - 2 * k for k in range(n)]),
+            Matrix(n, n, {(k + 1, k): 1 for k in range(n - 1)})]
+
+
+def test_irreps_and_torus_embedding_build_without_validation(monkeypatch):
+    pair = torus_pair()
+    emb = SUBPAIR_CATALOG["so2"]()
+    want_irreps = [reference_irrep_actions(m) for m in range(13)]
+    grp = emb.grp_embed
+    want_torus = Matrix(grp.big.torus_rank, grp.small.torus_rank,
+                        {(j, i): a for i, row in enumerate(grp.torus_map)
+                         for j, a in enumerate(row)})
+    calls = []
+    init = Matrix.__init__
+    monkeypatch.setattr(Matrix, "__init__", lambda self, *a: calls.append(a) or init(self, *a))
+    got_irreps = [finite_irrep(m, pair).g_action for m in range(13)]
+    got_torus = grp.torus_embedding()
+    assert calls == []
+    # equal entry dicts: the zero weight of h at m = 2k is not stored
+    assert [[a.entries for a in acts] for acts in got_irreps] == \
+        [[a.entries for a in acts] for acts in want_irreps]
+    assert got_irreps == want_irreps and got_torus == want_torus

@@ -232,3 +232,11 @@ def test_non_complex_is_exit_2_with_class_name(tmp_path, capsys, monkeypatch, co
     code, out, err = run(capsys, command, "--subpair", str(paths[0]), "--module", str(paths[1]))
     assert code == 2 and out == ""
     assert err.startswith("error: NotAComplexError: boundary squared nonzero at degree 2; ")
+
+
+@pytest.mark.parametrize("top", ["-1", "-5"])
+def test_ext_max_degree_below_zero_is_exit_2(files, capsys, top):
+    code, out, err = run(capsys, "ext", "--subpair", files["diag"],
+                         "--module", files["F2"], "--max-degree", top)
+    assert code == 2 and out == ""
+    assert err == f"error: --max-degree: must be at least 0, got {top}\n"

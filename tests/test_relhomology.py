@@ -2,9 +2,10 @@
 
 import pytest
 
-from hch.gkmodules import direct_sum, restrict_module, trivial_module
+from hch import signs
+from hch.gkmodules import FiniteModule, direct_sum, restrict_module, trivial_module
 from hch.liepairs import SubpairEmbedding
-from hch.linalg import Matrix
+from hch.linalg import Matrix, add_into
 from hch.relhomology import (
     NotAComplexError,
     RelativeStandardComplex,
@@ -168,3 +169,80 @@ def test_non_complex_is_named(monkeypatch):
         with pytest.raises(NotAComplexError, match="boundary squared nonzero at degree 2"):
             compute()
     assert issubclass(NotAComplexError, ValueError)
+
+
+def reference_boundary(cx, n):
+    """wedge^n(p) (x) M -> wedge^{n-1}(p) (x) M, one kept column at a time:
+    dense p-basis vectors, ``g.bracket`` and ``projection.apply`` per column,
+    and every sign made by ``Scalar(...)``."""
+    M, g = cx.module, cx.pair.g
+    p_basis, projection = p_complement(cx.pair)
+    row = {key: r for r, key in enumerate(cx.kept[n - 1])}
+    ents = {}
+    for col, (subset, k) in enumerate(cx.kept[n]):
+        for i, si in enumerate(subset):
+            sgn = Scalar(signs.rel_action_sign(i))
+            rest = subset[:i] + subset[i + 1:]
+            for l, a in enumerate(p_basis[si]):
+                if a.is_zero():
+                    continue
+                for r, v in enumerate(M.g_action[l].column(k)):
+                    if not v.is_zero():
+                        add_into(ents, (row[(rest, r)], col), sgn * a * v)
+        for p in range(n):
+            for q in range(p + 1, n):
+                sgn0 = Scalar(signs.wedge_pair_sign(p, q))
+                rest = tuple(x for t, x in enumerate(subset) if t not in (p, q))
+                br = g.bracket(p_basis[subset[p]], p_basis[subset[q]])
+                for l, cl in enumerate(projection.apply(br)):
+                    if cl.is_zero() or l in rest:
+                        continue
+                    pos = sum(1 for s in rest if s < l)
+                    wedge = rest[:pos] + (l,) + rest[pos:]
+                    isgn = Scalar(signs.wedge_out_sign(pos))
+                    add_into(ents, (row[(wedge, k)], col), sgn0 * isgn * cl)
+    return Matrix(cx.dim(n - 1), cx.dim(n), ents)
+
+
+def boundary_cases():
+    cases = []
+    for name, mk in SUBPAIR_CATALOG.items():
+        emb = mk()
+        cases += [(f"{name} F{m}", emb, restrict_module(emb, finite_irrep_so2(m)))
+                  for m in range(5)]
+    ident = SubpairEmbedding.identity(trivial_k_pair())
+    cases += [(f"identity(trivial_k) F{m}", ident, finite_irrep(m, trivial_k_pair()))
+              for m in range(7)]
+    emb = SUBPAIR_CATALOG["diagonal_torus"]()
+    both = direct_sum(restrict_module(emb, finite_irrep_so2(2)),
+                      restrict_module(emb, finite_irrep_so2(4)))
+    cases.append(("diagonal_torus F2 + F4", emb, both))
+    return cases
+
+
+def test_boundaries_match_the_per_column_reference():
+    for name, emb, M in boundary_cases():
+        cx = RelativeStandardComplex(emb, M)
+        for n in range(1, cx.p_dim + 1):
+            assert cx.boundary(n) == reference_boundary(cx, n), (name, n)
+
+
+def test_building_the_complex_makes_no_scalar(monkeypatch):
+    cases = [(emb, M) for _, emb, M in boundary_cases()]
+    calls = []
+    new = Scalar.__new__
+    monkeypatch.setattr(Scalar, "__new__",
+                        staticmethod(lambda cls, *a: calls.append(a) or new(cls, *a)))
+    built = [RelativeStandardComplex(emb, M) for emb, M in cases]
+    assert calls == []
+    assert sum(cx.dim(1) for cx in built) > 0
+
+
+def test_non_equivariant_module_is_named():
+    emb = SUBPAIR_CATALOG["diagonal_torus"]()
+    m2 = restrict_module(emb, finite_irrep_so2(2))
+    K = m2.pair.K
+    weights = [K.character([], [0]), K.character([], [1]), K.character([], [0])]
+    bad = FiniteModule(m2.pair, weights, m2.g_action)
+    with pytest.raises(ValueError, match="boundary leaves the coinvariant part"):
+        RelativeStandardComplex(emb, bad)

@@ -8,10 +8,13 @@ from hch import cli, signs
 from hch.hcomplexes import check_h_axioms, h_cone, h_shift, h_tensor, HComplexMap
 from hch.liepairs import DiagGroup, LieAlgebra, Pair
 from hch.linalg import Matrix, add_into
+from hch.gkmodules import restrict_module
 from hch.pbw import PBW, degree
+from hch.relhomology import RelativeStandardComplex
+from hch.reports import HomologyReport
 from hch.resolution import StandardResolution
 from hch.scalars import ONE, Scalar
-from hch.sl2 import so2_pair, torus_pair, trivial_k_pair
+from hch.sl2 import SUBPAIR_CATALOG, finite_irrep_so2, so2_pair, torus_pair, trivial_k_pair
 
 
 def line_pair() -> Pair:
@@ -171,3 +174,31 @@ def test_hcheck_builds_the_resolution_once(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out) == {"ok": True, "violations": []}
     # one straightening per (generator, monomial): 3 * 35; one boundary per wedge degree
     assert calls == {"gen_times": 3 * 35, "_diff": 3}
+
+
+def test_euler_characteristics_are_ints():
+    # the terms sit in negative degrees, where (-1) ** n is a float
+    chi = StandardResolution(so2_pair(), 2).hcomplex().base.euler_characteristic()
+    assert chi == 0 and type(chi) is int
+    # a truncation is a complex on its interior columns only, so take the
+    # homology of the relative complex, also placed in degrees -n
+    emb = SUBPAIR_CATALOG["diagonal_torus"]()
+    cochain = RelativeStandardComplex(emb, restrict_module(emb, finite_irrep_so2(2))).as_cochain()
+    report = cochain.homology()
+    assert report.dims == {0: 1, -1: 1}
+    assert report.euler_characteristic() == cochain.euler_characteristic() == 0
+    assert type(report.euler_characteristic()) is int
+    assert type(cochain.euler_characteristic()) is int
+    odd = HomologyReport(dims={-1: 1, 0: 3}).euler_characteristic()
+    assert odd == 2 and type(odd) is int
+
+
+def test_augmentation_is_placed_without_validation(monkeypatch):
+    res = StandardResolution(so2_pair(), 3)
+    unit = res._mono_index[(0, 0, 0)]
+    want = Matrix(1, res.dim_at_wedge(0), {(0, unit): 1})
+    calls = []
+    init = Matrix.__init__
+    monkeypatch.setattr(Matrix, "__init__", lambda self, *a: calls.append(a) or init(self, *a))
+    got = res.augmentation()
+    assert calls == [] and got == want

@@ -31,3 +31,8 @@ def test_wedge_signs():
     assert signs.wedge_pair_sign(0, 1) == -1
     assert signs.wedge_pair_sign(1, 2) == -1
     assert signs.wedge_pair_sign(0, 2) == 1
+
+
+def test_degree_sign_is_an_int_in_every_degree():
+    assert [signs.degree_sign(n) for n in (-3, -2, -1, 0, 1, 2)] == [-1, 1, -1, 1, -1, 1]
+    assert all(type(signs.degree_sign(n)) is int for n in range(-4, 5))
