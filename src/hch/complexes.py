@@ -3,7 +3,9 @@
 Terms live over a common pair; plain vector spaces are modules over the
 trivial pair.  A complex may carry "interior" column marks per degree: for
 truncations of infinite objects, identities (d^2 = 0, axiom checks) are
-asserted only on the marked columns, where the truncation is known closed.
+asserted only on the marked columns, where the truncation is known closed,
+and ``homology`` reads only the cycles supported there (modulo the image of
+the whole boundary), so a truncated resolution has homology too.
 
 Every block of a tensor, Hom or cone matrix is placed by one signed
 Kronecker placer, ``gkmodules.kron_into``, with identity factors given as
@@ -28,7 +30,9 @@ from .linalg import (
     Vector,
     add_into,
     homology_at,
+    independent_over,
     kernel_basis,
+    kernel_on,
     rank,
     solve,
 )
@@ -109,9 +113,14 @@ class Complex:
         return ValidationReport.good() if not bad else ValidationReport.bad(*bad)
 
     def homology(self) -> HomologyReport:
+        """Cycles modulo boundaries; on a marked complex, the interior cycles only."""
         report = HomologyReport()
         for n in self.degrees():
-            reps = homology_at(self.diff(n), self.diff(n - 1))
+            if self.interior is None:
+                reps = homology_at(self.diff(n), self.diff(n - 1))
+            else:
+                reps = independent_over(self.diff(n - 1),
+                                        kernel_on(self.diff(n), self.interior_cols(n)))
             report.dims[n] = len(reps)
             report.representatives[n] = reps
         return report
@@ -124,9 +133,6 @@ class Complex:
         diffs = {n - k: (d if sgn == 1 else -d) for n, d in self.diffs.items()}
         interior = {n - k: cols for n, cols in self.interior.items()} if self.interior else None
         return Complex(self.pair, terms, diffs, interior)
-
-    def tensor(self, other: "Complex") -> "Complex":
-        return tensor_complex(self, other)
 
 
 def wedge_insert(idx: int, subset: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:
@@ -257,7 +263,7 @@ def cone(f: ComplexMap) -> Tuple[Complex, ComplexMap, ComplexMap]:
     """
     rep = f.validate()
     if not rep:
-        raise ValueError("cone of a non-chain-map: " + "; ".join(rep.violations))
+        raise ValueError("cone of an invalid map: " + "; ".join(rep.violations))
     M, N = f.source, f.target
     degs = sorted({n - 1 for n in M.degrees()} | set(N.degrees()))
     terms = {}

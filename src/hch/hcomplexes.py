@@ -15,7 +15,7 @@ from typing import Dict, List
 from . import signs
 from .complexes import Complex, ComplexMap, TensorLayout, cone, cone_matrix, tensor_complex
 from .liepairs import ValidationReport
-from .linalg import Matrix, column_space, kernel_basis
+from .linalg import Matrix, independent_over, kernel_basis
 
 
 class HComplex:
@@ -98,9 +98,8 @@ def h_cohomology_modules(h: HComplex) -> ValidationReport:
     bad = []
     for n in base.degrees():
         cycles = kernel_basis(base.diff(n))
-        image = column_space(base.diff(n - 1))
         for t, w in enumerate(base.term(n).defect().maps):
-            if not all(image.contains(w.apply(v)) for v in cycles):
+            if independent_over(base.diff(n - 1), [w.apply(v) for v in cycles]):
                 bad.append(f"defect of xi{t} does not vanish on H^{n}")
     return ValidationReport.good() if not bad else ValidationReport.bad(*bad)
 
@@ -140,10 +139,10 @@ class HComplexMap(ComplexMap):
 
 
 def h_cone(f: HComplexMap) -> HComplex:
-    """Cone of an h-map; i(m, x) = (-i_M m, i_N x) on Cone^n = M^{n+1} (+) N^n."""
-    rep = f.validate()
-    if not rep:
-        raise ValueError("h-cone of an invalid map: " + "; ".join(rep.violations))
+    """Cone of an h-map; i(m, x) = (-i_M m, i_N x) on Cone^n = M^{n+1} (+) N^n.
+
+    ``cone(f)`` validates f, i-compatibility included, through ``HComplexMap.validate``.
+    """
     M, N = f.hsource, f.htarget
     base, _, _ = cone(f)
     sgn = signs.cone_contraction_shifted_sign()

@@ -1,5 +1,10 @@
 """Exact sparse linear algebra over Q(i): rank, kernel, solve, span arithmetic.
 
+Every "cycles modulo boundaries" question in the package goes through two
+routines: ``kernel_on`` gives the canonical kernel of a matrix on a set of
+its columns, and ``independent_over`` keeps the candidates that extend the
+span of a matrix's columns, by one elimination of those columns.
+
 Matrices are stored as sparse maps (row, col) -> Scalar, and elimination
 rows as sparse maps col -> Scalar.  No sparse map in the package holds an
 explicit zero: ``add_into`` is the one way to accumulate into such a map, and
@@ -427,13 +432,23 @@ def column_space(m: Matrix) -> Subspace:
     return space
 
 
-def independent_over(ambient: int, base: Iterable[Vector], candidates: Iterable[Vector]) -> List[Vector]:
-    """Candidates that successively extend span(base); used for homology reps."""
-    space = Subspace(ambient, base)
+def independent_over(base: Matrix, candidates: Iterable[Vector]) -> List[Vector]:
+    """The candidates that extend the span of base's columns and of the candidates before them.
+
+    One elimination of base's columns, then one reduction per candidate.
+    """
+    space = column_space(base)
+    return [v for v in candidates if space.add(v)]
+
+
+def kernel_on(m: Matrix, cols: Sequence[int]) -> List[Vector]:
+    """Canonical kernel basis of m's columns ``cols``, scattered to length m.cols."""
     out = []
-    for v in candidates:
-        if space.add(v):
-            out.append(v)
+    for w in kernel_basis(m.restrict_columns(cols)):
+        v = [ZERO] * m.cols
+        for c, x in zip(cols, w):
+            v[c] = x
+        out.append(tuple(v))
     return out
 
 
@@ -444,10 +459,6 @@ def homology_at(d_out: Matrix, d_in: Matrix) -> List[Vector]:
     the span of the boundaries and of the cycles before it is kept.  Raises
     ValueError when the boundaries are not cycles (d_out @ d_in != 0).
     """
-    cycles = kernel_basis(d_out)
-    image = column_space(d_in)
-    boundary_rank = image.dim
-    reps = [v for v in cycles if image.add(v)]
-    if len(reps) != len(cycles) - boundary_rank:
+    if not (d_out @ d_in).is_zero():
         raise ValueError("not a complex: boundaries are not cycles (d_out @ d_in != 0)")
-    return reps
+    return independent_over(d_in, kernel_basis(d_out))

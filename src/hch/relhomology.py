@@ -13,7 +13,7 @@ structure constants projected to p, once per complex.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import signs
 from .complexes import (
@@ -25,10 +25,9 @@ from .complexes import (
     trivial_pair,
 )
 from .gkmodules import FiniteModule
-from .liepairs import DiagGroup, Pair, SubpairEmbedding, ValidationReport
+from .liepairs import Pair, SubpairEmbedding, ValidationReport
 from .linalg import (
     Matrix,
-    Subspace,
     Vector,
     homology_at,
     independent_over,
@@ -37,7 +36,7 @@ from .linalg import (
     unit_vec,
 )
 from .reports import HomologyReport
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, Scalar
 
 
 class NotAComplexError(ValueError):
@@ -54,13 +53,9 @@ def p_complement(pair: Pair) -> Tuple[List[Vector], Matrix]:
     g, K = pair.g, pair.K
     zero = K.zero_char()
     torus_cols = [pair.iota.column(t) for t in range(K.torus_rank)]
-    chosen: List[int] = []
-    span = Subspace(g.dim, list(torus_cols))
-    for j in range(g.dim):
-        if pair.ad_grading[j] != zero:
-            chosen.append(j)
-        elif span.add(unit_vec(g.dim, j)):
-            chosen.append(j)
+    weight_zero = [unit_vec(g.dim, j) for j in range(g.dim) if pair.ad_grading[j] == zero]
+    completing = {v.index(ONE) for v in independent_over(pair.iota, weight_zero)}
+    chosen = [j for j in range(g.dim) if pair.ad_grading[j] != zero or j in completing]
     p_basis = [unit_vec(g.dim, j) for j in chosen]
     cols = torus_cols + p_basis
     if len(cols) != g.dim:
@@ -171,32 +166,19 @@ def rel_homology(emb: SubpairEmbedding, M: FiniteModule) -> HomologyReport:
     return report
 
 
-def coinvariants(M: FiniteModule, h_basis: Sequence[Vector],
-                 KH: Optional[DiagGroup] = None) -> HomologyReport:
+def coinvariants(M: FiniteModule, h_basis: Sequence[Vector]) -> HomologyReport:
     """M / (h M + non-trivial K^H-isotypic parts), as a degree-0 report."""
-    K = KH if KH is not None else M.pair.K
-    zero = K.zero_char()
+    zero = M.pair.K.zero_char()
     kept = [k for k in range(M.dim) if M.k_weights[k] == zero]
     index = {k: i for i, k in enumerate(kept)}
-    images = []
-    for eta in h_basis:
-        act = None
-        for l, a in enumerate(eta):
-            if a.is_zero():
-                continue
-            m = M.g_action[l].scale(a)
-            act = m if act is None else act + m
-        if act is None:
-            continue
-        for k in range(M.dim):
-            col = act.column(k)
-            v = [ZERO] * len(kept)
-            for r, x in enumerate(col):
-                if not x.is_zero() and r in index:
-                    v[index[r]] = x
-            images.append(tuple(v))
-    reps = independent_over(len(kept), images,
-                            [unit_vec(len(kept), i) for i in range(len(kept))])
+    # the columns of every eta in h_basis acting on M, read on the kept rows
+    ents = {}
+    for e, eta in enumerate(h_basis):
+        for (r, c), v in M.action_matrix(eta).entries.items():
+            if r in index:
+                ents[(index[r], e * M.dim + c)] = v
+    images = Matrix._raw(len(kept), len(h_basis) * M.dim, ents)
+    reps = independent_over(images, [unit_vec(len(kept), i) for i in range(len(kept))])
     report = HomologyReport()
     report.dims[0] = len(reps)
     report.representatives[0] = reps

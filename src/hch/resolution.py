@@ -27,9 +27,9 @@ from .complexes import Complex, SparseColumn, ce_boundary, wedge_insert
 from .gkmodules import FiniteModule
 from .hcomplexes import HComplex
 from .liepairs import Character, Pair, ValidationReport
-from .linalg import Matrix, column_space, kernel_basis
+from .linalg import Matrix, independent_over, kernel_on
 from .pbw import PBW, Element, Mono, degree
-from .scalars import ONE, ZERO
+from .scalars import ONE
 
 
 class StandardResolution:
@@ -176,13 +176,7 @@ class StandardResolution:
         bad = []
         for n in range(-self.pair.g.dim, 1):
             out = base.diff(n) if n < 0 else self.augmentation()
-            interior = base.interior_cols(n)
-            image = column_space(base.diff(n - 1))
-            for w in kernel_basis(out.restrict_columns(interior)):
-                v = [ZERO] * base.dim_at(n)
-                for c, x in zip(interior, w):
-                    v[c] = x
-                if not image.contains(tuple(v)):
-                    bad.append(f"interior cycle not a boundary at degree {n}")
-                    break
+            cycles = kernel_on(out, base.interior_cols(n))
+            if independent_over(base.diff(n - 1), cycles):
+                bad.append(f"interior cycle not a boundary at degree {n}")
         return ValidationReport.good() if not bad else ValidationReport.bad(*bad)

@@ -24,7 +24,6 @@ from typing import Dict, List, Optional
 
 from .bands import (
     BandOp,
-    StabilizationPolicy,
     band_cokernel,
     band_kernel,
     class_indices,
@@ -41,6 +40,7 @@ E_MAT = ((0, 1), (0, 0))
 F_MAT = ((0, 0), (1, 0))
 H_MAT = ((1, 0), (0, -1))
 KAPPA_MAT = ((0, 1), (-1, 0))
+CHECK_RADIUS = 20  # _derive_band checks its tables on the K-types |n| <= this
 
 
 def sl2() -> LieAlgebra:
@@ -131,18 +131,18 @@ class OracleMismatchError(RuntimeError):
     """The interpolated band table disagrees with the vector-field oracle."""
 
 
-def _derive_band(mat, lam, parity: int, check_radius: int = 20) -> BandOp:
+def _derive_band(mat, lam, parity: int) -> BandOp:
     """Band table of a vector field on the K-types f_n, n = parity mod 2.
 
     One oracle pass: the vector field is applied once to each f_n of the
-    check window |n| <= check_radius (plus the seven samples, should they lie
+    check window |n| <= CHECK_RADIUS (plus the seven samples, should they lie
     outside it).  The shift-s coefficient is interpolated in n from the images
     at the seven samples n = parity + 2t, |t| <= 3, must be affine there, and
     the resulting table must then reproduce every image of the window.
     """
     lam = as_scalar(lam)
     samples = [parity + 2 * t for t in range(-3, 4)]
-    window = [n for n in range(-check_radius, check_radius + 1) if n % 2 == parity]
+    window = [n for n in range(-CHECK_RADIUS, CHECK_RADIUS + 1) if n % 2 == parity]
     images = {n: vector_field_apply(mat, lam, {n: Scalar(1)})
               for n in sorted(set(window).union(samples))}
     by_shift: Dict[int, List] = {}
@@ -286,9 +286,7 @@ def _coinvariant_classes(epsilon: int, subpair_name: str):
 
 
 def sl2_branching_report(lam, epsilon: int,
-                         subpair_name: str = "diagonal_torus",
-                         policy: StabilizationPolicy = StabilizationPolicy()
-                         ) -> HomologyReport:
+                         subpair_name: str = "diagonal_torus") -> HomologyReport:
     """H_* of the two-term complex C1 -> C0, v -> theta v, on the K-finite model.
 
     H1 is a genuine global kernel (no output truncation); H0 comes from the
@@ -305,8 +303,8 @@ def sl2_branching_report(lam, epsilon: int,
         return report
     c1, c0 = _coinvariant_classes(epsilon, subpair_name)
     theta = principal_series(lam, epsilon).theta
-    dim1, reps1, stab1 = band_kernel(theta, c1, policy)
-    dim0, reps0, stab0 = band_cokernel(theta, c1, c0, policy)
+    dim1, reps1, stab1 = band_kernel(theta, c1)
+    dim0, reps0, stab0 = band_cokernel(theta, c1, c0)
     report.dims = {0: dim0, 1: dim1}
     report.representatives = {0: reps0, 1: reps1}
     report.stabilization = {0: stab0, 1: stab1}

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from hch.complexes import Complex, ComplexMap, single_term, tensor_complex
 from hch.hcomplexes import (
     HComplex,
@@ -151,6 +153,28 @@ def test_h_map_validation_catches_i_mismatch():
     rep = f.validate()
     assert any("commute with i" in v for v in rep.violations)
     assert HComplexMap.identity_h(h).validate().ok
+
+
+def test_h_cone_of_an_i_incompatible_map_raises():
+    h = toy_h()
+    other = HComplex(h.base, {0: {1: Matrix.from_rows([[2]])}})
+    f = HComplexMap(h, other, {n: Matrix.identity(1) for n in h.degrees()})
+    with pytest.raises(ValueError, match="does not commute with i_xi0"):
+        h_cone(f)
+
+
+def test_h_cone_validates_its_map_once(monkeypatch):
+    calls = []
+    real = HComplexMap.validate
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(HComplexMap, "validate", counting)
+    f = HComplexMap.identity_h(toy_h())
+    assert check_h_axioms(h_cone(f)).ok
+    assert calls == [f]
 
 
 def test_h_tensor_axioms_and_weights():

@@ -1,0 +1,265 @@
+"""The two span routines, and the cycles-modulo-boundaries questions built on them.
+
+The reference functions below are the hand-rolled versions that
+``coinvariants``, ``p_complement`` and ``check_exactness`` replaced: each
+scattered, reduced and tested membership on its own.  A reduced echelon span
+is unique, so the routines built on ``independent_over`` and ``kernel_on``
+must return the same representatives and the same violation lists.
+"""
+
+import random
+
+import pytest
+
+from hch.gkmodules import restrict_module, trivial_module
+from hch.liepairs import DiagGroup, LieAlgebra, Pair, ValidationReport
+from hch.linalg import (
+    Matrix,
+    Subspace,
+    column_space,
+    independent_over,
+    inverse,
+    kernel_basis,
+    kernel_on,
+    unit_vec,
+)
+from hch.relhomology import coinvariants, p_complement
+from hch.resolution import StandardResolution
+from hch.scalars import ZERO, Scalar
+from hch.sl2 import (
+    SUBPAIR_CATALOG,
+    finite_irrep,
+    finite_irrep_so2,
+    so2_pair,
+    torus_pair,
+    trivial_k_pair,
+)
+
+# -- the replaced routines, kept as references -----------------------------------
+
+
+def ref_independent_over(ambient, base, candidates):
+    space = Subspace(ambient, base)
+    out = []
+    for v in candidates:
+        if space.add(v):
+            out.append(v)
+    return out
+
+
+def ref_coinvariants(M, h_basis):
+    zero = M.pair.K.zero_char()
+    kept = [k for k in range(M.dim) if M.k_weights[k] == zero]
+    index = {k: i for i, k in enumerate(kept)}
+    images = []
+    for eta in h_basis:
+        act = None
+        for l, a in enumerate(eta):
+            if a.is_zero():
+                continue
+            m = M.g_action[l].scale(a)
+            act = m if act is None else act + m
+        if act is None:
+            continue
+        for k in range(M.dim):
+            col = act.column(k)
+            v = [ZERO] * len(kept)
+            for r, x in enumerate(col):
+                if not x.is_zero() and r in index:
+                    v[index[r]] = x
+            images.append(tuple(v))
+    return ref_independent_over(len(kept), images,
+                                [unit_vec(len(kept), i) for i in range(len(kept))])
+
+
+def ref_p_complement(pair):
+    g, K = pair.g, pair.K
+    zero = K.zero_char()
+    torus_cols = [pair.iota.column(t) for t in range(K.torus_rank)]
+    chosen = []
+    span = Subspace(g.dim, list(torus_cols))
+    for j in range(g.dim):
+        if pair.ad_grading[j] != zero:
+            chosen.append(j)
+        elif span.add(unit_vec(g.dim, j)):
+            chosen.append(j)
+    p_basis = [unit_vec(g.dim, j) for j in chosen]
+    cols = torus_cols + p_basis
+    if len(cols) != g.dim:
+        raise ValueError("complement of the torus image is not K-stable")
+    inv = inverse(Matrix.from_columns(cols, rows=g.dim))
+    ents = {}
+    for r in range(len(p_basis)):
+        for c in range(g.dim):
+            v = inv[(K.torus_rank + r, c)]
+            if not v.is_zero():
+                ents[(r, c)] = v
+    return p_basis, Matrix(len(p_basis), g.dim, ents)
+
+
+def ref_check_exactness(res):
+    base = res.hcomplex().base
+    bad = []
+    for n in range(-res.pair.g.dim, 1):
+        out = base.diff(n) if n < 0 else res.augmentation()
+        interior = base.interior_cols(n)
+        image = column_space(base.diff(n - 1))
+        for w in kernel_basis(out.restrict_columns(interior)):
+            v = [ZERO] * base.dim_at(n)
+            for c, x in zip(interior, w):
+                v[c] = x
+            if not image.contains(tuple(v)):
+                bad.append(f"interior cycle not a boundary at degree {n}")
+                break
+    return ValidationReport.good() if not bad else ValidationReport.bad(*bad)
+
+
+# -- inputs ------------------------------------------------------------------------
+
+
+def line_pair() -> Pair:
+    g = LieAlgebra(1, ["x"])
+    K = DiagGroup(torus_rank=1)
+    return Pair(g, K, [K.zero_char()], Matrix.from_rows([[1]]))
+
+
+def catalog_cases():
+    """(name, small pair, module) for the 3 catalog subpairs and identity(trivial_k), F0..F6."""
+    big = [trivial_module(so2_pair())] + [finite_irrep_so2(m) for m in range(1, 7)]
+    for name, make in SUBPAIR_CATALOG.items():
+        emb = make()
+        for m, M in enumerate(big):
+            yield f"{name} F{m}", emb.small, restrict_module(emb, M)
+    pair = trivial_k_pair()
+    for m in range(7):
+        yield f"identity(trivial_k) F{m}", pair, finite_irrep(m, pair)
+
+
+def h_bases(dim):
+    units = [unit_vec(dim, j) for j in range(dim)]
+    yield units
+    yield from ([u] for u in units)
+    yield [tuple(Scalar(1) for _ in range(dim))]
+    yield []
+
+
+# -- the routines themselves -------------------------------------------------------
+
+
+def _random_matrix(rng, rows, cols):
+    ents = {(r, c): Scalar(rng.randint(-2, 2), rng.choice((0, 0, 1)))
+            for r in range(rows) for c in range(cols) if rng.random() < 0.5}
+    return Matrix(rows, cols, ents)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_kernel_on_is_the_kernel_of_the_chosen_columns_at_full_length(seed):
+    rng = random.Random(seed)
+    m = _random_matrix(rng, rng.randint(0, 4), rng.randint(1, 7))
+    cols = sorted(rng.sample(range(m.cols), rng.randint(0, m.cols)))
+    # zeroing the other columns adds their unit vectors to the kernel, and
+    # the canonical kernel keeps them apart from the rest
+    masked = Matrix(m.rows, m.cols, {rc: v for rc, v in m.entries.items() if rc[1] in cols})
+    others = set(range(m.cols)) - set(cols)
+    expected = [v for v in kernel_basis(masked)
+                if not any(not v[c].is_zero() for c in others)]
+    got = kernel_on(m, cols)
+    assert got == expected
+    assert all(len(v) == m.cols for v in got)
+    assert all(m.apply(v) == (ZERO,) * m.rows for v in got)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_independent_over_matches_the_subspace_reference(seed):
+    rng = random.Random(100 + seed)
+    base = _random_matrix(rng, rng.randint(1, 6), rng.randint(0, 4))
+    cands = [_random_matrix(rng, base.rows, 1).column(0) for _ in range(rng.randint(0, 6))]
+    cands += [unit_vec(base.rows, j) for j in range(base.rows)]
+    expected = ref_independent_over(base.rows, [base.column(c) for c in range(base.cols)],
+                                    cands)
+    assert independent_over(base, cands) == expected
+
+
+def test_independent_over_keeps_the_first_of_dependent_candidates():
+    base = Matrix.from_rows([[1], [1], [0]])
+    e0, e1, e2 = (unit_vec(3, j) for j in range(3))
+    assert independent_over(base, [e0, e1, e2]) == [e0, e2]
+    assert independent_over(base, [e2, e1, e0]) == [e2, e1]
+
+
+# -- the callers against their references ------------------------------------------
+
+
+def test_coinvariants_match_the_reference():
+    cases = list(catalog_cases())
+    assert len(cases) == 4 * 7
+    dims = set()
+    for name, pair, M in cases:
+        for basis in h_bases(pair.g.dim):
+            rep = coinvariants(M, basis)
+            expected = ref_coinvariants(M, basis)
+            assert rep.representatives[0] == expected, (name, basis)
+            assert rep.dims == {0: len(expected)}
+            dims.add(len(expected))
+    assert {0, 1, 2} <= dims
+
+
+def test_p_complement_matches_the_reference():
+    pairs = [trivial_k_pair(), so2_pair(), torus_pair(), line_pair()]
+    for make in SUBPAIR_CATALOG.values():
+        emb = make()
+        pairs += [emb.small, emb.big]
+    for pair in pairs:
+        basis, proj = p_complement(pair)
+        ref_basis, ref_proj = ref_p_complement(pair)
+        assert basis == ref_basis
+        assert proj == ref_proj
+
+
+def test_p_complement_keeps_the_first_weight_zero_completion():
+    # two weight-zero directions and a torus on the second: the first completes it
+    g = LieAlgebra(2, ["a", "b"])
+    K = DiagGroup(torus_rank=1)
+    pair = Pair(g, K, [K.zero_char()] * 2, Matrix.from_rows([[0], [1]]))
+    basis, _ = p_complement(pair)
+    assert basis == [unit_vec(2, 0)]
+    pair = Pair(g, K, [K.zero_char()] * 2, Matrix.from_rows([[1], [1]]))
+    basis, _ = p_complement(pair)
+    assert basis == [unit_vec(2, 0)]
+
+
+RESOLUTION_PAIRS = {"so2": so2_pair, "torus": torus_pair, "trivial_k": trivial_k_pair,
+                    "line": line_pair}
+
+
+@pytest.mark.parametrize("name", sorted(RESOLUTION_PAIRS))
+@pytest.mark.parametrize("cutoff", [2, 3, 4])
+def test_check_exactness_matches_the_reference(name, cutoff):
+    res = StandardResolution(RESOLUTION_PAIRS[name](), cutoff)
+    assert res.check_exactness().violations == ref_check_exactness(res).violations
+
+
+@pytest.mark.parametrize("name", ["line", "so2"])
+def test_check_exactness_matches_the_reference_with_zero_boundaries(monkeypatch, name):
+    monkeypatch.setattr(
+        StandardResolution, "_diff",
+        lambda self, n: Matrix.zeros(self.dim_at_wedge(n - 1), self.dim_at_wedge(n)))
+    res = StandardResolution(RESOLUTION_PAIRS[name](), 4)
+    rep = res.check_exactness()
+    assert not rep.ok
+    assert rep.violations == ref_check_exactness(res).violations
+
+
+# -- homology of truncated complexes -------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["so2", "torus", "trivial_k"])
+@pytest.mark.parametrize("cutoff", [2, 3, 4, 5])
+def test_truncated_resolution_homology_is_the_trivial_module(name, cutoff):
+    res = StandardResolution(RESOLUTION_PAIRS[name](), cutoff)
+    base = res.hcomplex().base
+    report = base.homology()
+    assert report.dims == {n: (1 if n == 0 else 0) for n in base.degrees()}
+    unit = res._mono_index[(0,) * res.pair.g.dim]
+    assert report.representatives[0] == [unit_vec(base.dim_at(0), unit)]
+    assert all(report.representatives[n] == [] for n in base.degrees() if n)
