@@ -12,6 +12,7 @@ certificate was not reached (the window data is still emitted).
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -237,8 +238,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# a value list that starts with a negative number: "-2,0,2", "-1/2", "-.5"
+_NEGATIVE_VALUE = re.compile(r"-[0-9.]")
+
+
+def _glue_lambda_values(argv):
+    """``--lambda -2,0,2`` as ``--lambda=-2,0,2``.
+
+    argparse takes a separate value that starts with "-" for an option unless
+    it is one plain number, so a list led by a negative number is glued to its
+    flag before parsing.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--lambda" and _NEGATIVE_VALUE.match(arg):
+            out[-1] = "--lambda=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_glue_lambda_values(argv))
     try:
         return args.func(args)
     except SchemaError as e:

@@ -29,6 +29,7 @@ from .linalg import (
     Matrix,
     Vector,
     add_into,
+    dense,
     homology_at,
     independent_over,
     kernel_basis,
@@ -119,8 +120,9 @@ class Complex:
             if self.interior is None:
                 reps = homology_at(self.diff(n), self.diff(n - 1))
             else:
-                reps = independent_over(self.diff(n - 1),
-                                        kernel_on(self.diff(n), self.interior_cols(n)))
+                cycles = kernel_on(self.diff(n), self.interior_cols(n))
+                reps = [dense(v, self.dim_at(n))
+                        for v in independent_over(self.diff(n - 1), cycles)]
             report.dims[n] = len(reps)
             report.representatives[n] = reps
         return report

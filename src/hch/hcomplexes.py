@@ -15,7 +15,7 @@ from typing import Dict, List
 from . import signs
 from .complexes import Complex, ComplexMap, TensorLayout, cone, cone_matrix, tensor_complex
 from .liepairs import ValidationReport
-from .linalg import Matrix, independent_over, kernel_basis
+from .linalg import Matrix, independent_over, kernel_on, sparse_columns
 
 
 class HComplex:
@@ -97,9 +97,12 @@ def h_cohomology_modules(h: HComplex) -> ValidationReport:
     base = h.base
     bad = []
     for n in base.degrees():
-        cycles = kernel_basis(base.diff(n))
+        d = base.diff(n)
+        cycles = kernel_on(d, range(d.cols))
+        z = Matrix._raw(d.cols, len(cycles),
+                        {(r, j): x for j, v in enumerate(cycles) for r, x in v.items()})
         for t, w in enumerate(base.term(n).defect().maps):
-            if independent_over(base.diff(n - 1), [w.apply(v) for v in cycles]):
+            if independent_over(base.diff(n - 1), sparse_columns(w @ z)):
                 bad.append(f"defect of xi{t} does not vanish on H^{n}")
     return ValidationReport.good() if not bad else ValidationReport.bad(*bad)
 

@@ -3,7 +3,9 @@
 Every "cycles modulo boundaries" question in the package goes through two
 routines: ``kernel_on`` gives the canonical kernel of a matrix on a set of
 its columns, and ``independent_over`` keeps the candidates that extend the
-span of a matrix's columns, by one elimination of those columns.
+span of a matrix's columns, by one elimination of those columns.  Both speak
+sparse vectors ({index: Scalar} maps); ``dense`` turns one into a coordinate
+tuple where a representative is reported.
 
 Matrices are stored as sparse maps (row, col) -> Scalar, and elimination
 rows as sparse maps col -> Scalar.  No sparse map in the package holds an
@@ -12,19 +14,26 @@ every module that builds one goes through it.  ``Matrix(...)`` validates
 input from outside the library (JSON, literal rows, tests): it range-checks,
 coerces and drops zeros.  A builder whose entries it produced itself, from
 Scalars of other matrices, places them through ``Matrix._raw`` and is not
-checked again.  All eliminations are exact;
-pivot rows are chosen by minimal support with lowest-index tie-break so that
-every basis this module returns is deterministic across runs.
+checked again.
+
+All eliminations are exact and go through ``_rref``, which keeps a column
+index (column -> ids of the rows holding it) current through fill-in and
+cancellation, so a column costs the rows that hold it, not the row count.
+Columns are processed left to right, and the pivot row is the unreduced
+holder of least support, lowest row id on ties.  The reduced echelon form is
+unique, so every basis this module returns is canonical whatever the pivot
+order.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from collections import defaultdict
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .scalars import ONE, ZERO, Scalar, as_scalar
 
 Vector = Tuple[Scalar, ...]
+SparseVector = Dict[int, Scalar]
 
 
 def add_into(acc: Dict, key, v) -> None:
@@ -259,53 +268,102 @@ class Matrix:
 # -- elimination --------------------------------------------------------------
 
 
-def _row_step(row: Dict[int, Scalar], c: Scalar, prow: Dict[int, Scalar]) -> None:
+def _row_step(row: SparseVector, c: Scalar, prow: SparseVector) -> None:
     """row -= c * prow, in place."""
     neg = -c
     for k, v in prow.items():
         add_into(row, k, neg * v)
 
 
-def _rref(rows: List[Dict[int, Scalar]], ncols: int) -> Tuple[List[Dict[int, Scalar]], List[int]]:
-    """In-place reduced row echelon form on sparse rows; returns (rows, pivot cols).
+def _rref(rows: List[SparseVector], ncols: int) -> Tuple[List[SparseVector], List[int]]:
+    """In-place reduced row echelon form on sparse rows; returns (pivot rows, pivot cols).
 
-    Columns are processed left to right; among candidate pivot rows the one
-    with minimal support is taken (lowest index on ties) for determinism.
+    ``holders[c]`` holds the ids (list positions) of the rows with an entry in
+    column c.  It is built in one pass and kept current by the elimination
+    step, which adds a row where fill-in creates an entry and drops it where
+    an entry cancels, so each column costs the rows that hold it.  Columns are
+    processed left to right; the pivot is the unreduced holder of least
+    support, lowest id on ties.
     """
+    holders: Dict[int, Set[int]] = defaultdict(set)
+    unreduced = 0  # nonzero rows not yet taken as pivots
+    for i, row in enumerate(rows):
+        if row:
+            unreduced += 1
+            for c in row:
+                holders[c].add(i)
+    reduced = [False] * len(rows)
+    out: List[SparseVector] = []
     pivots: List[int] = []
-    top = 0
-    live = [r for r in rows if r]
     for col in range(ncols):
+        if not unreduced:
+            break
+        held = holders.get(col)
+        if not held:
+            continue
         best = None
-        for k in range(top, len(live)):
-            if col in live[k]:
-                key = (len(live[k]), k)
-                if best is None or key < best[0]:
-                    best = (key, k)
+        for i in held:
+            if not reduced[i]:
+                key = (len(rows[i]), i)
+                if best is None or key < best:
+                    best = key
         if best is None:
             continue
-        k = best[1]
-        live[top], live[k] = live[k], live[top]
-        prow = live[top]
-        inv = prow[col].inverse()
-        prow = {c: inv * v for c, v in prow.items()}
-        live[top] = prow
-        for k, other in enumerate(live):
-            coeff = other.get(col)
-            if coeff is not None and k != top:
-                _row_step(other, coeff, prow)
+        p = best[1]
+        prow = rows[p]
+        if prow[col] != ONE:
+            inv = prow[col].inverse()
+            prow = rows[p] = {c: inv * v for c, v in prow.items()}
+        reduced[p] = True
+        unreduced -= 1
+        out.append(prow)
         pivots.append(col)
-        top += 1
-        if top == len(live):
-            break
-    return live[:top], pivots
+        holders[col] = {p}
+        for i in held:
+            if i == p:
+                continue
+            row = rows[i]
+            neg = -row.pop(col)
+            for k, v in prow.items():
+                if k == col:
+                    continue
+                old = row.get(k)
+                if old is None:
+                    row[k] = neg * v
+                    holders[k].add(i)
+                    continue
+                s = old + neg * v
+                if s.is_zero():
+                    del row[k]
+                    holders[k].discard(i)
+                else:
+                    row[k] = s
+            if not row:
+                unreduced -= 1
+    return out, pivots
 
 
-def _sparse_rows(m: Matrix) -> List[Dict[int, Scalar]]:
-    rows: List[Dict[int, Scalar]] = [dict() for _ in range(m.rows)]
+def _sparse_rows(m: Matrix) -> List[SparseVector]:
+    rows: List[SparseVector] = [dict() for _ in range(m.rows)]
     for (r, c), v in m.entries.items():
         rows[r][c] = v
     return rows
+
+
+def sparse_columns(m: Matrix) -> List[SparseVector]:
+    """The columns of m as sparse vectors."""
+    cols: List[SparseVector] = [dict() for _ in range(m.cols)]
+    for (r, c), v in m.entries.items():
+        cols[c][r] = v
+    return cols
+
+
+def dense(v: SparseVector, n: int) -> Vector:
+    """The length-n coordinate tuple of a sparse vector."""
+    out = [ZERO] * n
+    for k, x in v.items():
+        out[k] = x
+    return tuple(out)
 
 
 def rank(m: Matrix) -> int:
@@ -313,28 +371,29 @@ def rank(m: Matrix) -> int:
     return len(pivots)
 
 
+def _null_space(rows: List[SparseVector], ncols: int) -> List[SparseVector]:
+    """Canonical null space basis (free entry = 1) of reduced rows, sparse, by free column."""
+    by_pivot = {min(row): row for row in rows}  # a reduced row starts at its pivot
+    basis = {f: {f: ONE} for f in range(ncols) if f not in by_pivot}
+    for pcol, prow in by_pivot.items():
+        for f, coeff in prow.items():
+            if f != pcol:
+                basis[f][pcol] = -coeff
+    return list(basis.values())
+
+
 def kernel_basis(m: Matrix) -> List[Vector]:
     """Basis of the right null space in canonical reduced form (free entry = 1)."""
-    rows, pivots = _rref(_sparse_rows(m), m.cols)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for prow, pcol in zip(rows, pivots):
-            coeff = prow.get(f)
-            if coeff is not None:
-                v[pcol] = -coeff
-        basis.append(tuple(v))
-    return basis
+    rows, _ = _rref(_sparse_rows(m), m.cols)
+    return [dense(v, m.cols) for v in _null_space(rows, m.cols)]
 
 
 def cokernel_dim(m: Matrix) -> int:
     return m.rows - rank(m)
 
 
-def row_space_rows(m: Matrix) -> List[Dict[int, Scalar]]:
+def row_space_rows(m: Matrix) -> List[SparseVector]:
+    """The nonzero rows of m's reduced echelon form, in pivot order."""
     rows, _ = _rref(_sparse_rows(m), m.cols)
     return rows
 
@@ -376,14 +435,13 @@ def solve(m: Matrix, b: Vector) -> Optional[Vector]:
 class Subspace:
     """A subspace of an ambient coordinate space, held in reduced echelon form.
 
-    The rows are sorted by pivot column, so two spans that are equal are held
-    identically, however they were built.
+    Vectors are sparse.  ``_rows`` maps each pivot column to its reduced row,
+    so two spans that are equal are held identically, however they were built.
     """
 
-    def __init__(self, dim_ambient: int, vectors: Iterable[Vector] = ()):
+    def __init__(self, dim_ambient: int, vectors: Iterable[SparseVector] = ()):
         self.dim_ambient = dim_ambient
-        self._rows: List[Dict[int, Scalar]] = []
-        self._pivots: List[int] = []
+        self._rows: Dict[int, SparseVector] = {}
         for v in vectors:
             self.add(v)
 
@@ -391,16 +449,20 @@ class Subspace:
     def dim(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, v: Vector) -> Dict[int, Scalar]:
-        """v minus its projection onto the span along the pivot columns."""
-        row = {c: x for c, x in enumerate(v) if not x.is_zero()}
-        for prow, pcol in zip(self._rows, self._pivots):
-            coeff = row.get(pcol)
-            if coeff is not None:
-                _row_step(row, coeff, prow)
+    def _reduce(self, v: SparseVector) -> SparseVector:
+        """v minus its projection onto the span along the pivot columns.
+
+        A reduced row is zero on every other pivot column, so the multiple of
+        each row to take off is v's own entry at its pivot.
+        """
+        row = dict(v)
+        for pcol, x in v.items():
+            prow = self._rows.get(pcol)
+            if prow is not None:
+                _row_step(row, x, prow)
         return row
 
-    def add(self, v: Vector) -> bool:
+    def add(self, v: SparseVector) -> bool:
         """Insert v; returns True if the dimension grew."""
         row = self._reduce(v)
         if not row:
@@ -409,30 +471,26 @@ class Subspace:
         inv = row[pcol].inverse()
         row = {c: inv * w for c, w in row.items()}
         # back-substitute into existing rows to keep reduced form
-        for prow in self._rows:
+        for prow in self._rows.values():
             coeff = prow.get(pcol)
             if coeff is not None:
                 _row_step(prow, coeff, row)
-        pos = bisect_left(self._pivots, pcol)
-        self._rows.insert(pos, row)
-        self._pivots.insert(pos, pcol)
+        self._rows[pcol] = row
         return True
 
-    def contains(self, v: Vector) -> bool:
+    def contains(self, v: SparseVector) -> bool:
         return not self._reduce(v)
 
 
 def column_space(m: Matrix) -> Subspace:
     """The span of the columns of m, by one elimination over its sparse columns."""
-    cols: List[Dict[int, Scalar]] = [dict() for _ in range(m.cols)]
-    for (r, c), v in m.entries.items():
-        cols[c][r] = v
     space = Subspace(m.rows)
-    space._rows, space._pivots = _rref(cols, m.rows)
+    rows, pivots = _rref(sparse_columns(m), m.rows)
+    space._rows = dict(zip(pivots, rows))
     return space
 
 
-def independent_over(base: Matrix, candidates: Iterable[Vector]) -> List[Vector]:
+def independent_over(base: Matrix, candidates: Iterable[SparseVector]) -> List[SparseVector]:
     """The candidates that extend the span of base's columns and of the candidates before them.
 
     One elimination of base's columns, then one reduction per candidate.
@@ -441,19 +499,14 @@ def independent_over(base: Matrix, candidates: Iterable[Vector]) -> List[Vector]
     return [v for v in candidates if space.add(v)]
 
 
-def kernel_on(m: Matrix, cols: Sequence[int]) -> List[Vector]:
-    """Canonical kernel basis of m's columns ``cols``, scattered to length m.cols."""
-    out = []
-    for w in kernel_basis(m.restrict_columns(cols)):
-        v = [ZERO] * m.cols
-        for c, x in zip(cols, w):
-            v[c] = x
-        out.append(tuple(v))
-    return out
+def kernel_on(m: Matrix, cols: Sequence[int]) -> List[SparseVector]:
+    """Canonical kernel basis of m's columns ``cols``, indexed by m's columns."""
+    rows = row_space_rows(m.restrict_columns(cols))
+    return [{cols[c]: x for c, x in v.items()} for v in _null_space(rows, len(cols))]
 
 
 def homology_at(d_out: Matrix, d_in: Matrix) -> List[Vector]:
-    """Canonical representatives of ker d_out / im d_in.
+    """Canonical representatives of ker d_out / im d_in, as coordinate tuples.
 
     The cycles are the canonical kernel basis of d_out; each one that extends
     the span of the boundaries and of the cycles before it is kept.  Raises
@@ -461,4 +514,5 @@ def homology_at(d_out: Matrix, d_in: Matrix) -> List[Vector]:
     """
     if not (d_out @ d_in).is_zero():
         raise ValueError("not a complex: boundaries are not cycles (d_out @ d_in != 0)")
-    return independent_over(d_in, kernel_basis(d_out))
+    cycles = kernel_on(d_out, range(d_out.cols))
+    return [dense(v, d_out.cols) for v in independent_over(d_in, cycles)]

@@ -38,11 +38,15 @@ class PBW:
         return {tuple(m): ONE}
 
     def mono_times_gen(self, m: Mono, j: int) -> Element:
-        """Straightened m * x_j."""
+        """Straightened m * x_j.
+
+        The element is cached and returned itself, not a copy: callers must
+        not mutate it.
+        """
         key = (m, j)
         cached = self._mono_gen.get(key)
         if cached is not None:
-            return dict(cached)
+            return cached
         k = None
         for idx in range(self.g.dim - 1, j, -1):
             if m[idx]:
@@ -66,7 +70,7 @@ class PBW:
                     continue
                 for mono, c in self.mono_times_gen(mp, l).items():
                     add_into(out, mono, cl * c)
-        self._mono_gen[key] = dict(out)
+        self._mono_gen[key] = out
         return out
 
     def times_gen(self, e: Element, j: int) -> Element:

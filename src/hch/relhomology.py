@@ -29,6 +29,7 @@ from .liepairs import Pair, SubpairEmbedding, ValidationReport
 from .linalg import (
     Matrix,
     Vector,
+    dense,
     homology_at,
     independent_over,
     inverse,
@@ -53,8 +54,8 @@ def p_complement(pair: Pair) -> Tuple[List[Vector], Matrix]:
     g, K = pair.g, pair.K
     zero = K.zero_char()
     torus_cols = [pair.iota.column(t) for t in range(K.torus_rank)]
-    weight_zero = [unit_vec(g.dim, j) for j in range(g.dim) if pair.ad_grading[j] == zero]
-    completing = {v.index(ONE) for v in independent_over(pair.iota, weight_zero)}
+    weight_zero = [{j: ONE} for j in range(g.dim) if pair.ad_grading[j] == zero]
+    completing = {j for v in independent_over(pair.iota, weight_zero) for j in v}
     chosen = [j for j in range(g.dim) if pair.ad_grading[j] != zero or j in completing]
     p_basis = [unit_vec(g.dim, j) for j in chosen]
     cols = torus_cols + p_basis
@@ -178,10 +179,10 @@ def coinvariants(M: FiniteModule, h_basis: Sequence[Vector]) -> HomologyReport:
             if r in index:
                 ents[(index[r], e * M.dim + c)] = v
     images = Matrix._raw(len(kept), len(h_basis) * M.dim, ents)
-    reps = independent_over(images, [unit_vec(len(kept), i) for i in range(len(kept))])
+    reps = independent_over(images, [{i: ONE} for i in range(len(kept))])
     report = HomologyReport()
     report.dims[0] = len(reps)
-    report.representatives[0] = reps
+    report.representatives[0] = [dense(v, len(kept)) for v in reps]
     return report
 
 

@@ -65,9 +65,26 @@ class StandardResolution:
 
     @cached_property
     def _left(self) -> List[List[SparseColumn]]:
-        """L_j by columns: ``_left[j][mi]`` is x_j * monos[mi], truncated."""
-        return [[self._truncated(self.u.gen_times(j, {mono: ONE})) for mono in self.monos]
-                for j in range(self.pair.g.dim)]
+        """L_j by columns: ``_left[j][mi]`` is x_j * monos[mi], truncated.
+
+        A monomial m other than 1 is m' x_k in PBW order, with k its last
+        nonzero exponent, so x_j m = (x_j m') x_k: one ``times_gen`` on the
+        product already built for m', which precedes m in degree order.
+        Straightening keeps x_j m' within degree deg m <= cutoff, so that
+        product is exact before it is truncated.
+        """
+        dim = self.pair.g.dim
+        unit, rest = self.monos[0], self.monos[1:]
+        tables = []
+        for j in range(dim):
+            products: Dict[Mono, Element] = {unit: self.u.gen(j)}
+            for m in rest:
+                k = max(i for i in range(dim) if m[i])
+                prev = list(m)
+                prev[k] -= 1
+                products[m] = self.u.times_gen(products[tuple(prev)], k)
+            tables.append([self._truncated(products[m]) for m in self.monos])
+        return tables
 
     @cached_property
     def _right(self) -> List[List[SparseColumn]]:

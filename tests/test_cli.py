@@ -175,6 +175,18 @@ def test_sl2_demo_uncertified_is_exit_3_with_window_data(capsys, monkeypatch):
     assert row["windows"]["dims_per_window"]  # raw window data still emitted
 
 
+def test_sl2_demo_accepts_a_negative_lambda_list(capsys):
+    # a list led by a minus sign is a value, not an option: the same rows as the "=" form
+    code, out, err = run(capsys, "sl2-demo", "--lambda", "-4,-2,0", "--format", "json")
+    assert code == 0, err
+    assert [r["lambda"] for r in json.loads(out)["rows"]] == ["-4", "-2", "0"]
+    assert run(capsys, "sl2-demo", "--lambda=-4,-2,0", "--format", "json")[1] == out
+    code, out, _ = run(capsys, "sl2-demo", "--lambda", "-1/2", "--epsilon", "1")
+    assert code == 0 and out.split("\n")[1].startswith("-1/2\t1\t")
+    code, _, err = run(capsys, "sl2-demo", "--lambda", "-2,zebra")
+    assert code == 2 and "lambda" in err
+
+
 def test_output_file_and_bad_lambda(files, tmp_path, capsys):
     target = tmp_path / "table.tsv"
     code, out, _ = run(capsys, "sl2-demo", "--lambda", "0",

@@ -106,14 +106,19 @@ def test_matmul_and_apply_agree():
     assert (a @ b).apply(v) == a.apply(b.apply(v))
 
 
+def as_map(v):
+    """The sparse form of a coordinate tuple."""
+    return {k: x for k, x in enumerate(v) if not x.is_zero()}
+
+
 def test_subspace():
     s = Subspace(3)
-    assert s.add(vec([1, 0, 1]))
-    assert s.add(vec([0, 1, 0]))
-    assert not s.add(vec([1, 1, 1]))
+    assert s.add(as_map(vec([1, 0, 1])))
+    assert s.add(as_map(vec([0, 1, 0])))
+    assert not s.add(as_map(vec([1, 1, 1])))
     assert s.dim == 2
-    assert s.contains(vec([2, -3, 2]))
-    assert not s.contains(vec([0, 0, 1]))
+    assert s.contains(as_map(vec([2, -3, 2])))
+    assert not s.contains(as_map(vec([0, 0, 1])))
 
 
 
@@ -153,18 +158,17 @@ def test_column_space_matches_dense_subspace(seed):
     columns = _random_columns(rng, rows, cols)
     m = Matrix.from_columns(columns, rows=rows)
     sparse = column_space(m)
-    dense = Subspace(m.rows, [m.column(c) for c in range(m.cols)])
+    dense = Subspace(m.rows, [as_map(m.column(c)) for c in range(m.cols)])
     assert sparse.dim_ambient == dense.dim_ambient == rows
-    assert sparse._pivots == dense._pivots
-    assert sparse._rows == dense._rows
+    assert sparse._rows == dense._rows  # pivot column -> reduced row
     assert sparse.dim == rank(m)
     for _ in range(10):
         v = tuple(_random_scalar(rng) for _ in range(rows))
-        assert sparse.contains(v) == dense.contains(v)
+        assert sparse.contains(as_map(v)) == dense.contains(as_map(v))
         if columns:
             a, b = rng.choice(columns), rng.choice(columns)
             c = _random_scalar(rng)
-            assert sparse.contains(tuple(x + c * y for x, y in zip(a, b)))
+            assert sparse.contains(as_map(tuple(x + c * y for x, y in zip(a, b))))
 
 def test_add_into_drops_zeros_and_keeps_order():
     acc = {}
@@ -195,3 +199,130 @@ def test_scale_by_plus_or_minus_one_multiplies_nothing():
 def test_matrix_json_roundtrip():
     m = Matrix.from_rows([[1, I], [0, Scalar(Fraction(1, 3))]])
     assert Matrix.from_json(m.to_json()) == m
+
+
+# -- the column-indexed elimination against the scanning one it replaced ---------
+
+
+def scanning_rref(rows, ncols):
+    """The elimination before the column index: every live row is scanned for
+    every column, both to find the pivot and to eliminate."""
+    pivots = []
+    top = 0
+    live = [r for r in rows if r]
+    for col in range(ncols):
+        best = None
+        for k in range(top, len(live)):
+            if col in live[k]:
+                key = (len(live[k]), k)
+                if best is None or key < best[0]:
+                    best = (key, k)
+        if best is None:
+            continue
+        k = best[1]
+        live[top], live[k] = live[k], live[top]
+        inv = live[top][col].inverse()
+        prow = live[top] = {c: inv * v for c, v in live[top].items()}
+        for k, other in enumerate(live):
+            coeff = other.get(col)
+            if coeff is not None and k != top:
+                for c, v in prow.items():
+                    add_into(other, c, -coeff * v)
+        pivots.append(col)
+        top += 1
+        if top == len(live):
+            break
+    return live[:top], pivots
+
+
+def _cancelling_rows(rng, rows, cols):
+    """Rows of which later ones are combinations of earlier ones, some nudged by
+    one entry, so that entries cancel and rows vanish during elimination."""
+    out = []
+    for _ in range(rows):
+        if len(out) >= 2 and rng.random() < 0.6:
+            a, b = rng.sample(out, 2)
+            ca, cb = _random_scalar(rng), _random_scalar(rng)
+            row = {c: ca * a.get(c, ZERO) + cb * b.get(c, ZERO) for c in set(a) | set(b)}
+            if rng.random() < 0.5:
+                row[rng.randrange(cols)] = _random_scalar(rng)
+        else:
+            row = {c: _random_scalar(rng) for c in range(cols) if rng.random() < 0.4}
+        out.append({c: v for c, v in row.items() if not v.is_zero()})
+    return out
+
+
+def differential_cases():
+    """(name, matrix): the degenerate shapes, 30 random sparse Q(i) matrices,
+    8 square ones (most of them invertible) and 15 whose rows cancel during
+    elimination."""
+    yield "0x4", Matrix(0, 4)
+    yield "4x0", Matrix(4, 0)
+    yield "0x0", Matrix(0, 0)
+    yield "zero 3x5", Matrix.zeros(3, 5)
+    for seed in range(30):
+        rng = random.Random(7000 + seed)
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        m = Matrix.from_columns(_random_columns(rng, rows, cols), rows=rows)
+        yield f"random {seed}", m
+    for seed in range(8):
+        rng = random.Random(9000 + seed)
+        n = rng.randint(1, 7)
+        ents = {(r, c): _random_scalar(rng) for r in range(n) for c in range(n)
+                if r == c or rng.random() < 0.4}
+        yield f"square {seed}", Matrix(n, n, ents)
+    for seed in range(15):
+        rng = random.Random(8000 + seed)
+        rows, cols = rng.randint(2, 9), rng.randint(1, 8)
+        ents = {(r, c): v for r, row in enumerate(_cancelling_rows(rng, rows, cols))
+                for c, v in row.items()}
+        yield f"cancelling {seed}", Matrix(rows, cols, ents)
+
+
+DIFFERENTIAL_CASES = list(differential_cases())
+
+
+def test_differential_cases_cancel_rows_and_invert():
+    ranks = [(rank(m), m.rows) for name, m in DIFFERENTIAL_CASES if name.startswith("cancelling")]
+    assert sum(r < rows for r, rows in ranks) >= 10
+    square = [rank(m) == m.rows for _, m in DIFFERENTIAL_CASES if m.rows == m.cols]
+    assert sum(square) >= 5 and not all(square)
+
+
+@pytest.mark.parametrize("name, m", DIFFERENTIAL_CASES, ids=[n for n, _ in DIFFERENTIAL_CASES])
+def test_rref_matches_the_scanning_elimination(name, m, monkeypatch):
+    import hch.linalg as linalg
+
+    def rows_of(mat):
+        out = [dict() for _ in range(mat.rows)]
+        for (r, c), v in mat.entries.items():
+            out[r][c] = v
+        return out
+
+    got_rows, got_pivots = linalg._rref(rows_of(m), m.cols)
+    ref_rows, ref_pivots = scanning_rref(rows_of(m), m.cols)
+    assert got_pivots == ref_pivots
+    assert got_rows == ref_rows
+
+    rng = random.Random(name)
+    b_free = tuple(_random_scalar(rng) for _ in range(m.rows))
+    x = tuple(_random_scalar(rng) for _ in range(m.cols))
+    b_image = m.apply(x)
+
+    def everything():
+        out = {"rank": linalg.rank(m), "kernel": linalg.kernel_basis(m),
+               "solve": (linalg.solve(m, b_free), linalg.solve(m, b_image)),
+               "column_space": linalg.column_space(m)._rows}
+        if m.rows == m.cols:
+            try:
+                out["inverse"] = linalg.inverse(m)
+            except ValueError as e:
+                out["inverse"] = str(e)
+        return out
+
+    got = everything()
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_rref", scanning_rref)
+        ref = everything()
+    assert got == ref
+    assert got["solve"][1] is not None and m.apply(got["solve"][1]) == b_image

@@ -2,9 +2,11 @@
 
 import random
 
+from hch.hcomplexes import check_h_axioms
 from hch.pbw import PBW, degree
+from hch.resolution import StandardResolution
 from hch.scalars import Scalar
-from hch.sl2 import sl2
+from hch.sl2 import sl2, so2_pair
 from hch.liepairs import LieAlgebra
 
 
@@ -83,3 +85,17 @@ def test_monomial_enumeration():
     assert monos[0] == (0, 0, 0)
     assert all(degree(a) <= degree(b) for a, b in zip(monos, monos[1:]))
     assert len(set(monos)) == len(monos)
+
+
+def test_cached_products_are_returned_unchanged_and_never_mutated():
+    # mono_times_gen hands out its cached element itself; building and checking
+    # a resolution through one PBW must leave every cached product as a fresh
+    # PBW computes it
+    res = StandardResolution(so2_pair(), 4)
+    assert check_h_axioms(res.hcomplex()).ok and res.check_exactness().ok
+    u = res.u
+    assert u.mono_times_gen((1, 0, 1), 0) is u.mono_times_gen((1, 0, 1), 0)
+    fresh = PBW(u.g)
+    assert len(u._mono_gen) > 50
+    for (m, j), e in list(u._mono_gen.items()):
+        assert e == fresh.mono_times_gen(m, j), (m, j)

@@ -156,7 +156,7 @@ def test_terms_and_boundaries_match_per_subset_straightening(name, cutoff):
 
 
 def test_hcheck_builds_the_resolution_once(tmp_path, capsys, monkeypatch):
-    calls = {"gen_times": 0, "_diff": 0}
+    calls = {"times_gen": 0, "_diff": 0}
 
     def counted(cls, name):
         f = getattr(cls, name)
@@ -166,14 +166,43 @@ def test_hcheck_builds_the_resolution_once(tmp_path, capsys, monkeypatch):
             return f(*args)
         monkeypatch.setattr(cls, name, wrapper)
 
-    counted(PBW, "gen_times")
+    counted(PBW, "times_gen")
     counted(StandardResolution, "_diff")
     path = tmp_path / "so2.json"
     path.write_text(json.dumps(so2_pair().to_json()))
     assert cli.main(["hcheck", "--pair", str(path), "--cutoff", "4"]) == 0
     assert json.loads(capsys.readouterr().out) == {"ok": True, "violations": []}
-    # one straightening per (generator, monomial): 3 * 35; one boundary per wedge degree
-    assert calls == {"gen_times": 3 * 35, "_diff": 3}
+    # one right multiplication per (generator, monomial other than 1): 3 * 34;
+    # one boundary per wedge degree
+    assert calls == {"times_gen": 3 * 34, "_diff": 3}
+
+
+def sl2_sum_pair() -> Pair:
+    """(sl2 + sl2, T x T): basis e1, h1, f1, e2, h2, f2, the torus on h1 and h2."""
+    brackets = {}
+    for off in (0, 3):
+        e, h, f = off, off + 1, off + 2
+        brackets[(e, h)] = {e: Scalar(-2)}
+        brackets[(h, f)] = {f: Scalar(-2)}
+        brackets[(e, f)] = {h: Scalar(1)}
+    g = LieAlgebra(6, ["e1", "h1", "f1", "e2", "h2", "f2"], brackets)
+    K = DiagGroup(torus_rank=2)
+    grading = [K.character(w) for w in ([2, 0], [0, 0], [-2, 0], [0, 2], [0, 0], [0, -2])]
+    iota = Matrix(6, 2, {(1, 0): 1, (4, 1): 1})
+    return Pair(g, K, grading, iota)
+
+
+@pytest.mark.parametrize("cutoff", [2, 3])
+def test_rank_two_torus_resolution_is_an_exact_h_complex(cutoff):
+    # axiom (iii) with two different torus generators: i_0 i_1 + i_1 i_0 = 0
+    pair = sl2_sum_pair()
+    assert pair.validate().ok
+    res = StandardResolution(pair, cutoff)
+    h = res.hcomplex()
+    assert sorted(h.i_maps) == [0, 1]
+    assert all(not m.is_zero() for t in (0, 1) for m in h.i_maps[t].values())
+    assert check_h_axioms(h).violations == ()
+    assert res.check_exactness().violations == ()
 
 
 def test_euler_characteristics_are_ints():

@@ -17,6 +17,7 @@ from hch.linalg import (
     Matrix,
     Subspace,
     column_space,
+    dense,
     independent_over,
     inverse,
     kernel_basis,
@@ -38,11 +39,16 @@ from hch.sl2 import (
 # -- the replaced routines, kept as references -----------------------------------
 
 
+def as_map(v):
+    """The sparse form of a coordinate tuple."""
+    return {k: x for k, x in enumerate(v) if not x.is_zero()}
+
+
 def ref_independent_over(ambient, base, candidates):
-    space = Subspace(ambient, base)
+    space = Subspace(ambient, [as_map(b) for b in base])
     out = []
     for v in candidates:
-        if space.add(v):
+        if space.add(as_map(v)):
             out.append(v)
     return out
 
@@ -77,11 +83,11 @@ def ref_p_complement(pair):
     zero = K.zero_char()
     torus_cols = [pair.iota.column(t) for t in range(K.torus_rank)]
     chosen = []
-    span = Subspace(g.dim, list(torus_cols))
+    span = Subspace(g.dim, [as_map(c) for c in torus_cols])
     for j in range(g.dim):
         if pair.ad_grading[j] != zero:
             chosen.append(j)
-        elif span.add(unit_vec(g.dim, j)):
+        elif span.add(as_map(unit_vec(g.dim, j))):
             chosen.append(j)
     p_basis = [unit_vec(g.dim, j) for j in chosen]
     cols = torus_cols + p_basis
@@ -108,7 +114,7 @@ def ref_check_exactness(res):
             v = [ZERO] * base.dim_at(n)
             for c, x in zip(interior, w):
                 v[c] = x
-            if not image.contains(tuple(v)):
+            if not image.contains(as_map(v)):
                 bad.append(f"interior cycle not a boundary at degree {n}")
                 break
     return ValidationReport.good() if not bad else ValidationReport.bad(*bad)
@@ -164,6 +170,8 @@ def test_kernel_on_is_the_kernel_of_the_chosen_columns_at_full_length(seed):
     expected = [v for v in kernel_basis(masked)
                 if not any(not v[c].is_zero() for c in others)]
     got = kernel_on(m, cols)
+    assert all(set(v) <= set(cols) for v in got)
+    got = [dense(v, m.cols) for v in got]
     assert got == expected
     assert all(len(v) == m.cols for v in got)
     assert all(m.apply(v) == (ZERO,) * m.rows for v in got)
@@ -177,12 +185,12 @@ def test_independent_over_matches_the_subspace_reference(seed):
     cands += [unit_vec(base.rows, j) for j in range(base.rows)]
     expected = ref_independent_over(base.rows, [base.column(c) for c in range(base.cols)],
                                     cands)
-    assert independent_over(base, cands) == expected
+    assert independent_over(base, [as_map(v) for v in cands]) == [as_map(v) for v in expected]
 
 
 def test_independent_over_keeps_the_first_of_dependent_candidates():
     base = Matrix.from_rows([[1], [1], [0]])
-    e0, e1, e2 = (unit_vec(3, j) for j in range(3))
+    e0, e1, e2 = ({j: Scalar(1)} for j in range(3))
     assert independent_over(base, [e0, e1, e2]) == [e0, e2]
     assert independent_over(base, [e2, e1, e0]) == [e2, e1]
 
