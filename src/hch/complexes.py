@@ -5,7 +5,10 @@ trivial pair.  A complex may carry "interior" column marks per degree: for
 truncations of infinite objects, identities (d^2 = 0, axiom checks) are
 asserted only on the marked columns, where the truncation is known closed,
 and ``homology`` reads only the cycles supported there (modulo the image of
-the whole boundary), so a truncated resolution has homology too.
+the whole boundary), so a truncated resolution has homology too.  An unmarked
+complex counts every column as interior, so ``homology`` is one loop for both
+kinds; only an unmarked one is first checked for d^2 = 0.  The relative
+standard complex of ``relhomology`` is a Complex of plain spaces too.
 
 Every block of a tensor, Hom or cone matrix is placed by one signed
 Kronecker placer, ``gkmodules.kron_into``, with identity factors given as
@@ -30,7 +33,6 @@ from .linalg import (
     Vector,
     add_into,
     dense,
-    homology_at,
     independent_over,
     kernel_basis,
     kernel_on,
@@ -114,15 +116,20 @@ class Complex:
         return ValidationReport.good() if not bad else ValidationReport.bad(*bad)
 
     def homology(self) -> HomologyReport:
-        """Cycles modulo boundaries; on a marked complex, the interior cycles only."""
+        """Cycles modulo boundaries; on a marked complex, the interior cycles only.
+
+        The cycles are the canonical kernel basis of d^n on the interior
+        columns; each one that extends the span of the image of d^(n-1) and of
+        the cycles before it is kept.  An unmarked complex whose boundaries
+        are not cycles raises ValueError.
+        """
         report = HomologyReport()
         for n in self.degrees():
-            if self.interior is None:
-                reps = homology_at(self.diff(n), self.diff(n - 1))
-            else:
-                cycles = kernel_on(self.diff(n), self.interior_cols(n))
-                reps = [dense(v, self.dim_at(n))
-                        for v in independent_over(self.diff(n - 1), cycles)]
+            d_out, d_in = self.diff(n), self.diff(n - 1)
+            if self.interior is None and not (d_out @ d_in).is_zero():
+                raise ValueError("not a complex: boundaries are not cycles (d_out @ d_in != 0)")
+            cycles = kernel_on(d_out, self.interior_cols(n))
+            reps = [dense(v, self.dim_at(n)) for v in independent_over(d_in, cycles)]
             report.dims[n] = len(reps)
             report.representatives[n] = reps
         return report

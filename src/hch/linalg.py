@@ -503,16 +503,3 @@ def kernel_on(m: Matrix, cols: Sequence[int]) -> List[SparseVector]:
     """Canonical kernel basis of m's columns ``cols``, indexed by m's columns."""
     rows = row_space_rows(m.restrict_columns(cols))
     return [{cols[c]: x for c, x in v.items()} for v in _null_space(rows, len(cols))]
-
-
-def homology_at(d_out: Matrix, d_in: Matrix) -> List[Vector]:
-    """Canonical representatives of ker d_out / im d_in, as coordinate tuples.
-
-    The cycles are the canonical kernel basis of d_out; each one that extends
-    the span of the boundaries and of the cycles before it is kept.  Raises
-    ValueError when the boundaries are not cycles (d_out @ d_in != 0).
-    """
-    if not (d_out @ d_in).is_zero():
-        raise ValueError("not a complex: boundaries are not cycles (d_out @ d_in != 0)")
-    cycles = kernel_on(d_out, range(d_out.cols))
-    return [dense(v, d_out.cols) for v in independent_over(d_in, cycles)]

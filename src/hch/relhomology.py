@@ -8,6 +8,10 @@ choice gives the same homology; this one is reproducible.  Since p is
 spanned by g-basis vectors, the Chevalley–Eilenberg boundary
 (``complexes.ce_boundary``) reads M's g-basis action matrices and g's
 structure constants projected to p, once per complex.
+
+The relative standard complex is a ``complexes.Complex`` of plain spaces with
+C_n at cochain degree -n, so H_n is ``Complex.homology`` at degree -n and the
+Euler–Poincaré characteristic is ``Complex.euler_characteristic``.
 """
 
 from __future__ import annotations
@@ -25,12 +29,11 @@ from .complexes import (
     trivial_pair,
 )
 from .gkmodules import FiniteModule
-from .liepairs import Pair, SubpairEmbedding, ValidationReport
+from .liepairs import Pair, SubpairEmbedding
 from .linalg import (
     Matrix,
     Vector,
     dense,
-    homology_at,
     independent_over,
     inverse,
     rank,
@@ -72,20 +75,24 @@ def p_complement(pair: Pair) -> Tuple[List[Vector], Matrix]:
     return p_basis, Matrix._raw(len(p_basis), g.dim, ents)
 
 
-class RelativeStandardComplex:
-    """C_n = K^H-coinvariants of wedge^n(p) (x) M, with the two-sum boundary."""
+class RelativeStandardComplex(Complex):
+    """C_n = K^H-coinvariants of wedge^n(p) (x) M, with the two-sum boundary.
+
+    C_n is a plain space at cochain degree -n, and the boundary C_n -> C_{n-1}
+    is ``diff(-n)``.
+    """
 
     def __init__(self, emb: SubpairEmbedding, M: FiniteModule):
         if M.pair.g.dim != emb.small.g.dim:
             raise ValueError("module must live over the small pair of the embedding")
-        self.pair = M.pair
+        pair = M.pair
         self.module = M
-        self.p_basis, self.projection = p_complement(self.pair)
+        self.p_basis, self.projection = p_complement(pair)
         chosen = [v.index(ONE) for v in self.p_basis]
-        K, g = self.pair.K, self.pair.g
+        K, g = pair.K, pair.g
         zero = K.zero_char()
         dp = self.p_dim = len(chosen)
-        p_weights = [self.pair.ad_grading[j] for j in chosen]
+        p_weights = [pair.ad_grading[j] for j in chosen]
         # kept basis: (subset, module index) of trivial total weight;
         # position[n][subset][k] is the index of (subset, k) in kept[n]
         self.kept: Dict[int, List[Tuple[Tuple[int, ...], int]]] = {}
@@ -112,58 +119,35 @@ class RelativeStandardComplex:
         for a, b in combinations(range(dp), 2):
             br = self.projection.apply(g.bracket_basis(chosen[a], chosen[b]))
             brackets[(a, b)] = [(l, c) for l, c in enumerate(br) if not c.is_zero()]
-        self.boundaries: Dict[int, Matrix] = {}
+        diffs = {}
         for n in range(1, dp + 1):
             try:
-                self.boundaries[n] = ce_boundary(position[n].items(), self.dim(n - 1),
-                                                 position[n - 1].__getitem__, act,
-                                                 signs.rel_action_sign, brackets)
+                diffs[-n] = ce_boundary(position[n].items(), len(self.kept[n - 1]),
+                                        position[n - 1].__getitem__, act,
+                                        signs.rel_action_sign, brackets)
             except KeyError:
                 raise ValueError("boundary leaves the coinvariant part") from None
-
-    def dim(self, n: int) -> int:
-        return len(self.kept.get(n, ()))
-
-    def boundary(self, n: int) -> Matrix:
-        b = self.boundaries.get(n)
-        if b is not None:
-            return b
-        return Matrix.zeros(self.dim(n - 1), self.dim(n))
-
-    def validate(self) -> ValidationReport:
-        bad = []
-        for n in range(2, self.p_dim + 1):
-            if not (self.boundary(n - 1) @ self.boundary(n)).is_zero():
-                bad.append(f"boundary squared nonzero at degree {n}")
-        return ValidationReport.good() if not bad else ValidationReport.bad(*bad)
-
-    def as_cochain(self) -> Complex:
-        """The same data as a cochain complex of plain spaces at degrees -n."""
-        terms = {-n: plain_space(self.dim(n)) for n in range(self.p_dim + 1)
-                 if self.dim(n)}
-        diffs = {}
-        for n in range(1, self.p_dim + 1):
-            b = self.boundary(n)
-            if not b.is_zero():
-                diffs[-n] = b
-        return Complex(trivial_pair(), terms, diffs)
+        terms = {-n: plain_space(len(self.kept[n])) for n in range(dp + 1)}
+        super().__init__(trivial_pair(), terms, diffs)
 
 
 def _checked_complex(emb: SubpairEmbedding, M: FiniteModule) -> RelativeStandardComplex:
     cx = RelativeStandardComplex(emb, M)
-    rep = cx.validate()
-    if not rep:
-        raise NotAComplexError("; ".join(rep.violations))
+    bad = [f"boundary squared nonzero at degree {n}" for n in range(2, cx.p_dim + 1)
+           if not (cx.diff(1 - n) @ cx.diff(-n)).is_zero()]
+    if bad:
+        raise NotAComplexError("; ".join(bad))
     return cx
 
 
 def rel_homology(emb: SubpairEmbedding, M: FiniteModule) -> HomologyReport:
+    """H_n for n = 0..p_dim, read from the complex's homology at degree -n."""
     cx = _checked_complex(emb, M)
+    h = cx.homology()
     report = HomologyReport()
     for n in range(cx.p_dim + 1):
-        reps = homology_at(cx.boundary(n), cx.boundary(n + 1))
-        report.dims[n] = len(reps)
-        report.representatives[n] = reps
+        report.dims[n] = h.dims.get(-n, 0)
+        report.representatives[n] = h.representatives.get(-n, [])
     return report
 
 
@@ -192,15 +176,13 @@ def ext_via_duality(emb: SubpairEmbedding, M: FiniteModule, n: int) -> int:
     Only degree n is computed: dim C_n - rank d_n - rank d_{n+1}.
     """
     cx = _checked_complex(emb, M)
-    return cx.dim(n) - rank(cx.boundary(n)) - rank(cx.boundary(n + 1))
+    return cx.dim_at(-n) - rank(cx.diff(-n)) - rank(cx.diff(-n - 1))
 
 
 def ext_via_chain_maps(emb: SubpairEmbedding, M: FiniteModule, n: int) -> int:
     """Independent route: maps to C[n] from the complex, modulo homotopy."""
-    cx = RelativeStandardComplex(emb, M).as_cochain()
-    return homotopy_classes_dim(cx, single_term(plain_space(1)), n)
+    return homotopy_classes_dim(RelativeStandardComplex(emb, M), single_term(plain_space(1)), n)
 
 
 def euler_poincare(emb: SubpairEmbedding, M: FiniteModule) -> int:
-    cx = RelativeStandardComplex(emb, M)
-    return sum(signs.degree_sign(n) * cx.dim(n) for n in range(cx.p_dim + 1))
+    return RelativeStandardComplex(emb, M).euler_characteristic()

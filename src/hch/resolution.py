@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import signs
 from .complexes import Complex, SparseColumn, ce_boundary, wedge_insert
@@ -92,24 +92,24 @@ class StandardResolution:
         return [[self._truncated(self.u.mono_times_gen(mono, j)) for mono in self.monos]
                 for j in range(self.pair.g.dim)]
 
-    def _weight(self, subset: Tuple[int, ...], mono: Mono) -> Character:
-        K = self.pair.K
-        grading = self.pair.ad_grading
-        torus = [0] * K.torus_rank
-        finite = [0] * len(K.finite_invariants)
-        parts = list(subset) + [j for j in range(self.pair.g.dim)
-                                for _ in range(mono[j])]
+    def _weight_of(self, parts: Iterable[int]) -> Character:
+        """The K-weight of a product of the g-basis vectors ``parts``."""
+        K, grading = self.pair.K, self.pair.ad_grading
+        w = K.zero_char()
         for j in parts:
-            w = grading[j]
-            for t in range(K.torus_rank):
-                torus[t] += w.torus[t]
-            for t, inv in enumerate(K.finite_invariants):
-                finite[t] = (finite[t] + w.finite[t]) % inv
-        return Character(tuple(torus), tuple(finite))
+            w = K.add(w, grading[j])
+        return w
+
+    @cached_property
+    def _mono_weights(self) -> List[Character]:
+        """The K-weight of each PBW monomial, in ``monos`` order."""
+        dim = self.pair.g.dim
+        return [self._weight_of(j for j in range(dim) for _ in range(m[j])) for m in self.monos]
 
     def _term(self, n: int) -> FiniteModule:
-        weights = [self._weight(subset, mono)
-                   for subset in self.subsets[n] for mono in self.monos]
+        add = self.pair.K.add
+        weights = [add(sw, mw) for sw in map(self._weight_of, self.subsets[n])
+                   for mw in self._mono_weights]
         dim, nm = len(weights), len(self.monos)
         actions = []
         for table in self._left:

@@ -1,6 +1,7 @@
 """End-to-end checks of the hch command line: exit codes, formats, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -131,7 +132,7 @@ def test_schema_error_names_field_and_location(files, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["homology", "ext", "ep", "coinv"])
 def test_non_equivariant_module_is_exit_2(files, tmp_path, capsys, command):
-    obj = json.loads(open(files["F2"]).read())
+    obj = json.loads(Path(files["F2"]).read_text())
     for w, f in zip(obj["k_weights"], [0, 1, 0]):  # K^H-characters the action does not respect
         w["finite"] = [f]
     p = tmp_path / "bad.json"
@@ -238,9 +239,9 @@ def test_non_complex_is_exit_2_with_class_name(tmp_path, capsys, monkeypatch, co
         paths.append(tmp_path / f"{name}.json")
         paths[-1].write_text(json.dumps(obj))
     # a boundary of all ones squares to nonzero from degree 2 on
-    ones = lambda self, n: Matrix._raw(self.dim(n - 1), self.dim(n), {
-        (r, c): Scalar(1) for r in range(self.dim(n - 1)) for c in range(self.dim(n))})
-    monkeypatch.setattr(RelativeStandardComplex, "boundary", ones)
+    ones = lambda self, n: Matrix._raw(self.dim_at(n + 1), self.dim_at(n), {
+        (r, c): Scalar(1) for r in range(self.dim_at(n + 1)) for c in range(self.dim_at(n))})
+    monkeypatch.setattr(RelativeStandardComplex, "diff", ones)
     code, out, err = run(capsys, command, "--subpair", str(paths[0]), "--module", str(paths[1]))
     assert code == 2 and out == ""
     assert err.startswith("error: NotAComplexError: boundary squared nonzero at degree 2; ")

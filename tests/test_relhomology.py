@@ -3,9 +3,9 @@
 import pytest
 
 from hch import signs
-from hch.gkmodules import FiniteModule, direct_sum, restrict_module, trivial_module
+from hch.gkmodules import FiniteModule, direct_sum, restrict_module, tensor, trivial_module
 from hch.liepairs import SubpairEmbedding
-from hch.linalg import Matrix, add_into
+from hch.linalg import Matrix, add_into, kernel_basis, rank
 from hch.relhomology import (
     NotAComplexError,
     RelativeStandardComplex,
@@ -22,6 +22,7 @@ from hch.sl2 import (
     finite_irrep,
     finite_irrep_so2,
     so2_pair,
+    torus_pair,
     trivial_k_pair,
 )
 
@@ -51,14 +52,14 @@ def test_diagonal_torus_f2_complex_and_homology():
     emb = SUBPAIR_CATALOG["diagonal_torus"]()
     m2 = restrict_module(emb, finite_irrep_so2(2))
     cx = RelativeStandardComplex(emb, m2)
-    assert (cx.dim(0), cx.dim(1)) == (3, 3)
-    assert cx.validate().ok
+    assert (cx.dim_at(0), cx.dim_at(-1)) == (3, 3)
+    assert cx.check_complex().ok
     h = rel_homology(emb, m2)
     assert h.dims == {0: 1, 1: 1}
     # odd module: mu2-coinvariants vanish entirely
     m1 = restrict_module(emb, finite_irrep_so2(1))
     cx1 = RelativeStandardComplex(emb, m1)
-    assert cx1.dim(0) == 0 and cx1.dim(1) == 0
+    assert cx1.dim_at(0) == 0 and cx1.dim_at(-1) == 0
     assert rel_homology(emb, m1).dims == {0: 0, 1: 0}
 
 
@@ -68,7 +69,7 @@ def test_so2_subpair_concentrated_in_degree_zero():
     cx = RelativeStandardComplex(emb, m)
     assert cx.p_dim == 0  # h = k^H here, nothing transverse
     # C_0 = the k0-weight-zero line
-    assert cx.dim(0) == 1
+    assert cx.dim_at(0) == 1
     assert rel_homology(emb, m).dims == {0: 1}
 
 
@@ -153,7 +154,7 @@ def test_ext_via_duality_computes_one_degree_like_rel_homology(monkeypatch):
     cases += [("identity(trivial_k)", m, ident, finite_irrep(m, trivial_k_pair()))
               for m in range(5)]
     want = {(name, m): rel_homology(emb, M).dims for name, m, emb, M in cases}
-    monkeypatch.setattr("hch.relhomology.homology_at", None)  # no representatives are built
+    monkeypatch.setattr(RelativeStandardComplex, "homology", None)  # no representatives are built
     for name, m, emb, M in cases:
         for n in range(5):
             assert ext_via_duality(emb, M, n) == want[(name, m)].get(n, 0), (name, m, n)
@@ -162,9 +163,9 @@ def test_ext_via_duality_computes_one_degree_like_rel_homology(monkeypatch):
 def test_non_complex_is_named(monkeypatch):
     emb = SubpairEmbedding.identity(trivial_k_pair())
     M = finite_irrep(1, trivial_k_pair())
-    ones = lambda self, n: Matrix._raw(self.dim(n - 1), self.dim(n), {
-        (r, c): Scalar(1) for r in range(self.dim(n - 1)) for c in range(self.dim(n))})
-    monkeypatch.setattr(RelativeStandardComplex, "boundary", ones)
+    ones = lambda self, n: Matrix._raw(self.dim_at(n + 1), self.dim_at(n), {
+        (r, c): Scalar(1) for r in range(self.dim_at(n + 1)) for c in range(self.dim_at(n))})
+    monkeypatch.setattr(RelativeStandardComplex, "diff", ones)
     for compute in (lambda: rel_homology(emb, M), lambda: ext_via_duality(emb, M, 1)):
         with pytest.raises(NotAComplexError, match="boundary squared nonzero at degree 2"):
             compute()
@@ -175,11 +176,12 @@ def reference_boundary(cx, n):
     """wedge^n(p) (x) M -> wedge^{n-1}(p) (x) M, one kept column at a time:
     dense p-basis vectors, ``g.bracket`` and ``projection.apply`` per column,
     and every sign made by ``Scalar(...)``."""
-    M, g = cx.module, cx.pair.g
-    p_basis, projection = p_complement(cx.pair)
-    row = {key: r for r, key in enumerate(cx.kept[n - 1])}
+    M = cx.module
+    g = M.pair.g
+    p_basis, projection = p_complement(M.pair)
+    row = {key: r for r, key in enumerate(cx.kept.get(n - 1, ()))}
     ents = {}
-    for col, (subset, k) in enumerate(cx.kept[n]):
+    for col, (subset, k) in enumerate(cx.kept.get(n, ())):
         for i, si in enumerate(subset):
             sgn = Scalar(signs.rel_action_sign(i))
             rest = subset[:i] + subset[i + 1:]
@@ -201,7 +203,7 @@ def reference_boundary(cx, n):
                     wedge = rest[:pos] + (l,) + rest[pos:]
                     isgn = Scalar(signs.wedge_out_sign(pos))
                     add_into(ents, (row[(wedge, k)], col), sgn0 * isgn * cl)
-    return Matrix(cx.dim(n - 1), cx.dim(n), ents)
+    return Matrix(len(cx.kept.get(n - 1, ())), len(cx.kept.get(n, ())), ents)
 
 
 def boundary_cases():
@@ -224,7 +226,7 @@ def test_boundaries_match_the_per_column_reference():
     for name, emb, M in boundary_cases():
         cx = RelativeStandardComplex(emb, M)
         for n in range(1, cx.p_dim + 1):
-            assert cx.boundary(n) == reference_boundary(cx, n), (name, n)
+            assert cx.diff(-n) == reference_boundary(cx, n), (name, n)
 
 
 def test_building_the_complex_makes_no_scalar(monkeypatch):
@@ -235,7 +237,7 @@ def test_building_the_complex_makes_no_scalar(monkeypatch):
                         staticmethod(lambda cls, *a: calls.append(a) or new(cls, *a)))
     built = [RelativeStandardComplex(emb, M) for emb, M in cases]
     assert calls == []
-    assert sum(cx.dim(1) for cx in built) > 0
+    assert sum(cx.dim_at(-1) for cx in built) > 0
 
 
 def test_non_equivariant_module_is_named():
@@ -246,3 +248,59 @@ def test_non_equivariant_module_is_named():
     bad = FiniteModule(m2.pair, weights, m2.g_action)
     with pytest.raises(ValueError, match="boundary leaves the coinvariant part"):
         RelativeStandardComplex(emb, bad)
+
+
+def oracle_cases():
+    """(sl2, T) over itself with M = F_m (x) F_n, m, n <= 4."""
+    emb = SubpairEmbedding.identity(torus_pair())
+    return [(f"F{m} (x) F{n}", m == n, emb, tensor(finite_irrep(m), finite_irrep(n)))
+            for m in range(5) for n in range(5)]
+
+
+def test_torus_pair_closed_form():
+    # H_*(sl2, T; M) = H*(S^2) (x) M^sl2, and C occurs in F_m (x) F_n (once) iff m = n
+    for name, diagonal, emb, M in oracle_cases():
+        d = int(diagonal)
+        assert rel_homology(emb, M).dims == {0: d, 1: 0, 2: d}, name
+        assert euler_poincare(emb, M) == 2 * d, name
+        for n in range(4):
+            assert ext_via_duality(emb, M, n) == ext_via_chain_maps(emb, M, n), (name, n)
+
+
+def reference_homology_at(d_out, d_in):
+    """ker d_out / im d_in in one chain degree, by ranks alone: the canonical
+    kernel basis of d_out, keeping each cycle that raises the rank of the
+    boundaries and of the cycles kept before it."""
+    assert (d_out @ d_in).is_zero()
+    span = [d_in.column(c) for c in range(d_in.cols)]
+    have = rank(d_in)
+    reps = []
+    for z in kernel_basis(d_out):
+        if rank(Matrix.from_columns(span + [z], rows=d_out.cols)) > have:
+            span.append(z)
+            reps.append(z)
+            have += 1
+    return reps
+
+
+def test_rel_homology_matches_the_chain_degree_reference():
+    cases = []
+    for name, mk in SUBPAIR_CATALOG.items():
+        emb = mk()
+        cases += [(f"{name} F{m}", emb, restrict_module(emb, finite_irrep_so2(m)))
+                  for m in range(7)]
+    ident = SubpairEmbedding.identity(trivial_k_pair())
+    cases += [(f"identity(trivial_k) F{m}", ident, finite_irrep(m, trivial_k_pair()))
+              for m in range(9)]
+    cases += [(name, emb, M) for name, _, emb, M in oracle_cases()]
+    for name, emb, M in cases:
+        cx = RelativeStandardComplex(emb, M)
+        got = rel_homology(emb, M)
+        assert sorted(got.dims) == list(range(cx.p_dim + 1)), name
+        for n in range(cx.p_dim + 1):
+            # boundaries in chain degree n and n + 1, built column by column
+            reps = reference_homology_at(reference_boundary(cx, n), reference_boundary(cx, n + 1))
+            assert got.dims[n] == len(reps), (name, n)
+            assert got.representatives[n] == reps, (name, n)
+        chi = sum(signs.degree_sign(n) * len(cx.kept[n]) for n in range(cx.p_dim + 1))
+        assert euler_poincare(emb, M) == chi, name

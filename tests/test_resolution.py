@@ -6,7 +6,7 @@ import pytest
 
 from hch import cli, signs
 from hch.hcomplexes import check_h_axioms, h_cone, h_shift, h_tensor, HComplexMap
-from hch.liepairs import DiagGroup, LieAlgebra, Pair
+from hch.liepairs import Character, DiagGroup, LieAlgebra, Pair
 from hch.linalg import Matrix, add_into
 from hch.gkmodules import restrict_module
 from hch.pbw import PBW, degree
@@ -205,6 +205,39 @@ def test_rank_two_torus_resolution_is_an_exact_h_complex(cutoff):
     assert res.check_exactness().violations == ()
 
 
+def per_vector_weight(res, subset, mono):
+    """The K-weight of subset (x) mono, summed from scratch over its factors."""
+    K = res.pair.K
+    grading = res.pair.ad_grading
+    torus = [0] * K.torus_rank
+    finite = [0] * len(K.finite_invariants)
+    parts = list(subset) + [j for j in range(res.pair.g.dim) for _ in range(mono[j])]
+    for j in parts:
+        w = grading[j]
+        for t in range(K.torus_rank):
+            torus[t] += w.torus[t]
+        for t, inv in enumerate(K.finite_invariants):
+            finite[t] = (finite[t] + w.finite[t]) % inv
+    return Character(tuple(torus), tuple(finite))
+
+
+WEIGHT_CASES = [(name, c) for name in sorted(PAIRS) for c in (2, 3, 4, 5)]
+WEIGHT_CASES += [("sl2_sum", 2), ("sl2_sum", 3)]
+WEIGHT_CASES += [("torus_normalizer small", c) for c in (2, 3, 4, 5)]
+
+
+@pytest.mark.parametrize("name, cutoff", WEIGHT_CASES)
+def test_term_weights_match_the_per_vector_reference(name, cutoff):
+    make = dict(PAIRS, sl2_sum=sl2_sum_pair)
+    make["torus_normalizer small"] = lambda: SUBPAIR_CATALOG["torus_normalizer"]().small
+    res = StandardResolution(make[name](), cutoff)
+    base = res.hcomplex().base
+    for n in range(res.pair.g.dim + 1):
+        want = [per_vector_weight(res, subset, mono)
+                for subset in res.subsets[n] for mono in res.monos]
+        assert base.term(-n).k_weights == want, n
+
+
 def test_euler_characteristics_are_ints():
     # the terms sit in negative degrees, where (-1) ** n is a float
     chi = StandardResolution(so2_pair(), 2).hcomplex().base.euler_characteristic()
@@ -212,7 +245,7 @@ def test_euler_characteristics_are_ints():
     # a truncation is a complex on its interior columns only, so take the
     # homology of the relative complex, also placed in degrees -n
     emb = SUBPAIR_CATALOG["diagonal_torus"]()
-    cochain = RelativeStandardComplex(emb, restrict_module(emb, finite_irrep_so2(2))).as_cochain()
+    cochain = RelativeStandardComplex(emb, restrict_module(emb, finite_irrep_so2(2)))
     report = cochain.homology()
     assert report.dims == {0: 1, -1: 1}
     assert report.euler_characteristic() == cochain.euler_characteristic() == 0
