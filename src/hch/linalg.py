@@ -16,13 +16,20 @@ coerces and drops zeros.  A builder whose entries it produced itself, from
 Scalars of other matrices, places them through ``Matrix._raw`` and is not
 checked again.
 
-All eliminations are exact and go through ``_rref``, which keeps a column
-index (column -> ids of the rows holding it) current through fill-in and
+Every exact elimination goes through ``_rref``, which keeps a column index
+(column -> ids of the rows holding it) current through fill-in and
 cancellation, so a column costs the rows that hold it, not the row count.
 Columns are processed left to right, and the pivot row is the unreduced
 holder of least support, lowest row id on ties.  The reduced echelon form is
 unique, so every basis this module returns is canonical whatever the pivot
 order.
+
+The one elimination outside Q(i) is ``rank_mod_p``: the rank of sparse
+vectors reduced modulo the prime P = 1_000_000_009 (P = 1 mod 4), with i sent
+to a square root of -1.  That reduction is a ring map, so a minor that is
+nonzero mod P is nonzero over Q(i): the rank mod P is a lower bound for the
+rank, never a rank, and callers use it only where a lower bound proves
+something.
 """
 
 from __future__ import annotations
@@ -497,6 +504,44 @@ def independent_over(base: Matrix, candidates: Iterable[SparseVector]) -> List[S
     """
     space = column_space(base)
     return [v for v in candidates if space.add(v)]
+
+
+P = 1_000_000_009  # prime, P = 1 mod 4, below 2**30
+SQRT_MINUS_ONE = 569522298  # SQRT_MINUS_ONE**2 = -1 mod P
+
+
+def rank_mod_p(vectors: Iterable[SparseVector]) -> Optional[int]:
+    """The rank mod P of sparse Q(i) vectors: a lower bound for their rank.
+
+    An entry (a + b*i)/d becomes (a + b*SQRT_MINUS_ONE) / d mod P.  Each vector
+    is reduced by the echelon rows kept so far, at its least index, until it
+    vanishes or is kept with a new leading index.  None when P divides a
+    denominator, where the reduction is not defined.
+    """
+    pivots: Dict[int, Dict[int, int]] = {}
+    for v in vectors:
+        row = {}
+        for k, x in v.items():
+            r = x.residue(P, SQRT_MINUS_ONE)
+            if r is None:
+                return None
+            if r:
+                row[k] = r
+        while row:
+            lead = min(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                inv = pow(row[lead], -1, P)
+                pivots[lead] = {k: y * inv % P for k, y in row.items()}
+                break
+            f = row[lead]
+            for k, y in prow.items():
+                z = (row.get(k, 0) - f * y) % P
+                if z:
+                    row[k] = z
+                else:
+                    del row[k]
+    return len(pivots)
 
 
 def kernel_on(m: Matrix, cols: Sequence[int]) -> List[SparseVector]:

@@ -131,19 +131,26 @@ class RelativeStandardComplex(Complex):
         super().__init__(trivial_pair(), terms, diffs)
 
 
-def _checked_complex(emb: SubpairEmbedding, M: FiniteModule) -> RelativeStandardComplex:
-    cx = RelativeStandardComplex(emb, M)
+def _check_boundaries(cx: RelativeStandardComplex) -> None:
+    """Raise NotAComplexError naming, in ascending order, each n with d_(n-1) d_n != 0."""
     bad = [f"boundary squared nonzero at degree {n}" for n in range(2, cx.p_dim + 1)
            if not (cx.diff(1 - n) @ cx.diff(-n)).is_zero()]
     if bad:
         raise NotAComplexError("; ".join(bad))
-    return cx
 
 
 def rel_homology(emb: SubpairEmbedding, M: FiniteModule) -> HomologyReport:
-    """H_n for n = 0..p_dim, read from the complex's homology at degree -n."""
-    cx = _checked_complex(emb, M)
-    h = cx.homology()
+    """H_n for n = 0..p_dim, read from the complex's homology at degree -n.
+
+    ``Complex.homology`` forms each d_(n-1) d_n once as its guard; only when
+    that guard raises are they formed again, to name every failing degree.
+    """
+    cx = RelativeStandardComplex(emb, M)
+    try:
+        h = cx.homology()
+    except ValueError:
+        _check_boundaries(cx)
+        raise
     report = HomologyReport()
     for n in range(cx.p_dim + 1):
         report.dims[n] = h.dims.get(-n, 0)
@@ -175,7 +182,8 @@ def ext_via_duality(emb: SubpairEmbedding, M: FiniteModule, n: int) -> int:
 
     Only degree n is computed: dim C_n - rank d_n - rank d_{n+1}.
     """
-    cx = _checked_complex(emb, M)
+    cx = RelativeStandardComplex(emb, M)
+    _check_boundaries(cx)
     return cx.dim_at(-n) - rank(cx.diff(-n)) - rank(cx.diff(-n - 1))
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from typing import Optional
 
 
 def _ratio(x):
@@ -107,6 +108,16 @@ class Scalar:
 
     def __rtruediv__(self, other):
         return as_scalar(other) * self.inverse()
+
+    def residue(self, p: int, root: int) -> Optional[int]:
+        """(a + b*root)/d mod p, the image of self under the ring map to Z/p that
+        sends i to root (root**2 = -1 mod p); None when p divides d."""
+        a, b, d = self._a, self._b, self._d
+        if d == 1:
+            return (a + b * root) % p
+        if d % p == 0:
+            return None
+        return (a + b * root) * pow(d, -1, p) % p
 
     def conjugate(self) -> "Scalar":
         return _of(self._a, -self._b, self._d)

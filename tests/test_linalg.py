@@ -1,3 +1,4 @@
+import math
 import random
 
 from fractions import Fraction
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hch.linalg import (
+    P,
+    SQRT_MINUS_ONE,
     Matrix,
     Subspace,
     add_into,
@@ -13,7 +16,9 @@ from hch.linalg import (
     column_space,
     kernel_basis,
     rank,
+    rank_mod_p,
     solve,
+    sparse_columns,
     vec,
     vec_is_zero,
 )
@@ -326,3 +331,43 @@ def test_rref_matches_the_scanning_elimination(name, m, monkeypatch):
         ref = everything()
     assert got == ref
     assert got["solve"][1] is not None and m.apply(got["solve"][1]) == b_image
+
+
+# -- the rank mod P, a lower bound for the rank over Q(i) ---------------------------
+
+
+def test_modulus_is_a_prime_one_mod_four_with_a_square_root_of_minus_one():
+    assert P < 2 ** 30 and P % 4 == 1
+    assert all(P % q for q in range(2, math.isqrt(P) + 1))
+    assert SQRT_MINUS_ONE ** 2 % P == P - 1
+
+
+def test_residue_is_a_ring_map():
+    rng = random.Random(11)
+    for _ in range(200):
+        x, y = _random_scalar(rng), _random_scalar(rng)
+        rx, ry = x.residue(P, SQRT_MINUS_ONE), y.residue(P, SQRT_MINUS_ONE)
+        assert (x + y).residue(P, SQRT_MINUS_ONE) == (rx + ry) % P
+        assert (x * y).residue(P, SQRT_MINUS_ONE) == rx * ry % P
+    assert I.residue(P, SQRT_MINUS_ONE) == SQRT_MINUS_ONE
+
+
+@pytest.mark.parametrize("name, m", DIFFERENTIAL_CASES, ids=[n for n, _ in DIFFERENTIAL_CASES])
+def test_rank_mod_p_is_the_rank_on_the_differential_cases(name, m):
+    # a lower bound in general, and equal to the rank on every case here
+    by_cols, by_rows = rank_mod_p(sparse_columns(m)), rank_mod_p(sparse_columns(m.transpose()))
+    assert by_cols == by_rows == rank(m)
+
+
+def test_rank_mod_p_is_only_a_lower_bound():
+    # P is a unit over Q(i) and zero mod P; the second determinant is P
+    for rows in ([[P]], [[1, 1], [1, 1 + P]]):
+        m = Matrix.from_rows(rows)
+        assert rank_mod_p(sparse_columns(m)) == rank(m) - 1
+
+
+@pytest.mark.parametrize("d", [P, 2 * P, P * P])
+def test_rank_mod_p_is_undefined_on_a_denominator_p(d):
+    m = Matrix.from_rows([[1, 0], [0, Scalar(Fraction(3, d), 1)]])
+    assert rank_mod_p(sparse_columns(m)) is None
+    assert Scalar(Fraction(1, d)).residue(P, SQRT_MINUS_ONE) is None

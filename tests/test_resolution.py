@@ -192,7 +192,7 @@ def sl2_sum_pair() -> Pair:
     return Pair(g, K, grading, iota)
 
 
-@pytest.mark.parametrize("cutoff", [2, 3])
+@pytest.mark.parametrize("cutoff", [2, 3, 4])
 def test_rank_two_torus_resolution_is_an_exact_h_complex(cutoff):
     # axiom (iii) with two different torus generators: i_0 i_1 + i_1 i_0 = 0
     pair = sl2_sum_pair()

@@ -4,24 +4,33 @@ The reference functions below are the hand-rolled versions that
 ``coinvariants``, ``p_complement`` and ``check_exactness`` replaced: each
 scattered, reduced and tested membership on its own.  A reduced echelon span
 is unique, so the routines built on ``independent_over`` and ``kernel_on``
-must return the same representatives and the same violation lists.
+must return the same representatives and the same violation lists.  The
+rank count that ``check_exactness`` tries first is checked against the same
+reference, and against elimination on random degrees: what it certifies must
+be exact.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from hch import resolution
 from hch.gkmodules import restrict_module, trivial_module
 from hch.liepairs import DiagGroup, LieAlgebra, Pair, ValidationReport
 from hch.linalg import (
+    P,
     Matrix,
     Subspace,
+    add_into,
     column_space,
     dense,
     independent_over,
     inverse,
     kernel_basis,
     kernel_on,
+    rank_mod_p,
+    sparse_columns,
     unit_vec,
 )
 from hch.relhomology import coinvariants, p_complement
@@ -35,6 +44,7 @@ from hch.sl2 import (
     torus_pair,
     trivial_k_pair,
 )
+from test_resolution import sl2_sum_pair
 
 # -- the replaced routines, kept as references -----------------------------------
 
@@ -240,10 +250,15 @@ RESOLUTION_PAIRS = {"so2": so2_pair, "torus": torus_pair, "trivial_k": trivial_k
                     "line": line_pair}
 
 
-@pytest.mark.parametrize("name", sorted(RESOLUTION_PAIRS))
-@pytest.mark.parametrize("cutoff", [2, 3, 4])
+EXACTNESS_PAIRS = dict(RESOLUTION_PAIRS, sl2_sum=sl2_sum_pair)
+EXACTNESS_CASES = [(c, name) for c in (2, 3, 4) for name in sorted(RESOLUTION_PAIRS)]
+EXACTNESS_CASES += [(2, "sl2_sum"), (3, "sl2_sum")]
+
+
+@pytest.mark.parametrize("cutoff, name", EXACTNESS_CASES,
+                         ids=[f"{c}-{name}" for c, name in EXACTNESS_CASES])
 def test_check_exactness_matches_the_reference(name, cutoff):
-    res = StandardResolution(RESOLUTION_PAIRS[name](), cutoff)
+    res = StandardResolution(EXACTNESS_PAIRS[name](), cutoff)
     assert res.check_exactness().violations == ref_check_exactness(res).violations
 
 
@@ -256,6 +271,109 @@ def test_check_exactness_matches_the_reference_with_zero_boundaries(monkeypatch,
     rep = res.check_exactness()
     assert not rep.ok
     assert rep.violations == ref_check_exactness(res).violations
+
+
+# -- the rank-count certificate of check_exactness ---------------------------------
+
+
+def spans_that_raise(monkeypatch):
+    """Make the elimination route of check_exactness raise if it is taken."""
+    def refuse(*args):
+        raise AssertionError("the rank count did not certify this degree")
+    monkeypatch.setattr(resolution, "kernel_on", refuse)
+    monkeypatch.setattr(resolution, "independent_over", refuse)
+
+
+def counted_spans(monkeypatch):
+    """Count the degrees that check_exactness decides by elimination."""
+    calls = []
+    kernel = resolution.kernel_on
+    monkeypatch.setattr(resolution, "kernel_on", lambda m, cols: calls.append(1) or kernel(m, cols))
+    return calls
+
+
+CERTIFIED_CASES = [(name, c) for name in sorted(RESOLUTION_PAIRS) for c in (2, 3, 4, 5, 6)]
+CERTIFIED_CASES += [("sl2_sum", c) for c in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("name, cutoff", CERTIFIED_CASES)
+def test_the_rank_count_certifies_every_degree_of_a_resolution(monkeypatch, name, cutoff):
+    res = StandardResolution(EXACTNESS_PAIRS[name](), cutoff)
+    spans_that_raise(monkeypatch)
+    assert res.check_exactness().violations == ()
+
+
+def test_a_boundary_with_denominator_p_is_left_to_elimination(monkeypatch):
+    # scaling every boundary by 1/P keeps the complex exact, but the
+    # reduction mod P is undefined on it, so every degree falls back
+    diff = StandardResolution._diff
+    monkeypatch.setattr(StandardResolution, "_diff",
+                        lambda self, n: diff(self, n).scale(Scalar(Fraction(1, P))))
+    res = StandardResolution(so2_pair(), 3)
+    calls = counted_spans(monkeypatch)
+    rep = res.check_exactness()
+    assert rep.ok and rep.violations == ref_check_exactness(res).violations
+    assert len(calls) == res.pair.g.dim + 1
+
+
+def test_the_count_needs_the_exact_product(monkeypatch):
+    # the boundary sends x (x) 1 to 1 and x (x) x to x; at degree 0 the ranks
+    # mod P of those two columns and of the counit sum to the 3 interior
+    # columns, yet x^2 is a cycle and no boundary, because the image leaves
+    # the cycles: the counit of the first column is 1
+    monkeypatch.setattr(StandardResolution, "_diff",
+                        lambda self, n: Matrix(5, 5, {(0, 0): 1, (1, 1): 1}))
+    res = StandardResolution(line_pair(), 4)
+    base = res.hcomplex().base
+    assert base.interior_cols(0) == [0, 1, 2]
+    inside = [v for v in sparse_columns(base.diff(-1)) if v and v.keys() <= {0, 1, 2}]
+    counit = sparse_columns(res.augmentation())
+    assert rank_mod_p(inside) + rank_mod_p(counit[c] for c in (0, 1, 2)) >= 3
+    calls = counted_spans(monkeypatch)
+    rep = res.check_exactness()
+    assert rep.violations == ref_check_exactness(res).violations
+    assert "interior cycle not a boundary at degree 0" in rep.violations
+    assert len(calls) == 2
+
+
+def _random_degree(rng):
+    """(out, d_in): a random d_in and an out whose rows combine left null
+    vectors of d_in, so that out @ d_in = 0, except in one case of five,
+    where out is random.  Rows are sometimes dropped, which leaves cycles
+    that are no boundaries, and some coefficients are P or 1/P, which the
+    reduction mod P kills or cannot map."""
+    n = rng.randint(1, 6)
+    d_in = _random_matrix(rng, n, rng.randint(0, 6))
+    if rng.random() < 0.2:
+        return _random_matrix(rng, rng.randint(1, 4), n), d_in
+    left = kernel_basis(d_in.transpose())
+    if left and rng.random() < 0.3:
+        left.pop(rng.randrange(len(left)))
+    special = (Scalar(P), Scalar(Fraction(1, P)))
+    ents = {}
+    for r in range(len(left) + rng.randint(0, 1)):
+        for y in left:
+            c = rng.choice(special) if rng.random() < 0.05 else Scalar(rng.randint(-2, 2))
+            for k, x in enumerate(y):
+                add_into(ents, (r, k), c * x)
+    return Matrix(len(left) + 1, n, ents), d_in
+
+
+def test_a_degree_the_count_certifies_is_exact():
+    outcomes = set()
+    for seed in range(300):
+        rng = random.Random(500 + seed)
+        out, d_in = _random_degree(rng)
+        cols = sorted(rng.sample(range(out.cols), rng.randint(0, out.cols)))
+        if rng.random() < 0.5:
+            cols = list(range(out.cols))
+        certified = resolution._counted_exact(out, sparse_columns(out), cols,
+                                              sparse_columns(d_in))
+        exact = not independent_over(d_in, kernel_on(out, cols))
+        assert exact or not certified, seed
+        outcomes.add((certified, exact))
+    # the count certifies, declines exact degrees, and meets inexact ones
+    assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 # -- homology of truncated complexes -------------------------------------------------
