@@ -7,8 +7,18 @@ asserted only on the marked columns, where the truncation is known closed,
 and ``homology`` reads only the cycles supported there (modulo the image of
 the whole boundary), so a truncated resolution has homology too.  An unmarked
 complex counts every column as interior, so ``homology`` is one loop for both
-kinds; only an unmarked one is first checked for d^2 = 0.  The relative
-standard complex of ``relhomology`` is a Complex of plain spaces too.
+kinds.  The relative standard complex of ``relhomology`` and the standard
+resolution augmented by its counit are Complexes too.
+
+``homology`` certifies a degree exact by counting ranks, with no rational
+elimination.  Let B be the columns of d^(n-1) that lie on the interior
+columns.  If d^n kills B (an exact product over Q(i)), then im B lies in the
+interior cycles Z, so rank B <= dim Z = |interior| - rank(d^n on the
+interior); ranks modulo a prime (``linalg.rank_mod_p``) are lower bounds, so
+rank_P(B) + rank_P(d^n on the interior) >= |interior| forces im B = Z.  On an
+unmarked complex B is every nonzero column of d^(n-1), so the same product is
+the d^2 = 0 check.  A degree the count does not settle is decided by
+elimination: the canonical interior cycles against the span of d^(n-1).
 
 Every block of a tensor, Hom or cone matrix is placed by one signed
 Kronecker placer, ``gkmodules.kron_into``, with identity factors given as
@@ -30,6 +40,7 @@ from .gkmodules import FiniteModule, direct_sum, kron_into, tensor_into
 from .liepairs import DiagGroup, LieAlgebra, Pair, ValidationReport
 from .linalg import (
     Matrix,
+    SparseVector,
     Vector,
     add_into,
     dense,
@@ -37,7 +48,9 @@ from .linalg import (
     kernel_basis,
     kernel_on,
     rank,
+    rank_mod_p,
     solve,
+    sparse_columns,
 )
 from .reports import HomologyReport
 from .scalars import ONE, Scalar
@@ -55,6 +68,10 @@ def trivial_pair() -> Pair:
 def plain_space(dim: int) -> FiniteModule:
     P = trivial_pair()
     return FiniteModule(P, [P.K.zero_char()] * dim, [])
+
+
+class NotAComplexError(ValueError):
+    """A differential squared is nonzero, so there is no homology to take."""
 
 
 class Complex:
@@ -118,21 +135,47 @@ class Complex:
     def homology(self) -> HomologyReport:
         """Cycles modulo boundaries; on a marked complex, the interior cycles only.
 
-        The cycles are the canonical kernel basis of d^n on the interior
-        columns; each one that extends the span of the image of d^(n-1) and of
-        the cycles before it is kept.  An unmarked complex whose boundaries
-        are not cycles raises ValueError.
+        A degree with no interior columns, or one the rank count certifies,
+        reads 0.  Elsewhere the cycles are the canonical kernel basis of d^n
+        on the interior columns; each one that extends the span of the image
+        of d^(n-1) and of the cycles before it is kept.  An unmarked complex
+        whose boundaries are not cycles raises NotAComplexError.
         """
         report = HomologyReport()
+        # the previous degree's columns: d^(n-1)'s, or all empty if it is not n - 1
+        into: List[SparseVector] = []
         for n in self.degrees():
-            d_out, d_in = self.diff(n), self.diff(n - 1)
-            if self.interior is None and not (d_out @ d_in).is_zero():
-                raise ValueError("not a complex: boundaries are not cycles (d_out @ d_in != 0)")
-            cycles = kernel_on(d_out, self.interior_cols(n))
-            reps = [dense(v, self.dim_at(n)) for v in independent_over(d_in, cycles)]
+            d_out, cols = self.diff(n), self.interior_cols(n)
+            out_cols = sparse_columns(d_out)
+            reps = []
+            if cols and not self._counted_exact(d_out, out_cols, cols, into):
+                found = independent_over(self.diff(n - 1), kernel_on(d_out, cols))
+                reps = [dense(v, self.dim_at(n)) for v in found]
             report.dims[n] = len(reps)
             report.representatives[n] = reps
+            into = out_cols
         return report
+
+    def _counted_exact(self, d_out: Matrix, out_cols: List[SparseVector], cols: Sequence[int],
+                       into: List[SparseVector]) -> bool:
+        """True when the rank count proves every cycle of d_out on ``cols`` a boundary.
+
+        ``out_cols`` and ``into`` are the columns of d_out and d^(n-1); B is
+        the nonzero columns of ``into`` supported on ``cols``.  False proves
+        nothing; d_out @ B != 0 on an unmarked complex raises NotAComplexError.
+        """
+        inside = set(cols)
+        bounded = [v for v in into if v and v.keys() <= inside]
+        b = Matrix._raw(d_out.cols, len(bounded),
+                        {(r, j): x for j, v in enumerate(bounded) for r, x in v.items()})
+        if not (d_out @ b).is_zero():
+            if self.interior is None:
+                raise NotAComplexError(
+                    "not a complex: boundaries are not cycles (d_out @ d_in != 0)")
+            return False
+        r_in = rank_mod_p(bounded)
+        r_out = rank_mod_p(out_cols[c] for c in cols)
+        return r_in is not None and r_out is not None and r_in + r_out >= len(cols)
 
     # -- constructions ----------------------------------------------------------
 
@@ -534,5 +577,4 @@ def chain_maps(M: Complex, N: Complex) -> List[Dict[int, Matrix]]:
 def homotopy_classes_dim(M: Complex, N: Complex, n: int = 0) -> int:
     """dim H^n of the plain Hom complex: degree-n maps modulo homotopy."""
     d_n = _hom_diff(M, N, n)
-    d_prev = _hom_diff(M, N, n - 1)
-    return len(kernel_basis(d_n)) - rank(d_prev)
+    return d_n.cols - rank(d_n) - rank(_hom_diff(M, N, n - 1))

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bands import BandOp
 from .liepairs import Character, Pair, SubpairEmbedding, ValidationReport
-from .linalg import Matrix, Vector, add_into, kernel_basis, unit_vec
+from .linalg import Matrix, Vector, add_into, rank, unit_vec
 from .poly import Poly
 from .scalars import ONE, ZERO, Scalar, as_scalar
 
@@ -263,7 +263,7 @@ def check_hc(m: "FiniteModule | BandModule") -> CasimirReport:
     ident = Matrix.identity(m.dim)
     for w in cands:
         c = as_scalar(w) * as_scalar(w + 2) / Scalar(2)
-        dim = len(kernel_basis(omega - ident.scale(c)))
+        dim = m.dim - rank(omega - ident.scale(c))
         if dim:
             eigen.append(c)
             total += dim

@@ -22,6 +22,7 @@ from typing import Dict, List, Sequence, Tuple
 from . import signs
 from .complexes import (
     Complex,
+    NotAComplexError,
     ce_boundary,
     homotopy_classes_dim,
     plain_space,
@@ -41,10 +42,6 @@ from .linalg import (
 )
 from .reports import HomologyReport
 from .scalars import ONE, Scalar
-
-
-class NotAComplexError(ValueError):
-    """A differential squared is nonzero, so there is no homology to take."""
 
 
 def p_complement(pair: Pair) -> Tuple[List[Vector], Matrix]:
@@ -142,13 +139,14 @@ def _check_boundaries(cx: RelativeStandardComplex) -> None:
 def rel_homology(emb: SubpairEmbedding, M: FiniteModule) -> HomologyReport:
     """H_n for n = 0..p_dim, read from the complex's homology at degree -n.
 
-    ``Complex.homology`` forms each d_(n-1) d_n once as its guard; only when
-    that guard raises are they formed again, to name every failing degree.
+    ``Complex.homology`` forms each d_(n-1) d_n once, as its guard and its
+    rank certificate; only when that guard raises are they formed again, to
+    name every failing degree.
     """
     cx = RelativeStandardComplex(emb, M)
     try:
         h = cx.homology()
-    except ValueError:
+    except NotAComplexError:
         _check_boundaries(cx)
         raise
     report = HomologyReport()

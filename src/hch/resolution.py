@@ -15,35 +15,23 @@ The boundary is the Chevalley–Eilenberg one, built by
 ``complexes.ce_boundary`` with right multiplication by x_s as the action and
 g's structure constants as the brackets.
 
-Exactness is certified by counting ranks, with no rational elimination.  At
-each degree take the boundaries B of the incoming map that lie on the
-interior columns.  If the outgoing map kills B (an exact product over Q(i)),
-then B spans the interior cycles as soon as rank B + rank(outgoing map on the
-interior) reaches the number of interior columns, and ranks modulo a prime
-(``linalg.rank_mod_p``) are lower bounds for both.  A degree the count does
-not settle is decided by elimination: the canonical interior cycles, tested
-against the span of the incoming boundary.
+Exactness is the homology of the resolution augmented by its counit, read by
+``Complex.homology``: a rank count certifies a degree, and elimination
+decides the rest.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import signs
 from .complexes import Complex, SparseColumn, ce_boundary, wedge_insert
-from .gkmodules import FiniteModule
+from .gkmodules import FiniteModule, trivial_module
 from .hcomplexes import HComplex
 from .liepairs import Character, Pair, ValidationReport
-from .linalg import (
-    Matrix,
-    SparseVector,
-    independent_over,
-    kernel_on,
-    rank_mod_p,
-    sparse_columns,
-)
+from .linalg import Matrix
 from .pbw import PBW, Element, Mono, degree
 from .scalars import ONE
 
@@ -206,42 +194,13 @@ class StandardResolution:
     def check_exactness(self) -> ValidationReport:
         """Interior-supported cycles are boundaries (including the counit level).
 
-        A degree is exact by the rank count of ``_counted_exact`` or, where
-        that count proves nothing, by computing the canonical interior cycles
-        and testing each against the span of the incoming boundary.  Only the
-        second route reports a violation.
+        That is, the resolution augmented by the counit onto the trivial
+        module at degree 1 has no homology at the resolution's degrees.
         """
         base = self.hcomplex().base
-        bad = []
-        into: List[SparseVector] = []  # nothing enters the lowest degree
-        for n in range(-self.pair.g.dim, 1):
-            out = base.diff(n) if n < 0 else self.augmentation()
-            cols = base.interior_cols(n)
-            out_cols = sparse_columns(out)
-            if not _counted_exact(out, out_cols, cols, into):
-                if independent_over(base.diff(n - 1), kernel_on(out, cols)):
-                    bad.append(f"interior cycle not a boundary at degree {n}")
-            into = out_cols
+        augmented = Complex(self.pair, {**base.terms, 1: trivial_module(self.pair)},
+                            {**base.diffs, 0: self.augmentation()}, base.interior)
+        dims = augmented.homology().dims
+        bad = [f"interior cycle not a boundary at degree {n}"
+               for n in range(-self.pair.g.dim, 1) if dims.get(n)]
         return ValidationReport.good() if not bad else ValidationReport.bad(*bad)
-
-
-def _counted_exact(out: Matrix, out_cols: List[SparseVector], cols: Sequence[int],
-                   into: List[SparseVector]) -> bool:
-    """True when a rank count proves every cycle of ``out`` on ``cols`` a boundary.
-
-    ``out_cols`` are the columns of ``out`` and ``into`` those of the map
-    entering the degree.  Let Z be the cycles of ``out`` supported on ``cols``
-    and B the columns of ``into`` supported there.  When out @ B = 0, computed
-    exactly, im B lies in Z, so rank B <= dim Z = |cols| - rank(out on cols).
-    Ranks mod P are lower bounds, so rank_P(B) + rank_P(out on cols) >= |cols|
-    forces im B = Z.  False proves nothing.
-    """
-    inside = set(cols)
-    bounded = [v for v in into if v and v.keys() <= inside]
-    b = Matrix._raw(out.cols, len(bounded),
-                    {(r, j): x for j, v in enumerate(bounded) for r, x in v.items()})
-    if not (out @ b).is_zero():
-        return False
-    r_in = rank_mod_p(bounded)
-    r_out = rank_mod_p(out_cols[c] for c in cols)
-    return r_in is not None and r_out is not None and r_in + r_out >= len(cols)

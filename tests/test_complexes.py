@@ -114,7 +114,7 @@ def test_homology_of_a_non_complex_raises():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hch.__file__)))
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True)
-    assert "ValueError: not a complex" in proc.stderr
+    assert "NotAComplexError: not a complex" in proc.stderr
 
 
 def test_shift_involution_and_sign():

@@ -5,9 +5,9 @@ The reference functions below are the hand-rolled versions that
 scattered, reduced and tested membership on its own.  A reduced echelon span
 is unique, so the routines built on ``independent_over`` and ``kernel_on``
 must return the same representatives and the same violation lists.  The
-rank count that ``check_exactness`` tries first is checked against the same
-reference, and against elimination on random degrees: what it certifies must
-be exact.
+rank count that ``Complex.homology`` tries first is checked against the same
+reference, and against the elimination-only homology loop on random
+complexes: what it certifies must be exact, and the reports must agree.
 """
 
 import random
@@ -15,9 +15,10 @@ from fractions import Fraction
 
 import pytest
 
-from hch import resolution
+from hch import complexes
+from hch.complexes import Complex, NotAComplexError, plain_space, trivial_pair
 from hch.gkmodules import restrict_module, trivial_module
-from hch.liepairs import DiagGroup, LieAlgebra, Pair, ValidationReport
+from hch.liepairs import DiagGroup, LieAlgebra, Pair, SubpairEmbedding, ValidationReport
 from hch.linalg import (
     P,
     Matrix,
@@ -33,7 +34,8 @@ from hch.linalg import (
     sparse_columns,
     unit_vec,
 )
-from hch.relhomology import coinvariants, p_complement
+from hch.relhomology import coinvariants, p_complement, rel_homology
+from hch.reports import HomologyReport
 from hch.resolution import StandardResolution
 from hch.scalars import ZERO, Scalar
 from hch.sl2 import (
@@ -44,6 +46,7 @@ from hch.sl2 import (
     torus_pair,
     trivial_k_pair,
 )
+from test_complexes import random_complex
 from test_resolution import sl2_sum_pair
 
 # -- the replaced routines, kept as references -----------------------------------
@@ -128,6 +131,20 @@ def ref_check_exactness(res):
                 bad.append(f"interior cycle not a boundary at degree {n}")
                 break
     return ValidationReport.good() if not bad else ValidationReport.bad(*bad)
+
+
+def ref_homology(cx):
+    """The elimination-only homology loop that the rank count now precedes."""
+    report = HomologyReport()
+    for n in cx.degrees():
+        d_out, d_in = cx.diff(n), cx.diff(n - 1)
+        if cx.interior is None and not (d_out @ d_in).is_zero():
+            raise ValueError("not a complex: boundaries are not cycles (d_out @ d_in != 0)")
+        cycles = kernel_on(d_out, cx.interior_cols(n))
+        reps = [dense(v, cx.dim_at(n)) for v in independent_over(d_in, cycles)]
+        report.dims[n] = len(reps)
+        report.representatives[n] = reps
+    return report
 
 
 # -- inputs ------------------------------------------------------------------------
@@ -273,22 +290,22 @@ def test_check_exactness_matches_the_reference_with_zero_boundaries(monkeypatch,
     assert rep.violations == ref_check_exactness(res).violations
 
 
-# -- the rank-count certificate of check_exactness ---------------------------------
+# -- the rank-count certificate of Complex.homology ---------------------------------
 
 
 def spans_that_raise(monkeypatch):
-    """Make the elimination route of check_exactness raise if it is taken."""
+    """Make the elimination route of Complex.homology raise if it is taken."""
     def refuse(*args):
         raise AssertionError("the rank count did not certify this degree")
-    monkeypatch.setattr(resolution, "kernel_on", refuse)
-    monkeypatch.setattr(resolution, "independent_over", refuse)
+    monkeypatch.setattr(complexes, "kernel_on", refuse)
+    monkeypatch.setattr(complexes, "independent_over", refuse)
 
 
 def counted_spans(monkeypatch):
-    """Count the degrees that check_exactness decides by elimination."""
+    """Count the degrees that Complex.homology decides by elimination."""
     calls = []
-    kernel = resolution.kernel_on
-    monkeypatch.setattr(resolution, "kernel_on", lambda m, cols: calls.append(1) or kernel(m, cols))
+    kernel = complexes.kernel_on
+    monkeypatch.setattr(complexes, "kernel_on", lambda m, cols: calls.append(1) or kernel(m, cols))
     return calls
 
 
@@ -301,6 +318,16 @@ def test_the_rank_count_certifies_every_degree_of_a_resolution(monkeypatch, name
     res = StandardResolution(EXACTNESS_PAIRS[name](), cutoff)
     spans_that_raise(monkeypatch)
     assert res.check_exactness().violations == ()
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_the_rank_count_certifies_rel_homology_of_a_nontrivial_irrep(monkeypatch, m):
+    # Whitehead: H_*(sl2; F_m) = 0 for m > 0, so every degree is exact
+    pair = trivial_k_pair()
+    spans_that_raise(monkeypatch)
+    h = rel_homology(SubpairEmbedding.identity(pair), finite_irrep(m, pair))
+    assert h.dims == {n: 0 for n in range(4)}
+    assert h.representatives == {n: [] for n in range(4)}
 
 
 def test_a_boundary_with_denominator_p_is_left_to_elimination(monkeypatch):
@@ -359,7 +386,14 @@ def _random_degree(rng):
     return Matrix(len(left) + 1, n, ents), d_in
 
 
-def test_a_degree_the_count_certifies_is_exact():
+def degree_complex(out, d_in, interior):
+    """The plain complex d_in: C^-1 -> C^0, out: C^0 -> C^1 with the given interior."""
+    terms = {-1: plain_space(d_in.cols), 0: plain_space(out.cols), 1: plain_space(out.rows)}
+    return Complex(trivial_pair(), terms, {-1: d_in, 0: out}, interior)
+
+
+def test_a_degree_the_count_certifies_is_exact(monkeypatch):
+    calls = counted_spans(monkeypatch)
     outcomes = set()
     for seed in range(300):
         rng = random.Random(500 + seed)
@@ -367,13 +401,45 @@ def test_a_degree_the_count_certifies_is_exact():
         cols = sorted(rng.sample(range(out.cols), rng.randint(0, out.cols)))
         if rng.random() < 0.5:
             cols = list(range(out.cols))
-        certified = resolution._counted_exact(out, sparse_columns(out), cols,
-                                              sparse_columns(d_in))
+        calls.clear()
+        h = degree_complex(out, d_in, {0: cols}).homology()
+        certified = not calls
         exact = not independent_over(d_in, kernel_on(out, cols))
         assert exact or not certified, seed
+        assert (h.dims[0] == 0) == exact, seed
         outcomes.add((certified, exact))
     # the count certifies, declines exact degrees, and meets inexact ones
     assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def test_homology_matches_the_elimination_only_loop(monkeypatch):
+    calls = counted_spans(monkeypatch)
+    seen = set()
+    for seed in range(200):
+        rng = random.Random(900 + seed)
+        out, d_in = _random_degree(rng)
+        interior = {n: sorted(rng.sample(range(d), rng.randint(0, d)))
+                    for n, d in ((-1, d_in.cols), (0, out.cols), (1, out.rows))}
+        for cx in (random_complex(rng), degree_complex(out, d_in, None),
+                   degree_complex(out, d_in, interior)):
+            calls.clear()
+            try:
+                want = ref_homology(cx)
+            except ValueError:
+                with pytest.raises(NotAComplexError, match="boundaries are not cycles"):
+                    cx.homology()
+                seen.add("not a complex")
+                continue
+            got = cx.homology()
+            assert got.dims == want.dims, seed
+            assert got.representatives == want.representatives, seed
+            certified = sum(1 for n in cx.degrees() if cx.interior_cols(n)) - len(calls)
+            seen.add(("marked" if cx.interior else "unmarked", certified > 0, bool(calls),
+                      any(got.dims.values())))
+    # both kinds of complex, certified and eliminated degrees, and nonzero homology
+    assert "not a complex" in seen
+    for kind in ("marked", "unmarked"):
+        assert {(kind, True, False, False), (kind, True, True, True)} <= seen, seen
 
 
 # -- homology of truncated complexes -------------------------------------------------
