@@ -59,17 +59,37 @@ class FiniteModule:
                     )
         return ValidationReport.good() if not bad else ValidationReport.bad(*bad)
 
-    def torus_weight_matrix(self, t: int) -> Matrix:
-        """d(rho)(xi_t): diagonal matrix of the t-th torus exponents."""
-        return Matrix._raw(self.dim, self.dim, {
-            (k, k): as_scalar(ch.torus[t]) for k, ch in enumerate(self.k_weights) if ch.torus[t]})
+    def torus_weight_matrix(self, t: int, cols: Optional[Sequence[int]] = None) -> Matrix:
+        """d(rho)(xi_t) on the columns ``cols`` (every column by default), in
+        that order: the t-th torus exponents on the diagonal."""
+        cols = range(self.dim) if cols is None else cols
+        weights = self.k_weights
+        return Matrix._raw(self.dim, len(cols), {
+            (c, j): as_scalar(weights[c].torus[t]) for j, c in enumerate(cols) if weights[c].torus[t]})
 
-    def defect(self) -> "DefectMap":
+    def defect(self, cols: Optional[Sequence[int]] = None) -> "DefectMap":
+        """w(xi_t) = d(rho)(xi_t) - rho(iota(xi_t)) for each torus generator t,
+        on the columns ``cols`` (every column by default), in that order.
+
+        Each map starts from the torus weights on ``cols`` and adds -a times
+        the action of every g-basis vector with coefficient a in iota(xi_t),
+        read on ``cols`` only, through ``add_into``: the work is that of the
+        chosen columns, not of the whole square.
+        """
+        index = None if cols is None else {c: j for j, c in enumerate(cols)}
         maps = []
         for t in range(self.pair.K.torus_rank):
-            maps.append(self.torus_weight_matrix(t)
-                        - self.action_matrix(self.pair.iota_vec(t)))
-        return DefectMap(self, maps)
+            ents = self.torus_weight_matrix(t, cols).entries  # a fresh map, summed into
+            for rho, a in zip(self.g_action, self.pair.iota_vec(t)):
+                if a.is_zero():
+                    continue
+                na = -a
+                for (r, c), v in rho.entries.items():
+                    j = c if index is None else index.get(c)
+                    if j is not None:
+                        add_into(ents, (r, j), na * v)
+            maps.append(Matrix._raw(self.dim, self.dim if cols is None else len(cols), ents))
+        return DefectMap(self, maps, None if cols is None else list(cols))
 
     def is_genuine(self) -> bool:
         return all(m.is_zero() for m in self.defect().maps)
@@ -89,15 +109,23 @@ class FiniteModule:
 
 @dataclass
 class DefectMap:
-    """w(xi) = d(rho)(xi) - rho(iota(xi)) for each torus generator."""
+    """w(xi) = d(rho)(xi) - rho(iota(xi)) for each torus generator.
+
+    ``cols`` is None for the square defect on every column; otherwise the
+    maps hold only those columns, in that order.
+    """
 
     module: FiniteModule
     maps: List[Matrix]
+    cols: Optional[List[int]] = None
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.maps)
 
     def commutes_with_action(self) -> bool:
+        """w(xi) rho(x) = rho(x) w(xi) for every g-basis x; needs the square defect."""
+        if self.cols is not None:
+            raise ValueError("commutes_with_action needs the defect on every column")
         return all(w.commutator(rho).is_zero()
                    for w in self.maps for rho in self.module.g_action)
 
@@ -159,9 +187,17 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 def tensor_into(weights: List[Character], action: List[Dict], m: FiniteModule,
                 n: FiniteModule, off: int) -> None:
     """Append the weights of m (x) n and add its Leibniz g-action x (x) 1 + 1 (x) x
-    into the sparse maps of action at diagonal offset off."""
-    K = m.pair.K
-    weights.extend(K.add(a, b) for a in m.k_weights for b in n.k_weights)
+    into the sparse maps of action at diagonal offset off.
+
+    The weight row a + n.k_weights is summed once per distinct weight a of m.
+    """
+    add = m.pair.K.add
+    rows: Dict[Character, List[Character]] = {}
+    for a in m.k_weights:
+        row = rows.get(a)
+        if row is None:
+            row = rows[a] = [add(a, b) for b in n.k_weights]
+        weights.extend(row)
     for ents, am, an in zip(action, m.g_action, n.g_action):
         kron_into(ents, am, n.dim, off, off)
         kron_into(ents, m.dim, an, off, off)

@@ -45,11 +45,14 @@ class HComplex:
 
 
 def check_h_axioms(h: HComplex) -> ValidationReport:
-    """All four contraction axioms plus d^2 = 0 and term validity.
+    """All four contraction axioms plus d^2 = 0.
 
-    On complexes carrying interior marks, each identity is asserted on the
-    interior columns only.  The report names the first failing axiom with
-    its degree and generator.
+    On complexes carrying interior marks, identities (ii)-(iv) are asserted on
+    the interior columns only.  Each degree restricts the differential, the
+    term's g-action, every i-map and the defect (``defect(cols)``) to those
+    columns once, and the three identities share them.  Axiom (i), that i_xi
+    preserves K-weights, is still checked on every i-map entry.  The report
+    lists every failure with its axiom, degree and generator.
     """
     base = h.base
     pair = base.pair
@@ -58,15 +61,18 @@ def check_h_axioms(h: HComplex) -> ValidationReport:
     if not rep:
         bad.extend(rep.violations)
     trank = pair.K.torus_rank
-    for n in base.degrees():
+    # with no torus generator there is no contraction, and d^2 = 0 is all
+    for n in base.degrees() if trank else ():
         cols = base.interior_cols(n)
         tn = base.term(n)
         tprev = base.term(n - 1)
+        d_prev = base.diff(n - 1)
         d_r = base.diff(n).restrict_columns(cols)
-        defects = tn.defect().maps
+        act_r = [a.restrict_columns(cols) for a in tn.g_action]
+        i_r = [h.i_at(t, n).restrict_columns(cols) for t in range(trank)]
+        defects = tn.defect(cols).maps
         for t in range(trank):
             i_m = h.i_at(t, n)
-            i_r = i_m.restrict_columns(cols)
             # (i) K-equivariance: i_xi preserves weights
             for (r, c), _ in i_m.entries.items():
                 if tprev.k_weights[r] != tn.k_weights[c]:
@@ -74,20 +80,15 @@ def check_h_axioms(h: HComplex) -> ValidationReport:
                     break
             # (ii) commutes with the g-action
             for j in range(pair.g.dim):
-                lhs = tprev.g_action[j] @ i_r
-                rhs = i_m @ tn.g_action[j].restrict_columns(cols)
-                if lhs != rhs:
+                if tprev.g_action[j] @ i_r[t] != i_m @ act_r[j]:
                     bad.append(f"axiom ii: i_xi{t} vs g-basis {j} at degree {n}")
             # (iii) anticommutation
             for s in range(t, trank):
-                anti = (h.i_at(s, n - 1) @ i_r
-                        + h.i_at(t, n - 1) @ h.i_at(s, n).restrict_columns(cols))
+                anti = h.i_at(s, n - 1) @ i_r[t] + h.i_at(t, n - 1) @ i_r[s]
                 if not anti.is_zero():
                     bad.append(f"axiom iii: i_xi{t} i_xi{s} + i_xi{s} i_xi{t} != 0 at degree {n}")
             # (iv) homotopy identity d i + i d = w
-            w = defects[t].restrict_columns(cols)
-            hom = base.diff(n - 1) @ i_r + h.i_at(t, n + 1) @ d_r
-            if hom != w:
+            if d_prev @ i_r[t] + h.i_at(t, n + 1) @ d_r != defects[t]:
                 bad.append(f"axiom iv: d i + i d != w for xi{t} at degree {n}")
     return ValidationReport.good() if not bad else ValidationReport.bad(*bad)
 

@@ -56,6 +56,8 @@ class StandardResolution:
         nm = len(self.monos)
         self._blocks = {sub: list(range(s * nm, (s + 1) * nm))
                         for subs in self.subsets.values() for s, sub in enumerate(subs)}
+        # wedge-subset weight -> its row of term weights, shared by every degree
+        self._weight_rows: Dict[Character, List[Character]] = {}
         self._h: Optional[HComplex] = None
 
     # -- basis bookkeeping: index = subset_slot * len(monos) + mono_slot --------
@@ -110,10 +112,16 @@ class StandardResolution:
         dim = self.pair.g.dim
         return [self._weight_of(j for j in range(dim) for _ in range(m[j])) for m in self.monos]
 
+    def _weight_row(self, sw: Character) -> List[Character]:
+        """sw plus the weight of each PBW monomial, summed once per distinct sw."""
+        row = self._weight_rows.get(sw)
+        if row is None:
+            add = self.pair.K.add
+            row = self._weight_rows[sw] = [add(sw, mw) for mw in self._mono_weights]
+        return row
+
     def _term(self, n: int) -> FiniteModule:
-        add = self.pair.K.add
-        weights = [add(sw, mw) for sw in map(self._weight_of, self.subsets[n])
-                   for mw in self._mono_weights]
+        weights = [w for sw in map(self._weight_of, self.subsets[n]) for w in self._weight_row(sw)]
         dim, nm = len(weights), len(self.monos)
         actions = []
         for table in self._left:

@@ -1,5 +1,6 @@
 """Finite and banded module layer: validation, defect, Casimir, constructions."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,10 @@ from hch.gkmodules import (
     tensor,
     trivial_module,
 )
+from hch.complexes import Complex, TensorLayout, tensor_complex
+from hch.liepairs import Pair
 from hch.linalg import Matrix, kernel_basis
+from hch.resolution import StandardResolution
 from hch.scalars import Scalar, as_scalar
 from hch.sl2 import (
     diagonal_torus_subpair,
@@ -30,6 +34,7 @@ from hch.sl2 import (
     torus_pair,
     trivial_k_pair,
 )
+from test_resolution import finite_factor_pair, sl2_sum_pair
 
 
 def casimir_value(m):
@@ -44,16 +49,21 @@ def test_finite_irrep_validates():
         assert M.is_genuine()
 
 
-def test_adjoint_module_defect_shift():
-    # adjoint rep of sl2 over the torus pair
+def adjoint_module() -> FiniteModule:
+    """The adjoint representation of sl2 over the torus pair."""
     P = torus_pair()
-    adj = FiniteModule(
+    return FiniteModule(
         P,
         [P.K.character([2]), P.K.character([0]), P.K.character([-2])],
         [P.g.ad((Scalar(1), Scalar(0), Scalar(0))),
          P.g.ad((Scalar(0), Scalar(1), Scalar(0))),
          P.g.ad((Scalar(0), Scalar(0), Scalar(1)))],
     )
+
+
+def test_adjoint_module_defect_shift():
+    adj = adjoint_module()
+    P = adj.pair
     assert adj.validate().ok
     assert adj.is_genuine()
     # shifting every K-weight by +2 makes the defect -... d(rho) gains +2
@@ -195,3 +205,65 @@ def test_torus_weight_matrix_places_nonzero_weights_without_validation(monkeypat
             got = M.torus_weight_matrix(t)
             assert got == w and (got.rows, got.cols) == (M.dim, M.dim)
             assert all(not v.is_zero() for v in got.entries.values())
+
+
+def test_defect_on_chosen_columns_is_the_restricted_defect():
+    adj = adjoint_module()
+    shifted = FiniteModule(adj.pair, [adj.pair.K.character([c.torus[0] + 2]) for c in adj.k_weights],
+                           adj.g_action)
+    res = StandardResolution(so2_pair(), 2).hcomplex().base
+    modules = [shifted, finite_irrep_so2(3),
+               tensor_complex(res, res).term(-1),
+               StandardResolution(sl2_sum_pair(), 2).hcomplex().base.term(-1)]
+    # weak but for the irrep
+    assert [M.defect().is_zero() for M in modules] == [False, True, False, False]
+    rng = random.Random(15)
+    for M in modules:
+        full = M.defect()
+        assert full.cols is None
+        every = list(range(M.dim))
+        for cols in [[], every, rng.sample(every, M.dim), rng.sample(every, M.dim // 3),
+                     rng.sample(every, 1)]:
+            got = M.defect(cols)
+            assert got.cols == cols
+            assert len(got.maps) == M.pair.K.torus_rank
+            for w, g in zip(full.maps, got.maps):
+                assert g == w.restrict_columns(cols)
+                assert (g.rows, g.cols) == (M.dim, len(cols))
+                assert all(not v.is_zero() for v in g.entries.values())
+        with pytest.raises(ValueError, match="every column"):
+            M.defect(every).commutes_with_action()
+
+
+def weight_module(pair: Pair, weights) -> FiniteModule:
+    """A module with the given (torus, finite) weights and zero action."""
+    ws = [pair.K.character(*w) for w in weights]
+    return FiniteModule(pair, ws, [Matrix.zeros(len(ws), len(ws))] * pair.g.dim)
+
+
+def test_tensor_weights_match_the_elementwise_sum():
+    P = finite_factor_pair()
+    assert P.validate().ok
+    add = P.K.add
+    # repeated left weights, residues that wrap
+    M = weight_module(P, [([2], [1]), ([0], [3]), ([2], [1]), ([-2], [2]), ([0], [3])])
+    N = weight_module(P, [([1], [3]), ([0], [1]), ([-1], [2]), ([1], [3])])
+    want = [add(a, b) for a in M.k_weights for b in N.k_weights]
+    assert tensor(M, N).k_weights == want
+    assert any(w.finite == (0,) for w in want) and any(w.finite == (3,) for w in want)
+    C = Complex(P, {0: M, 1: N}, {})
+    D = Complex(P, {-1: N, 0: M, 1: N}, {})
+    lay = TensorLayout(C, D)
+    T = tensor_complex(C, D)
+    assert T.degrees() == [-1, 0, 1, 2]
+    for n in T.degrees():
+        assert T.term(n).k_weights == [add(a, b) for i in lay.blocks[n]
+                                       for a in C.term(i).k_weights
+                                       for b in D.term(n - i).k_weights]
+    res = StandardResolution(P, 3).hcomplex().base
+    R = tensor_complex(res, res)
+    blocks = TensorLayout(res, res).blocks
+    for n in (-1, -3):
+        assert R.term(n).k_weights == [add(a, b) for i in blocks[n]
+                                       for a in res.term(i).k_weights
+                                       for b in res.term(n - i).k_weights]

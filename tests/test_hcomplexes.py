@@ -18,8 +18,10 @@ from hch.hcomplexes import (
 from hch.gkmodules import FiniteModule
 from hch.liepairs import DiagGroup, LieAlgebra, Pair
 from hch.linalg import Matrix
-from hch.scalars import Scalar
-from hch.sl2 import finite_irrep, torus_pair
+from hch.resolution import StandardResolution
+from hch.scalars import ONE, ZERO, Scalar
+from hch.sl2 import finite_irrep, so2_pair, torus_pair, trivial_k_pair
+from test_resolution import sl2_sum_pair
 
 
 def line_pair() -> Pair:
@@ -111,9 +113,9 @@ def test_defect_is_built_once_per_degree(monkeypatch):
     calls = []
     defect = FiniteModule.defect
 
-    def counted(self):
+    def counted(self, *args, **kwargs):
         calls.append(self)
-        return defect(self)
+        return defect(self, *args, **kwargs)
 
     monkeypatch.setattr(FiniteModule, "defect", counted)
     assert check_h_axioms(h).ok
@@ -231,3 +233,169 @@ def test_randomized_pipelines_keep_d_squared_zero():
             if sum(c2.dim_at(n) for n in c2.degrees()) > 40:
                 break
             c = c2
+
+
+# -- the interior-column check against the whole-term formulation ---------------
+
+
+def ref_check_h_axioms(h: HComplex):
+    """The whole-term formulation of check_h_axioms, kept as its reference:
+    each i-map and action is restricted where it is used, and the defect is
+    built on every column and then restricted."""
+    base = h.base
+    pair = base.pair
+    bad = []
+    rep = base.check_complex()
+    if not rep:
+        bad.extend(rep.violations)
+    trank = pair.K.torus_rank
+    for n in base.degrees():
+        cols = base.interior_cols(n)
+        tn = base.term(n)
+        tprev = base.term(n - 1)
+        d_r = base.diff(n).restrict_columns(cols)
+        defects = tn.defect().maps
+        for t in range(trank):
+            i_m = h.i_at(t, n)
+            i_r = i_m.restrict_columns(cols)
+            for (r, c), _ in i_m.entries.items():
+                if tprev.k_weights[r] != tn.k_weights[c]:
+                    bad.append(f"axiom i: i_xi{t} mixes K-weights at degree {n}")
+                    break
+            for j in range(pair.g.dim):
+                lhs = tprev.g_action[j] @ i_r
+                rhs = i_m @ tn.g_action[j].restrict_columns(cols)
+                if lhs != rhs:
+                    bad.append(f"axiom ii: i_xi{t} vs g-basis {j} at degree {n}")
+            for s in range(t, trank):
+                anti = (h.i_at(s, n - 1) @ i_r
+                        + h.i_at(t, n - 1) @ h.i_at(s, n).restrict_columns(cols))
+                if not anti.is_zero():
+                    bad.append(f"axiom iii: i_xi{t} i_xi{s} + i_xi{s} i_xi{t} != 0 at degree {n}")
+            w = defects[t].restrict_columns(cols)
+            hom = base.diff(n - 1) @ i_r + h.i_at(t, n + 1) @ d_r
+            if hom != w:
+                bad.append(f"axiom iv: d i + i d != w for xi{t} at degree {n}")
+    return tuple(bad)
+
+
+RESOLUTION_PAIRS = {"so2": so2_pair, "torus": torus_pair, "trivial_k": trivial_k_pair,
+                    "sl2_sum": sl2_sum_pair}
+
+
+def resolution_h(name: str, cutoff: int) -> HComplex:
+    return StandardResolution(RESOLUTION_PAIRS[name](), cutoff).hcomplex()
+
+
+def assert_same_report(h: HComplex):
+    want = ref_check_h_axioms(h)
+    assert check_h_axioms(h).violations == want
+    return want
+
+
+@pytest.mark.parametrize("name, cutoff", [(name, c) for name in ("so2", "torus", "trivial_k")
+                                          for c in (2, 3, 4)] + [("sl2_sum", 2)])
+def test_check_h_axioms_matches_the_whole_term_check_on_resolutions(name, cutoff):
+    assert assert_same_report(resolution_h(name, cutoff)) == ()
+
+
+@pytest.mark.parametrize("op", ["tensor", "cone", "shift"])
+def test_check_h_axioms_matches_the_whole_term_check_on_h_constructions(op):
+    h = resolution_h("so2", 2)
+    built = {"tensor": lambda: h_tensor(h, h),
+             "cone": lambda: h_cone(HComplexMap.identity_h(h)),
+             "shift": lambda: h_shift(h)}[op]()
+    assert assert_same_report(built) == ()
+
+
+def plus_entry(m: Matrix, rc) -> Matrix:
+    """m with 1 added to entry rc."""
+    ents = dict(m.entries)
+    ents[rc] = ents.get(rc, ZERO) + ONE
+    return Matrix(m.rows, m.cols, ents)
+
+
+def with_i_entry(h: HComplex, t: int, n: int, rc) -> HComplex:
+    """h with 1 added to entry rc of i_xi_t at degree n."""
+    maps = {s: dict(per) for s, per in h.i_maps.items()}
+    maps[t][n] = plus_entry(h.i_at(t, n), rc)
+    return HComplex(h.base, maps)
+
+
+def with_base(h: HComplex, terms=None, diffs=None) -> HComplex:
+    """h with some terms or differentials of its base replaced."""
+    b = h.base
+    return HComplex(Complex(b.pair, {**b.terms, **(terms or {})}, {**b.diffs, **(diffs or {})},
+                            b.interior), h.i_maps)
+
+
+def first_entry(h: HComplex, n: int, row_ok):
+    """(r, c): the first interior column c of degree n and row r of degree n - 1
+    with row_ok(r, c)."""
+    for c in h.base.interior_cols(n):
+        for r in range(h.base.dim_at(n - 1)):
+            if row_ok(r, c):
+                return r, c
+    raise AssertionError("no such entry")
+
+
+def nonzero_columns(m: Matrix):
+    return {c for (_, c) in m.entries}
+
+
+def corrupted(kind: str, h: HComplex, n: int) -> HComplex:
+    """A copy of h that breaks ``kind`` on an interior column of degree n."""
+    base = h.base
+    w = base.term(n).k_weights
+    wprev = base.term(n - 1).k_weights
+    if kind == "axiom i:":
+        return with_i_entry(h, 0, n, first_entry(h, n, lambda r, c: wprev[r] != w[c]))
+    if kind == "axiom ii:":
+        # the action of u+ (not in iota) gains an entry whose column i_xi0 does not kill
+        j = 0
+        seen = nonzero_columns(h.i_at(0, n))
+        K, shift = base.pair.K, base.pair.ad_grading[j]
+        c = base.interior_cols(n)[0]
+        r = next(r for r in sorted(seen) if w[r] == K.add(w[c], shift))
+        tn = base.term(n)
+        action = list(tn.g_action)
+        action[j] = plus_entry(action[j], (r, c))
+        return with_base(h, terms={n: FiniteModule(tn.pair, tn.k_weights, action)})
+    if kind == "axiom iii:":
+        below = nonzero_columns(h.i_at(0, n - 1))
+        return with_i_entry(h, 0, n, first_entry(
+            h, n, lambda r, c: wprev[r] == w[c] and r in below))
+    if kind == "axiom iv:":
+        left = nonzero_columns(base.diff(n - 1))
+        return with_i_entry(h, 0, n, first_entry(
+            h, n, lambda r, c: wprev[r] == w[c] and r in left))
+    if kind == "d^2 != 0":
+        above = nonzero_columns(base.diff(n + 1))
+        c = base.interior_cols(n)[0]
+        r = min(above)
+        return with_base(h, diffs={n: plus_entry(base.diff(n), (r, c))})
+    raise ValueError(kind)
+
+
+# (kind, degree): i_xi vanishes from degree -2 on (wedge^4 = 0), and d^0 = 0
+CORRUPTIONS = [("axiom i:", -1), ("axiom i:", -2), ("axiom ii:", -1), ("axiom ii:", -2),
+               ("axiom iii:", 0), ("axiom iii:", -1), ("axiom iv:", -1), ("axiom iv:", -2),
+               ("d^2 != 0", -2), ("d^2 != 0", -3)]
+
+
+@pytest.mark.parametrize("kind, n", CORRUPTIONS)
+def test_check_h_axioms_matches_the_whole_term_check_on_corrupted_resolutions(kind, n):
+    h = corrupted(kind, resolution_h("so2", 3), n)
+    want = assert_same_report(h)
+    assert any(v.startswith(kind) for v in want), want
+
+
+def test_check_h_axioms_matches_the_whole_term_check_on_two_generators():
+    # i_xi1 gains an entry that i_xi0 one degree down does not kill: axiom (iii) for (0, 1)
+    h = resolution_h("sl2_sum", 2)
+    n = -1
+    w, wprev = h.base.term(n).k_weights, h.base.term(n - 1).k_weights
+    below = nonzero_columns(h.i_at(0, n - 1))
+    bad = with_i_entry(h, 1, n, first_entry(h, n, lambda r, c: wprev[r] == w[c] and r in below))
+    want = assert_same_report(bad)
+    assert f"axiom iii: i_xi0 i_xi1 + i_xi1 i_xi0 != 0 at degree {n}" in want

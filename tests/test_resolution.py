@@ -14,7 +14,7 @@ from hch.relhomology import RelativeStandardComplex
 from hch.reports import HomologyReport
 from hch.resolution import StandardResolution
 from hch.scalars import ONE, Scalar
-from hch.sl2 import SUBPAIR_CATALOG, finite_irrep_so2, so2_pair, torus_pair, trivial_k_pair
+from hch.sl2 import SUBPAIR_CATALOG, finite_irrep_so2, sl2, so2_pair, torus_pair, trivial_k_pair
 
 
 def line_pair() -> Pair:
@@ -192,6 +192,13 @@ def sl2_sum_pair() -> Pair:
     return Pair(g, K, grading, iota)
 
 
+def finite_factor_pair() -> Pair:
+    """(sl2, T x Z/4): e and f carry the residues 1 and 3, so weight sums wrap mod 4."""
+    K = DiagGroup(torus_rank=1, finite_invariants=[4])
+    grading = [K.character([2], [1]), K.character([0], [0]), K.character([-2], [3])]
+    return Pair(sl2(), K, grading, Matrix.from_rows([[0], [1], [0]]))
+
+
 @pytest.mark.parametrize("cutoff", [2, 3, 4])
 def test_rank_two_torus_resolution_is_an_exact_h_complex(cutoff):
     # axiom (iii) with two different torus generators: i_0 i_1 + i_1 i_0 = 0
@@ -224,12 +231,14 @@ def per_vector_weight(res, subset, mono):
 WEIGHT_CASES = [(name, c) for name in sorted(PAIRS) for c in (2, 3, 4, 5)]
 WEIGHT_CASES += [("sl2_sum", 2), ("sl2_sum", 3)]
 WEIGHT_CASES += [("torus_normalizer small", c) for c in (2, 3, 4, 5)]
+WEIGHT_CASES += [("finite_factor", c) for c in (2, 3, 4)]
 
 
 @pytest.mark.parametrize("name, cutoff", WEIGHT_CASES)
 def test_term_weights_match_the_per_vector_reference(name, cutoff):
     make = dict(PAIRS, sl2_sum=sl2_sum_pair)
     make["torus_normalizer small"] = lambda: SUBPAIR_CATALOG["torus_normalizer"]().small
+    make["finite_factor"] = finite_factor_pair
     res = StandardResolution(make[name](), cutoff)
     base = res.hcomplex().base
     for n in range(res.pair.g.dim + 1):
