@@ -123,6 +123,10 @@ class DegenerateBandError(ValueError):
     """Window dimensions keep growing: the input is not of Harish-Chandra type."""
 
 
+class MaxWindowError(ValueError):
+    """HCH_MAX_WINDOW is set to a value that is not an integer."""
+
+
 class UncertifiedStabilizationError(RuntimeError):
     """Max window reached without two consecutive agreements."""
 
@@ -142,7 +146,10 @@ class StabilizationPolicy:
         cap = os.environ.get("HCH_MAX_WINDOW")
         if cap is None:
             return self.windows
-        cap = int(cap)
+        try:
+            cap = int(cap)
+        except ValueError:
+            raise MaxWindowError(f"HCH_MAX_WINDOW must be an integer, got {cap!r}") from None
         kept = tuple(w for w in self.windows if w <= cap)
         return kept if kept else (cap,)
 

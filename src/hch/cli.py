@@ -6,8 +6,9 @@ JSON or TSV.  Exit codes: 0 success, 2 validation failure (schema or
 mathematical, including the library's named failures on well-formed input:
 a degenerate band operator, a band table the vector-field oracle refutes, an
 algebra without an sl2 triple, a relative standard complex whose boundary
-does not square to zero), 3 computation finished but a stabilization
-certificate was not reached (the window data is still emitted).
+does not square to zero, an HCH_MAX_WINDOW that is not an integer), 3
+computation finished but a stabilization certificate was not reached (the
+window data is still emitted).
 """
 
 import argparse
@@ -20,7 +21,7 @@ from .hcomplexes import check_h_axioms
 from .linalg import unit_vec
 from .relhomology import NotAComplexError, coinvariants, euler_poincare, rel_homology
 from .resolution import StandardResolution
-from .bands import DegenerateBandError, UncertifiedStabilizationError
+from .bands import DegenerateBandError, MaxWindowError, UncertifiedStabilizationError
 from .gkmodules import UnsupportedAlgebraError
 from .schemas import SchemaError, load_finite_module, load_pair, load_subpair
 from .sl2 import SUBPAIR_CATALOG, OracleMismatchError, sl2_branching_report
@@ -30,7 +31,7 @@ EXIT_INVALID = 2
 EXIT_UNCERTIFIED = 3
 
 # library failures on well-formed input: exit 2, named by their class
-LIBRARY_ERRORS = (DegenerateBandError, NotAComplexError, OracleMismatchError,
+LIBRARY_ERRORS = (DegenerateBandError, MaxWindowError, NotAComplexError, OracleMismatchError,
                   UnsupportedAlgebraError)
 
 

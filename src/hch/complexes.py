@@ -41,19 +41,16 @@ from .liepairs import DiagGroup, LieAlgebra, Pair, ValidationReport
 from .linalg import (
     Matrix,
     SparseVector,
-    Vector,
     add_into,
     dense,
     independent_over,
-    kernel_basis,
     kernel_on,
     rank,
     rank_mod_p,
-    solve,
     sparse_columns,
 )
 from .reports import HomologyReport
-from .scalars import ONE, Scalar
+from .scalars import ONE
 
 _TRIVIAL_PAIR: Optional[Pair] = None
 
@@ -166,9 +163,7 @@ class Complex:
         """
         inside = set(cols)
         bounded = [v for v in into if v and v.keys() <= inside]
-        b = Matrix._raw(d_out.cols, len(bounded),
-                        {(r, j): x for j, v in enumerate(bounded) for r, x in v.items()})
-        if not (d_out @ b).is_zero():
+        if not (d_out @ Matrix._from_sparse_columns(d_out.cols, bounded)).is_zero():
             if self.interior is None:
                 raise NotAComplexError(
                     "not a complex: boundaries are not cycles (d_out @ d_in != 0)")
@@ -194,15 +189,11 @@ def wedge_insert(idx: int, subset: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...
     return signs.wedge_out_sign(pos), subset[:pos] + (idx,) + subset[pos:]
 
 
-# a sparse column as (row, coefficient) pairs
-SparseColumn = Sequence[Tuple[int, Scalar]]
-
-
 def ce_boundary(columns: Iterable[Tuple[Tuple[int, ...], Collection[int]]], rows: int,
                 row_of: Callable[[Tuple[int, ...]], Mapping[int, int]],
-                act: Sequence[Sequence[SparseColumn]],
+                act: Sequence[Sequence[SparseVector]],
                 action_sign: Callable[[int], int],
-                brackets: Dict[Tuple[int, int], SparseColumn]) -> Matrix:
+                brackets: Dict[Tuple[int, int], SparseVector]) -> Matrix:
     """The Chevalley–Eilenberg boundary wedge^n (x) V -> wedge^{n-1} (x) V.
 
     x_{s_0} ^ ... ^ x_{s_{n-1}} (x) v goes to
@@ -213,8 +204,9 @@ def ce_boundary(columns: Iterable[Tuple[Tuple[int, ...], Collection[int]]], rows
     columns lists (subset, ks) in column order: the columns of the increasing
     wedge subset come next, one for each coefficient basis vector k in ks.
     row_of(subset)[k] is the row of (subset, k) in degree n - 1.
-    act[s][k] is the sparse column of x_s acting on coefficient vector k.
-    brackets[(a, b)], a < b, is the sparse [x_a, x_b] in the wedge basis.
+    act[s][k] is x_s acting on coefficient vector k, a {row: Scalar} map.
+    brackets[(a, b)], for every a < b, is [x_a, x_b] in the wedge basis, a
+    {basis index: Scalar} map.
     The action and bracket terms are worked out once per subset.
     """
     ents: Dict = {}
@@ -226,14 +218,14 @@ def ce_boundary(columns: Iterable[Tuple[Tuple[int, ...], Collection[int]]], rows
             target = row_of(subset[:i] + subset[i + 1:])
             act_s = act[s]
             for c, k in enumerate(ks, col):
-                for r, v in act_s[k]:
+                for r, v in act_s[k].items():
                     add_into(ents, (target[r], c), -v if negate else v)
         terms = []
         for p in range(n):
             for q in range(p + 1, n):
                 sgn = signs.wedge_pair_sign(p, q)
                 rest = subset[:p] + subset[p + 1:q] + subset[q + 1:]
-                for l, cl in brackets.get((subset[p], subset[q]), ()):
+                for l, cl in brackets[(subset[p], subset[q])].items():
                     if l not in rest:
                         isgn, wedge = wedge_insert(l, rest)
                         terms.append((row_of(wedge), cl if sgn * isgn > 0 else -cl))
@@ -454,17 +446,14 @@ class HomLayout:
                 off += sz
         self.dim = off
 
-    def unpack(self, v: Vector) -> Dict[int, Matrix]:
+    def unpack(self, v: SparseVector) -> Dict[int, Matrix]:
+        """The block matrices of a map in these coordinates; each block is row-major."""
         out = {}
         for i in self.blocks:
-            rows, cols = self.N.dim_at(i + self.n), self.M.dim_at(i)
-            ents = {}
-            for r in range(rows):
-                for c in range(cols):
-                    x = v[self.offsets[i] + r * cols + c]
-                    if not x.is_zero():
-                        ents[(r, c)] = x
-            out[i] = Matrix._raw(rows, cols, ents)
+            rows, cols, off = self.N.dim_at(i + self.n), self.M.dim_at(i), self.offsets[i]
+            end = off + rows * cols
+            out[i] = Matrix._raw(rows, cols,
+                                 {divmod(k - off, cols): x for k, x in v.items() if off <= k < end})
         return out
 
 
@@ -538,12 +527,14 @@ def hom_complex(M: Complex, N: Complex, equivariant: bool = False) -> Complex:
             if not d.is_zero():
                 diffs[n] = d
         return Complex(trivial_pair(), terms, diffs)
-    # equivariant: per degree, a basis of the constrained subspace, and the
-    # differential expressed in those bases by exact solving
-    bases: Dict[int, List[Vector]] = {}
+    # equivariant: per degree, the canonical kernel of the constraints.  Its
+    # vectors are 1 at their own free column, which is their largest index,
+    # and 0 at the others, so the differential's coordinates are read at the
+    # free columns; one exact product checks that the image lies in the span.
+    bases: Dict[int, List[SparseVector]] = {}
     for n in range(lo, hi + 1):
         cons = _equivariance_constraints(M, N, n)
-        bases[n] = kernel_basis(cons) if cons.cols else []
+        bases[n] = kernel_on(cons, range(cons.cols))
     terms = {n: plain_space(len(b)) for n, b in bases.items() if b}
     diffs = {}
     for n in range(lo, hi + 1):
@@ -551,15 +542,12 @@ def hom_complex(M: Complex, N: Complex, equivariant: bool = False) -> Complex:
         if not src or not dst:
             continue
         big = _hom_diff(M, N, n)
-        cols = []
-        dst_mat = Matrix.from_columns(dst)
-        for v in src:
-            img = big.apply(v)
-            x = solve(dst_mat, img)
-            if x is None:
-                raise ValueError("equivariant Hom not closed under the differential")
-            cols.append(x)
-        d = Matrix.from_columns(cols, rows=len(dst))
+        img = big @ Matrix._from_sparse_columns(big.cols, src)
+        free = {max(v): k for k, v in enumerate(dst)}
+        d = Matrix._raw(len(dst), len(src),
+                        {(free[r], c): x for (r, c), x in img.entries.items() if r in free})
+        if Matrix._from_sparse_columns(big.rows, dst) @ d != img:
+            raise ValueError("equivariant Hom not closed under the differential")
         if not d.is_zero():
             diffs[n] = d
     return Complex(trivial_pair(), terms, diffs)
@@ -567,11 +555,8 @@ def hom_complex(M: Complex, N: Complex, equivariant: bool = False) -> Complex:
 
 def chain_maps(M: Complex, N: Complex) -> List[Dict[int, Matrix]]:
     """Basis of the space of chain maps M -> N (0-cocycles of the Hom complex)."""
-    lay = HomLayout(M, N, 0)
-    d = _hom_diff(M, N, 0)
-    if lay.dim == 0:
-        return []
-    return [lay.unpack(v) for v in kernel_basis(d)]
+    lay, d = HomLayout(M, N, 0), _hom_diff(M, N, 0)
+    return [lay.unpack(v) for v in kernel_on(d, range(d.cols))]
 
 
 def homotopy_classes_dim(M: Complex, N: Complex, n: int = 0) -> int:

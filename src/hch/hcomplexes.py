@@ -99,9 +99,7 @@ def h_cohomology_modules(h: HComplex) -> ValidationReport:
     bad = []
     for n in base.degrees():
         d = base.diff(n)
-        cycles = kernel_on(d, range(d.cols))
-        z = Matrix._raw(d.cols, len(cycles),
-                        {(r, j): x for j, v in enumerate(cycles) for r, x in v.items()})
+        z = Matrix._from_sparse_columns(d.cols, kernel_on(d, range(d.cols)))
         for t, w in enumerate(base.term(n).defect().maps):
             if independent_over(base.diff(n - 1), sparse_columns(w @ z)):
                 bad.append(f"defect of xi{t} does not vanish on H^{n}")

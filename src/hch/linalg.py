@@ -3,9 +3,11 @@
 Every "cycles modulo boundaries" question in the package goes through two
 routines: ``kernel_on`` gives the canonical kernel of a matrix on a set of
 its columns, and ``independent_over`` keeps the candidates that extend the
-span of a matrix's columns, by one elimination of those columns.  Both speak
-sparse vectors ({index: Scalar} maps); ``dense`` turns one into a coordinate
-tuple where a representative is reported.
+span of a matrix's columns, by one elimination of those columns.  Every
+column that crosses a module boundary is a ``SparseVector``, an {index:
+Scalar} map: ``sparse_columns`` reads a matrix's columns in that form,
+``Matrix._from_sparse_columns`` places them back, and ``dense`` turns one into
+a coordinate tuple where a representative is reported.
 
 Matrices are stored as sparse maps (row, col) -> Scalar, and elimination
 rows as sparse maps col -> Scalar.  No sparse map in the package holds an
@@ -103,6 +105,12 @@ class Matrix:
         m.cols = cols
         m.entries = entries
         return m
+
+    @staticmethod
+    def _from_sparse_columns(rows: int, columns: Sequence[SparseVector]) -> "Matrix":
+        """Internal: the rows x len(columns) matrix with these sparse columns."""
+        return Matrix._raw(rows, len(columns),
+                           {(r, j): x for j, v in enumerate(columns) for r, x in v.items()})
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "Matrix":

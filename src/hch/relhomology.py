@@ -38,10 +38,11 @@ from .linalg import (
     independent_over,
     inverse,
     rank,
+    sparse_columns,
     unit_vec,
 )
 from .reports import HomologyReport
-from .scalars import ONE, Scalar
+from .scalars import ONE
 
 
 def p_complement(pair: Pair) -> Tuple[List[Vector], Matrix]:
@@ -61,15 +62,10 @@ def p_complement(pair: Pair) -> Tuple[List[Vector], Matrix]:
     cols = torus_cols + p_basis
     if len(cols) != g.dim:
         raise ValueError("complement of the torus image is not K-stable")
-    change = Matrix.from_columns(cols, rows=g.dim)
-    inv = inverse(change)
-    ents = {}
-    for r in range(len(p_basis)):
-        for c in range(g.dim):
-            v = inv[(K.torus_rank + r, c)]
-            if not v.is_zero():
-                ents[(r, c)] = v
-    return p_basis, Matrix._raw(len(p_basis), g.dim, ents)
+    inv = inverse(Matrix.from_columns(cols, rows=g.dim))
+    tr = K.torus_rank
+    return p_basis, Matrix._raw(len(p_basis), g.dim,
+                                {(r - tr, c): v for (r, c), v in inv.entries.items() if r >= tr})
 
 
 class RelativeStandardComplex(Complex):
@@ -106,16 +102,11 @@ class RelativeStandardComplex(Complex):
                     if K.add(w, M.k_weights[k]) == zero:
                         index[k] = len(kept)
                         kept.append((subset, k))
-        act = []
-        for j in chosen:
-            cols: List[List[Tuple[int, Scalar]]] = [[] for _ in range(M.dim)]
-            for (r, c), v in M.g_action[j].entries.items():
-                cols[c].append((r, v))
-            act.append(cols)
+        act = [sparse_columns(M.g_action[j]) for j in chosen]
         brackets = {}
         for a, b in combinations(range(dp), 2):
             br = self.projection.apply(g.bracket_basis(chosen[a], chosen[b]))
-            brackets[(a, b)] = [(l, c) for l, c in enumerate(br) if not c.is_zero()]
+            brackets[(a, b)] = {l: c for l, c in enumerate(br) if not c.is_zero()}
         diffs = {}
         for n in range(1, dp + 1):
             try:

@@ -27,11 +27,11 @@ from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import signs
-from .complexes import Complex, SparseColumn, ce_boundary, wedge_insert
+from .complexes import Complex, ce_boundary, wedge_insert
 from .gkmodules import FiniteModule, trivial_module
 from .hcomplexes import HComplex
 from .liepairs import Character, Pair, ValidationReport
-from .linalg import Matrix
+from .linalg import Matrix, SparseVector
 from .pbw import PBW, Element, Mono, degree
 from .scalars import ONE
 
@@ -65,12 +65,12 @@ class StandardResolution:
     def dim_at_wedge(self, n: int) -> int:
         return len(self.subsets.get(n, ())) * len(self.monos)
 
-    def _truncated(self, e: Element) -> SparseColumn:
-        """(monomial slot, coefficient) of e, without the monomials above the cutoff."""
-        return [(self._mono_index[m], c) for m, c in e.items() if degree(m) <= self.cutoff]
+    def _truncated(self, e: Element) -> SparseVector:
+        """e as {monomial slot: coefficient}, without the monomials above the cutoff."""
+        return {self._mono_index[m]: c for m, c in e.items() if degree(m) <= self.cutoff}
 
     @cached_property
-    def _left(self) -> List[List[SparseColumn]]:
+    def _left(self) -> List[List[SparseVector]]:
         """L_j by columns: ``_left[j][mi]`` is x_j * monos[mi], truncated.
 
         A monomial m other than 1 is m' x_k in PBW order, with k its last
@@ -93,7 +93,7 @@ class StandardResolution:
         return tables
 
     @cached_property
-    def _right(self) -> List[List[SparseColumn]]:
+    def _right(self) -> List[List[SparseVector]]:
         """Right multiplication by columns: ``_right[j][mi]`` is monos[mi] * x_j, truncated."""
         return [[self._truncated(self.u.mono_times_gen(mono, j)) for mono in self.monos]
                 for j in range(self.pair.g.dim)]
@@ -128,16 +128,16 @@ class StandardResolution:
             ents = {}
             for off in range(0, dim, nm):
                 for mi, column in enumerate(table):
-                    for r, c in column:
+                    for r, c in column.items():
                         ents[(off + r, off + mi)] = c
             actions.append(Matrix._raw(dim, dim, ents))
         return FiniteModule(self.pair, weights, actions)
 
     @cached_property
-    def _brackets(self) -> Dict[Tuple[int, int], SparseColumn]:
+    def _brackets(self) -> Dict[Tuple[int, int], SparseVector]:
         """g's structure constants: ``_brackets[(a, b)]`` is [x_a, x_b] sparse, a < b."""
         g = self.pair.g
-        return {(a, b): [(l, c) for l, c in enumerate(g.bracket_basis(a, b)) if not c.is_zero()]
+        return {(a, b): {l: c for l, c in enumerate(g.bracket_basis(a, b)) if not c.is_zero()}
                 for a, b in combinations(range(g.dim), 2)}
 
     def _diff(self, n: int) -> Matrix:

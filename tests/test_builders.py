@@ -19,6 +19,8 @@ from hch.complexes import (
     ComplexMap,
     HomLayout,
     _equivariance_constraints,
+    _hom_diff,
+    chain_maps,
     cone,
     hom_complex,
     plain_space,
@@ -28,7 +30,7 @@ from hch.complexes import (
 )
 from hch.gkmodules import FiniteModule, direct_sum, kron, kron_into, tensor, trivial_module
 from hch.hcomplexes import HComplex, HComplexMap, h_cone, h_tensor
-from hch.linalg import Matrix, kernel_basis, unit_vec
+from hch.linalg import Matrix, kernel_basis, solve, unit_vec
 from hch.resolution import StandardResolution
 from hch.scalars import Scalar
 from hch.sl2 import SUBPAIR_CATALOG, finite_irrep, so2_pair, torus_pair, trivial_k_pair
@@ -260,6 +262,22 @@ def random_complex(rng):
     return Complex(trivial_pair(), terms, diffs, interior)
 
 
+def ref_chain_maps(M, N):
+    """Chain maps the long way: a dense kernel basis, unpacked entry by entry."""
+    lay = HomLayout(M, N, 0)
+    if lay.dim == 0:
+        return []
+    out = []
+    for v in kernel_basis(_hom_diff(M, N, 0)):
+        maps = {}
+        for i in lay.blocks:
+            rows, cols, off = N.dim_at(i), M.dim_at(i), lay.offsets[i]
+            maps[i] = Matrix(rows, cols, {(r, c): v[off + r * cols + c]
+                                          for r in range(rows) for c in range(cols)})
+        out.append(maps)
+    return out
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_random_complexes_match_reference(seed):
     rng = random.Random(seed)
@@ -270,6 +288,7 @@ def test_random_complexes_match_reference(seed):
     _, incl, _ = cone(ComplexMap.identity(M))
     assert_same_complex(cone(incl)[0], ref_cone(incl))
     assert tensor_complex(M, N).check_complex().ok
+    assert chain_maps(M, N) == ref_chain_maps(M, N)
 
 
 def ref_equivariance_constraints(M, N, n):
@@ -310,6 +329,71 @@ def test_equivariance_constraints_cut_out_the_reference_space(name):
             want = ref_equivariance_constraints(M, N, n)
             assert got.cols == want.cols
             assert kernel_basis(got) == kernel_basis(want)
+
+
+def ref_equivariant_hom(M, N):
+    """Equivariant Hom the long way: a dense kernel basis per degree, then one
+    exact solve per basis vector for the differential's coordinates."""
+    degs = [j - i for i in M.degrees() for j in N.degrees()]
+    bases = {}
+    for n in range(min(degs), max(degs) + 1):
+        cons = _equivariance_constraints(M, N, n)
+        bases[n] = kernel_basis(cons) if cons.cols else []
+    diffs = {}
+    for n, src in bases.items():
+        dst = bases.get(n + 1, [])
+        if not src or not dst:
+            continue
+        big, dst_mat = _hom_diff(M, N, n), Matrix.from_columns(dst)
+        cols = [solve(dst_mat, big.apply(v)) for v in src]
+        if None in cols:
+            raise ValueError("equivariant Hom not closed under the differential")
+        d = Matrix.from_columns(cols, rows=len(dst))
+        if not d.is_zero():
+            diffs[n] = d
+    return Complex(trivial_pair(), {n: plain_space(len(b)) for n, b in bases.items() if b}, diffs)
+
+
+@pytest.mark.parametrize("name", ["so2", "torus"])
+@pytest.mark.parametrize("cutoff", [2, 3])
+def test_equivariant_hom_matches_the_solved_reference(name, cutoff):
+    h = resolution_h(name, cutoff).base
+    unit = single_term(trivial_module(h.pair))
+    for M, N in ((h, unit), (unit, h)):
+        assert_same_complex(hom_complex(M, N, equivariant=True), ref_equivariant_hom(M, N))
+    # the differential branch runs: Hom(h, unit) has a nonzero map at degree 1
+    assert not hom_complex(h, unit, equivariant=True).diff(1).is_zero()
+
+
+def identity_complex(m, scale):
+    """m --id--> m in degrees 0 and 1, with m's basis rescaled by diag(scale)."""
+    n = len(scale)
+    D = Matrix.diagonal(scale)
+    D_inv = Matrix.diagonal([Scalar(1) / x for x in scale])
+    rescaled = FiniteModule(m.pair, m.k_weights, [D @ a @ D_inv for a in m.g_action])
+    return Complex(m.pair, {0: rescaled, 1: rescaled}, {0: Matrix.identity(n)})
+
+
+def test_equivariant_hom_reads_coordinates_at_the_free_columns():
+    # an equivariant map from M to N is a multiple of diag(3, 4, 5) on each
+    # block: a basis vector with unequal entries, so a coordinate read
+    # anywhere but at its free column is wrong
+    F = finite_irrep(2)
+    M, N = identity_complex(F, [1, 2, 3]), identity_complex(F, [3, 8, 15])
+    for a, b in ((M, N), (N, M), (M, M)):
+        got = hom_complex(a, b, equivariant=True)
+        assert_same_complex(got, ref_equivariant_hom(a, b))
+        assert got.diffs and got.homology().dims == {n: 0 for n in got.degrees()}
+
+
+@pytest.mark.parametrize("name", ["so2", "torus"])
+def test_equivariant_hom_of_a_truncation_with_itself_is_not_closed(name):
+    h = resolution_h(name, 2).base
+    not_closed = "equivariant Hom not closed under the differential"
+    with pytest.raises(ValueError, match=not_closed):
+        hom_complex(h, h, equivariant=True)
+    with pytest.raises(ValueError, match=not_closed):
+        ref_equivariant_hom(h, h)
 
 
 def test_equivariant_hom_between_irreps_is_schur():

@@ -176,6 +176,14 @@ def test_sl2_demo_uncertified_is_exit_3_with_window_data(capsys, monkeypatch):
     assert row["windows"]["dims_per_window"]  # raw window data still emitted
 
 
+@pytest.mark.parametrize("cap", ["abc", "2.5", ""])
+def test_sl2_demo_malformed_max_window_is_exit_2(capsys, monkeypatch, cap):
+    monkeypatch.setenv("HCH_MAX_WINDOW", cap)
+    code, out, err = run(capsys, "sl2-demo", "--lambda", "2")
+    assert code == 2 and out == ""
+    assert err == f"error: MaxWindowError: HCH_MAX_WINDOW must be an integer, got {cap!r}\n"
+
+
 def test_sl2_demo_accepts_a_negative_lambda_list(capsys):
     # a list led by a minus sign is a value, not an option: the same rows as the "=" form
     code, out, err = run(capsys, "sl2-demo", "--lambda", "-4,-2,0", "--format", "json")
