@@ -124,7 +124,7 @@ class DegenerateBandError(ValueError):
 
 
 class MaxWindowError(ValueError):
-    """HCH_MAX_WINDOW is set to a value that is not an integer."""
+    """HCH_MAX_WINDOW is set to a value that is not an integer, or is below 1."""
 
 
 class UncertifiedStabilizationError(RuntimeError):
@@ -150,6 +150,8 @@ class StabilizationPolicy:
             cap = int(cap)
         except ValueError:
             raise MaxWindowError(f"HCH_MAX_WINDOW must be an integer, got {cap!r}") from None
+        if cap < 1:
+            raise MaxWindowError(f"HCH_MAX_WINDOW must be at least 1, got {cap}")
         kept = tuple(w for w in self.windows if w <= cap)
         return kept if kept else (cap,)
 

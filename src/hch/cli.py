@@ -6,9 +6,9 @@ JSON or TSV.  Exit codes: 0 success, 2 validation failure (schema or
 mathematical, including the library's named failures on well-formed input:
 a degenerate band operator, a band table the vector-field oracle refutes, an
 algebra without an sl2 triple, a relative standard complex whose boundary
-does not square to zero, an HCH_MAX_WINDOW that is not an integer), 3
-computation finished but a stabilization certificate was not reached (the
-window data is still emitted).
+does not square to zero, an HCH_MAX_WINDOW that is not an integer or is
+below 1), 3 computation finished but a stabilization certificate was not
+reached (the window data is still emitted).
 """
 
 import argparse

@@ -82,9 +82,11 @@ def check_h_axioms(h: HComplex) -> ValidationReport:
             for j in range(pair.g.dim):
                 if tprev.g_action[j] @ i_r[t] != i_m @ act_r[j]:
                     bad.append(f"axiom ii: i_xi{t} vs g-basis {j} at degree {n}")
-            # (iii) anticommutation
+            # (iii) anticommutation; at s == t the sum is twice i_xi{t}^2, zero iff it is
             for s in range(t, trank):
-                anti = h.i_at(s, n - 1) @ i_r[t] + h.i_at(t, n - 1) @ i_r[s]
+                anti = h.i_at(s, n - 1) @ i_r[t]
+                if s != t:
+                    anti = anti + h.i_at(t, n - 1) @ i_r[s]
                 if not anti.is_zero():
                     bad.append(f"axiom iii: i_xi{t} i_xi{s} + i_xi{s} i_xi{t} != 0 at degree {n}")
             # (iv) homotopy identity d i + i d = w

@@ -8,10 +8,13 @@ iota of the torus Lie algebra into g.  Validation checks are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 from typing import Dict, Optional, Sequence, Tuple
 
-from .linalg import Matrix, Vector, rank, unit_vec, vec_is_zero
-from .scalars import ZERO, Scalar, as_scalar
+from .linalg import (Matrix, SparseVector, Vector, add_into, independent_over, inverse, rank,
+                     sparse_columns, unit_vec, vec_is_zero)
+from .scalars import ONE, ZERO, Scalar, as_scalar
 
 
 @dataclass(frozen=True)
@@ -227,6 +230,19 @@ class Pair:
     def iota_vec(self, t: int) -> Vector:
         return self.iota.column(t)
 
+    @cached_property
+    def complement(self) -> Tuple[Tuple[int, ...], Matrix, Dict[Tuple[int, int], SparseVector]]:
+        """(chosen, projection, brackets): a K-stable complement p of the torus image in g.
+
+        p is spanned by the g-basis vectors ``chosen`` (ascending): all basis
+        vectors of nonzero weight, plus the first weight-zero ones completing
+        the torus image.  Any K-stable choice gives the same relative homology;
+        this one is reproducible.  ``projection`` is P: g -> p in the chosen
+        basis, and ``brackets[(a, b)]``, for a < b, is P[x_chosen[a], x_chosen[b]]
+        as a {p-basis index: Scalar} map.  Derived on first use, kept by the pair.
+        """
+        return _complement(self)
+
     def validate(self) -> ValidationReport:
         bad = []
         rep = self.g.check_jacobi()
@@ -270,6 +286,29 @@ class Pair:
         grading = [K.character(ch.get("torus", []), ch.get("finite", [])) for ch in obj["ad_grading"]]
         iota = Matrix.from_json(obj["iota"]) if "iota" in obj else None
         return Pair(g, K, grading, iota)
+
+
+def _complement(pair: Pair):
+    """Raises if the weight-zero basis vectors fail to complete the torus image."""
+    g, zero, tr = pair.g, pair.K.zero_char(), pair.K.torus_rank
+    weight_zero = [{j: ONE} for j in range(g.dim) if pair.ad_grading[j] == zero]
+    completing = {j for v in independent_over(pair.iota, weight_zero) for j in v}
+    chosen = tuple(j for j in range(g.dim) if pair.ad_grading[j] != zero or j in completing)
+    if tr + len(chosen) != g.dim:
+        raise ValueError("complement of the torus image is not K-stable")
+    basis = sparse_columns(pair.iota) + [{j: ONE} for j in chosen]
+    inv = inverse(Matrix._from_sparse_columns(g.dim, basis))
+    projection = Matrix._raw(len(chosen), g.dim,
+                             {(r - tr, c): v for (r, c), v in inv.entries.items() if r >= tr})
+    columns = sparse_columns(projection)
+    brackets = {}
+    for a, b in combinations(range(len(chosen)), 2):
+        br: SparseVector = {}
+        for l, c in g._brackets.get((chosen[a], chosen[b]), {}).items():
+            for r, v in columns[l].items():
+                add_into(br, r, c * v)
+        brackets[(a, b)] = dict(sorted(br.items()))
+    return chosen, projection, brackets
 
 
 class CharacterRestriction:

@@ -1,13 +1,10 @@
 """Relative Lie algebra homology, coinvariants, and the two Ext routes.
 
 Everything happens over the small pair (h, K^H) of a subpair embedding.
-The complement p of the embedded torus algebra inside h is chosen
-deterministically: all basis vectors of nonzero K^H-weight, plus the first
-weight-zero basis vectors completing the torus image.  Any K^H-stable
-choice gives the same homology; this one is reproducible.  Since p is
-spanned by g-basis vectors, the Chevalley–Eilenberg boundary
-(``complexes.ce_boundary``) reads M's g-basis action matrices and g's
-structure constants projected to p, once per complex.
+The complement p of the embedded torus algebra inside h is ``Pair.complement``:
+g-basis vectors chosen once per pair, with h's structure constants projected
+to p.  The Chevalley–Eilenberg boundary (``complexes.ce_boundary``) reads
+them and M's g-basis action matrices.
 
 The relative standard complex is a ``complexes.Complex`` of plain spaces with
 C_n at cochain degree -n, so H_n is ``Complex.homology`` at degree -n and the
@@ -30,42 +27,17 @@ from .complexes import (
     trivial_pair,
 )
 from .gkmodules import FiniteModule
-from .liepairs import Pair, SubpairEmbedding
-from .linalg import (
-    Matrix,
-    Vector,
-    dense,
-    independent_over,
-    inverse,
-    rank,
-    sparse_columns,
-    unit_vec,
-)
+from .liepairs import Character, Pair, SubpairEmbedding
+from .linalg import Matrix, Vector, dense, independent_over, rank, sparse_columns, unit_vec
 from .reports import HomologyReport
 from .scalars import ONE
 
 
 def p_complement(pair: Pair) -> Tuple[List[Vector], Matrix]:
-    """Basis of p and the projection P: h -> p (coordinates in that basis).
-
-    The basis vectors are g-basis vectors.  Raises if the weight-zero basis
-    vectors fail to complete the torus image (cannot happen for validated
-    pairs with diagonalizable K^H).
-    """
-    g, K = pair.g, pair.K
-    zero = K.zero_char()
-    torus_cols = [pair.iota.column(t) for t in range(K.torus_rank)]
-    weight_zero = [{j: ONE} for j in range(g.dim) if pair.ad_grading[j] == zero]
-    completing = {j for v in independent_over(pair.iota, weight_zero) for j in v}
-    chosen = [j for j in range(g.dim) if pair.ad_grading[j] != zero or j in completing]
-    p_basis = [unit_vec(g.dim, j) for j in chosen]
-    cols = torus_cols + p_basis
-    if len(cols) != g.dim:
-        raise ValueError("complement of the torus image is not K-stable")
-    inv = inverse(Matrix.from_columns(cols, rows=g.dim))
-    tr = K.torus_rank
-    return p_basis, Matrix._raw(len(p_basis), g.dim,
-                                {(r - tr, c): v for (r, c), v in inv.entries.items() if r >= tr})
+    """Basis of p (g-basis vectors) and the projection P: h -> p (coordinates
+    in that basis), read from ``pair.complement``."""
+    chosen, projection, _ = pair.complement
+    return [unit_vec(pair.g.dim, j) for j in chosen], projection
 
 
 class RelativeStandardComplex(Complex):
@@ -80,12 +52,15 @@ class RelativeStandardComplex(Complex):
             raise ValueError("module must live over the small pair of the embedding")
         pair = M.pair
         self.module = M
-        self.p_basis, self.projection = p_complement(pair)
-        chosen = [v.index(ONE) for v in self.p_basis]
-        K, g = pair.K, pair.g
+        chosen, _, brackets = pair.complement
+        K = pair.K
         zero = K.zero_char()
         dp = self.p_dim = len(chosen)
         p_weights = [pair.ad_grading[j] for j in chosen]
+        # module indices by canonical K-weight (K.add reduces finite residues), ascending
+        by_weight: Dict[Character, List[int]] = {}
+        for k, ch in enumerate(M.k_weights):
+            by_weight.setdefault(K.add(zero, ch), []).append(k)
         # kept basis: (subset, module index) of trivial total weight;
         # position[n][subset][k] is the index of (subset, k) in kept[n]
         self.kept: Dict[int, List[Tuple[Tuple[int, ...], int]]] = {}
@@ -97,16 +72,10 @@ class RelativeStandardComplex(Complex):
                 w = zero
                 for s in subset:
                     w = K.add(w, p_weights[s])
-                index = position[n][subset] = {}
-                for k in range(M.dim):
-                    if K.add(w, M.k_weights[k]) == zero:
-                        index[k] = len(kept)
-                        kept.append((subset, k))
+                ks = by_weight.get(K.neg(w), ())
+                position[n][subset] = {k: len(kept) + i for i, k in enumerate(ks)}
+                kept.extend((subset, k) for k in ks)
         act = [sparse_columns(M.g_action[j]) for j in chosen]
-        brackets = {}
-        for a, b in combinations(range(dp), 2):
-            br = self.projection.apply(g.bracket_basis(chosen[a], chosen[b]))
-            brackets[(a, b)] = {l: c for l, c in enumerate(br) if not c.is_zero()}
         diffs = {}
         for n in range(1, dp + 1):
             try:

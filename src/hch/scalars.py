@@ -18,10 +18,17 @@ from typing import Optional
 
 
 def _ratio(x):
-    """``(numerator, denominator)`` of outside input: int, Fraction or string."""
+    """``(numerator, denominator)`` of outside input: int, Fraction or string.
+
+    A string of ASCII digits with an optional leading ``-`` is read by ``int``;
+    any other string is read by ``Fraction``, which accepts or rejects it.
+    """
     if isinstance(x, int):
         return x, 1
     if isinstance(x, str):
+        digits = x[1:] if x[:1] == "-" else x
+        if digits.isdigit() and digits.isascii():
+            return int(x), 1
         x = Fraction(x)
     if isinstance(x, Fraction):
         return x.numerator, x.denominator
@@ -168,9 +175,9 @@ class Scalar:
     @staticmethod
     def from_json(obj) -> "Scalar":
         if isinstance(obj, dict):
-            return Scalar(Fraction(obj.get("re", "0")), Fraction(obj.get("im", "0")))
+            return Scalar(obj.get("re", 0), obj.get("im", 0))
         if isinstance(obj, (int, str)):
-            return Scalar(Fraction(obj))
+            return Scalar(obj)
         raise TypeError(f"cannot parse scalar from {obj!r}")
 
 

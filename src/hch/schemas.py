@@ -7,11 +7,11 @@ KeyError deep inside the library.  Modules are also checked mathematically
 (bracket representation, K-equivariance) before anything is computed on them.
 """
 
-from fractions import Fraction
 from typing import Any
 
 from .gkmodules import FiniteModule
 from .liepairs import Pair, SubpairEmbedding
+from .scalars import _ratio
 
 
 class SchemaError(ValueError):
@@ -47,7 +47,7 @@ def _check_rational(v: Any, loc: str) -> None:
     if isinstance(v, bool) or not isinstance(v, (int, str)):
         raise SchemaError(loc, f'expected an integer or a "p/q" string, got {v!r}')
     try:
-        Fraction(v)
+        _ratio(v)
     except (ValueError, ZeroDivisionError) as e:
         raise SchemaError(loc, f"not a rational number: {e}") from None
 
@@ -131,7 +131,7 @@ def check_algebra(obj: Any, loc: str) -> None:
         _check_rational(row[4], f"{where}[4]")
         j, k, l = row[:3]
         if j == k:
-            if Fraction(row[3]) or Fraction(row[4]):
+            if _ratio(row[3])[0] or _ratio(row[4])[0]:
                 raise SchemaError(where, f"nonzero bracket of x{j} with itself")
             continue
         pair = (min(j, k), max(j, k))

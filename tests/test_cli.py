@@ -87,6 +87,30 @@ def test_homology_matches_direct_value(files, capsys):
     assert json.loads(out) == {"H": [1, 1]}
 
 
+def non_canonical(obj):
+    """obj with each integer string rewritten as an equal non-canonical one:
+    "1" -> "2/2", "0" -> "-0", and leading zeros on the rest."""
+    if isinstance(obj, dict):
+        return {k: non_canonical(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [non_canonical(v) for v in obj]
+    if isinstance(obj, str) and obj.lstrip("-").isdigit():
+        sign, digits = ("-", obj[1:]) if obj.startswith("-") else ("", obj)
+        return {"1": "2/2", "0": "-0"}.get(obj, f"{sign}00{digits}")
+    return obj
+
+
+def test_homology_reads_non_canonical_rationals(files, tmp_path, capsys):
+    with open(files["F2"]) as fh:
+        doc = non_canonical(json.load(fh))
+    assert all(f'"{x}"' in json.dumps(doc) for x in ("2/2", "-0", "002"))
+    p = tmp_path / "F2-non-canonical.json"
+    p.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "homology", "--subpair", files["diag"], "--module", str(p))
+    assert code == 0
+    assert json.loads(out) == {"H": [1, 1]}
+
+
 def test_ext_ep_coinv(files, capsys, monkeypatch):
     calls = []
     real = cli.rel_homology
@@ -182,6 +206,15 @@ def test_sl2_demo_malformed_max_window_is_exit_2(capsys, monkeypatch, cap):
     code, out, err = run(capsys, "sl2-demo", "--lambda", "2")
     assert code == 2 and out == ""
     assert err == f"error: MaxWindowError: HCH_MAX_WINDOW must be an integer, got {cap!r}\n"
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_sl2_demo_max_window_below_one_is_exit_2(capsys, monkeypatch, cap):
+    # no window of that size holds a K-type: malformed input, not an uncertified row
+    monkeypatch.setenv("HCH_MAX_WINDOW", cap)
+    code, out, err = run(capsys, "sl2-demo", "--lambda", "2")
+    assert code == 2 and out == ""
+    assert err == f"error: MaxWindowError: HCH_MAX_WINDOW must be at least 1, got {cap}\n"
 
 
 def test_sl2_demo_accepts_a_negative_lambda_list(capsys):

@@ -1,10 +1,12 @@
 """Relative homology, coinvariants, and the duality/chain-map Ext agreement."""
 
+from itertools import combinations
+
 import pytest
 
-from hch import signs
+from hch import liepairs, schemas, signs
 from hch.gkmodules import FiniteModule, direct_sum, restrict_module, tensor, trivial_module
-from hch.liepairs import SubpairEmbedding
+from hch.liepairs import Character, SubpairEmbedding
 from hch.linalg import Matrix, add_into, kernel_basis, rank
 from hch.relhomology import (
     NotAComplexError,
@@ -227,6 +229,73 @@ def test_boundaries_match_the_per_column_reference():
         cx = RelativeStandardComplex(emb, M)
         for n in range(1, cx.p_dim + 1):
             assert cx.diff(-n) == reference_boundary(cx, n), (name, n)
+
+
+def ref_kept(cx):
+    """The kept basis by the scan over every (wedge subset, module index), with
+    the total weight tested through ``K.add``."""
+    M = cx.module
+    K = M.pair.K
+    zero = K.zero_char()
+    p_weights = [M.pair.ad_grading[v.index(Scalar(1))] for v in p_complement(M.pair)[0]]
+    kept = {}
+    for n in range(len(p_weights) + 1):
+        kept[n] = []
+        for subset in combinations(range(len(p_weights)), n):
+            w = zero
+            for s in subset:
+                w = K.add(w, p_weights[s])
+            for k in range(M.dim):
+                if K.add(w, M.k_weights[k]) == zero:
+                    kept[n].append((subset, k))
+    return kept
+
+
+def unreduced(M, shift):
+    """M with every finite residue a of its K-weights stored as a + shift * n."""
+    invariants = M.pair.K.finite_invariants
+    weights = [Character(ch.torus, tuple(a + shift * n for a, n in zip(ch.finite, invariants)))
+               for ch in M.k_weights]
+    return FiniteModule(M.pair, weights, M.g_action)
+
+
+def test_kept_basis_matches_the_scan():
+    for name, emb, M in boundary_cases():
+        cx = RelativeStandardComplex(emb, M)
+        assert cx.kept == ref_kept(cx), name
+    kept = 0
+    for name in ("diagonal_torus", "torus_normalizer"):
+        emb = SUBPAIR_CATALOG[name]()
+        for m in range(5):
+            M = restrict_module(emb, finite_irrep_so2(m))
+            want = RelativeStandardComplex(emb, M)
+            for shift in (1, -3):
+                cx = RelativeStandardComplex(emb, unreduced(M, shift))
+                assert cx.kept == ref_kept(cx) == want.kept, (name, m, shift)
+                assert all(cx.diff(-n) == want.diff(-n) for n in range(1, cx.p_dim + 1))
+                kept += len(cx.kept[0])
+    assert kept > 0
+
+
+def test_p_is_derived_once_per_pair(monkeypatch):
+    derived = []
+    derive = liepairs._complement
+    monkeypatch.setattr(liepairs, "_complement", lambda pair: derived.append(pair) or derive(pair))
+    emb = SUBPAIR_CATALOG["diagonal_torus"]()
+    docs = emb.to_json(), restrict_module(emb, finite_irrep_so2(4)).to_json()
+
+    def ext_grid():
+        # the eight complex builds of one ext-grid job: both routes in degrees 0..3
+        emb = schemas.load_subpair(docs[0])
+        M = schemas.load_finite_module(emb.small, docs[1])
+        dims = [ext(emb, M, n) for ext in (ext_via_duality, ext_via_chain_maps) for n in range(4)]
+        return M.pair, dims
+
+    pair, dims = ext_grid()
+    assert dims == [1, 1, 0, 0] * 2
+    assert derived == [pair]
+    again, _ = ext_grid()
+    assert again is not pair and derived == [pair, again]
 
 
 def test_building_the_complex_makes_no_scalar(monkeypatch):

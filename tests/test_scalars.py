@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hch.scalars import I, ONE, ZERO, Scalar, as_scalar
+from hch.scalars import I, ONE, ZERO, Scalar, _ratio, as_scalar
 from hch.sl2 import sl2_branching_report
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -254,3 +254,41 @@ def test_branching_report_constructs_no_fraction(monkeypatch):
     assert Scalar(1, 2).re == 1 and outside == []
     Fraction(3)
     assert len(outside) == 1
+
+
+# integer strings the fast path reads, and strings it must leave to Fraction
+RATIO_CORPUS = ["007", "-0", "+3", " 3", "3_000", "\u0663", "\u00b2", "1/2", "1.5", "1e3", "",
+                "-", "--1", "-007", "12", "1/0", "0/0", "-12/8", "3 ", "0x10", "-\u0663"]
+
+
+def parsed(parse, s):
+    """The value parse reads from s as a Fraction, or the type of what it raises."""
+    try:
+        out = parse(s)
+    except Exception as e:  # the exception type is the result compared
+        return type(e)
+    return Fraction(*out) if isinstance(out, tuple) else out
+
+
+@pytest.mark.parametrize("s", RATIO_CORPUS)
+def test_rational_parser_agrees_with_fraction_on_the_corpus(s):
+    assert parsed(_ratio, s) == parsed(Fraction, s)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(alphabet="0123456789-+/._e \u0663\u00b2", max_size=8),
+                 st.from_regex(r"-?[0-9]{1,40}", fullmatch=True),
+                 st.fractions().map(str), st.text(max_size=6)))
+def test_rational_parser_agrees_with_fraction(s):
+    assert parsed(_ratio, s) == parsed(Fraction, s)
+
+
+def test_integer_strings_construct_no_fraction(monkeypatch):
+    made = []
+    original = fractions.Fraction.__dict__["__new__"]
+    monkeypatch.setattr(fractions.Fraction, "__new__",
+                        staticmethod(lambda cls, *a, **k: made.append(a) or original(cls, *a, **k)))
+    assert Scalar.from_json({"re": "-007", "im": "12"}) == Scalar(-7, 12)
+    assert Scalar.from_json("-0") == ZERO and made == []
+    half = Scalar.from_json({"re": "2/4"})
+    assert (half._a, half._b, half._d) == (1, 0, 2) and made[0] == ("2/4",)

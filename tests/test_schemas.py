@@ -9,11 +9,13 @@ other exception.
 
 import copy
 import json
+from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hch.gkmodules import restrict_module, trivial_module
-from hch.schemas import SchemaError, load_finite_module, load_pair, load_subpair
+from hch.schemas import SchemaError, _check_rational, load_finite_module, load_pair, load_subpair
 from hch.sl2 import SUBPAIR_CATALOG, finite_irrep_so2, so2_pair, torus_pair, trivial_k_pair
 
 PAIRS = [make().to_json() for make in (so2_pair, torus_pair, trivial_k_pair)]
@@ -110,3 +112,17 @@ def test_unmutated_documents_load():
         assert load_subpair(emb.to_json()).to_json() == emb.to_json()
     for name, doc in MODULES:
         assert load_finite_module(SUBPAIRS[name].small, doc).to_json() == doc
+
+
+@pytest.mark.parametrize("s", ["007", "-0", "+3", " 3", "3_000", "\u0663", "\u00b2", "1/2", "1.5",
+                               "1e3", "", "-", "--1", "1/0", "-002",
+                               pytest.param("9" * 4301, id="4301-digits")])
+def test_rational_check_accepts_what_fraction_accepts(s):
+    try:
+        Fraction(s)
+    except (ValueError, ZeroDivisionError) as e:
+        with pytest.raises(SchemaError) as info:
+            _check_rational(s, "x")
+        assert str(info.value) == f"x: not a rational number: {e}"
+    else:
+        _check_rational(s, "x")
