@@ -117,16 +117,20 @@ class Complex:
 
     # -- validation and homology ----------------------------------------------
 
+    def interior_diff(self, n: int) -> Matrix:
+        """d^n restricted to the interior columns: all of d^n on an unmarked complex."""
+        d = self.diff(n)
+        return d if self.interior is None else d.restrict_columns(self.interior_cols(n))
+
+    def square_fault(self, n: int, d_r: Matrix) -> List[str]:
+        """The d^2 violation at degree n, if any, given d_r = ``interior_diff(n)``."""
+        if (self.diff(n + 1) @ d_r).is_zero():
+            return []
+        where = "" if self.interior is None else " on an interior column"
+        return [f"d^2 != 0 at degree {n}{where}"]
+
     def check_complex(self) -> ValidationReport:
-        bad = []
-        for n in self.degrees():
-            if self.interior is None:
-                if not (self.diff(n + 1) @ self.diff(n)).is_zero():
-                    bad.append(f"d^2 != 0 at degree {n}")
-            else:
-                dd = self.diff(n + 1) @ self.diff(n).restrict_columns(self.interior_cols(n))
-                if not dd.is_zero():
-                    bad.append(f"d^2 != 0 at degree {n} on an interior column")
+        bad = [v for n in self.degrees() for v in self.square_fault(n, self.interior_diff(n))]
         return ValidationReport.good() if not bad else ValidationReport.bad(*bad)
 
     def homology(self) -> HomologyReport:
@@ -559,7 +563,13 @@ def chain_maps(M: Complex, N: Complex) -> List[Dict[int, Matrix]]:
     return [lay.unpack(v) for v in kernel_on(d, range(d.cols))]
 
 
+def hom_diff_rank(M: Complex, N: Complex, n: int) -> Tuple[int, int]:
+    """(dim Hom^n(M, N), rank of delta: Hom^n -> Hom^(n+1))."""
+    d_n = _hom_diff(M, N, n)
+    return d_n.cols, rank(d_n)
+
+
 def homotopy_classes_dim(M: Complex, N: Complex, n: int = 0) -> int:
     """dim H^n of the plain Hom complex: degree-n maps modulo homotopy."""
-    d_n = _hom_diff(M, N, n)
-    return d_n.cols - rank(d_n) - rank(_hom_diff(M, N, n - 1))
+    dim, r_n = hom_diff_rank(M, N, n)
+    return dim - r_n - hom_diff_rank(M, N, n - 1)[1]

@@ -8,20 +8,22 @@ them and M's g-basis action matrices.
 
 The relative standard complex is a ``complexes.Complex`` of plain spaces with
 C_n at cochain degree -n, so H_n is ``Complex.homology`` at degree -n and the
-Euler–Poincaré characteristic is ``Complex.euler_characteristic``.
+Euler–Poincaré characteristic is ``Complex.euler_characteristic``.  It depends
+on M alone, so it is built once per module and held by it (``held_complex``):
+every degree, both Ext routes, EP and ``rel_homology`` read that one build.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import signs
 from .complexes import (
     Complex,
     NotAComplexError,
     ce_boundary,
-    homotopy_classes_dim,
+    hom_diff_rank,
     plain_space,
     single_term,
     trivial_pair,
@@ -44,7 +46,8 @@ class RelativeStandardComplex(Complex):
     """C_n = K^H-coinvariants of wedge^n(p) (x) M, with the two-sum boundary.
 
     C_n is a plain space at cochain degree -n, and the boundary C_n -> C_{n-1}
-    is ``diff(-n)``.
+    is ``diff(-n)``.  The d^2 check and the ranks the two Ext routes read are
+    each computed once per complex, and the routes keep their ranks apart.
     """
 
     def __init__(self, emb: SubpairEmbedding, M: FiniteModule):
@@ -86,14 +89,47 @@ class RelativeStandardComplex(Complex):
                 raise ValueError("boundary leaves the coinvariant part") from None
         terms = {-n: plain_space(len(self.kept[n])) for n in range(dp + 1)}
         super().__init__(trivial_pair(), terms, diffs)
+        self.faults: Optional[List[str]] = None
+        self.boundary_ranks: Dict[int, int] = {}
+        self.hom_ranks: Dict[int, Tuple[int, int]] = {}
+
+    def boundary_rank(self, n: int) -> int:
+        """rank of d_n: C_n -> C_(n-1) (duality route)."""
+        if n not in self.boundary_ranks:
+            self.boundary_ranks[n] = rank(self.diff(-n))
+        return self.boundary_ranks[n]
+
+    def hom_rank(self, n: int) -> Tuple[int, int]:
+        """(dim Hom^n, rank delta_n) of the plain Hom complex into C (chain-map route)."""
+        if n not in self.hom_ranks:
+            self.hom_ranks[n] = hom_diff_rank(self, single_term(plain_space(1)), n)
+        return self.hom_ranks[n]
+
+
+def held_complex(emb: SubpairEmbedding, M: FiniteModule) -> RelativeStandardComplex:
+    """M's relative standard complex, built on first use and held as ``M.relative_complex``.
+
+    ``emb`` only checks the dimension, on every call: a mismatched one reaches
+    the constructor, which raises.  A module is treated as immutable once a
+    homology call has read it, as ``Pair.complement`` treats its pair; the
+    complex lives exactly as long as M.
+    """
+    cx = getattr(M, "relative_complex", None)
+    if cx is None or M.pair.g.dim != emb.small.g.dim:
+        cx = M.relative_complex = RelativeStandardComplex(emb, M)
+    return cx
 
 
 def _check_boundaries(cx: RelativeStandardComplex) -> None:
-    """Raise NotAComplexError naming, in ascending order, each n with d_(n-1) d_n != 0."""
-    bad = [f"boundary squared nonzero at degree {n}" for n in range(2, cx.p_dim + 1)
-           if not (cx.diff(1 - n) @ cx.diff(-n)).is_zero()]
-    if bad:
-        raise NotAComplexError("; ".join(bad))
+    """Raise NotAComplexError naming, in ascending order, each n with d_(n-1) d_n != 0.
+
+    The products are formed on the first call; a failing complex raises on every call.
+    """
+    if cx.faults is None:
+        cx.faults = [f"boundary squared nonzero at degree {n}" for n in range(2, cx.p_dim + 1)
+                     if not (cx.diff(1 - n) @ cx.diff(-n)).is_zero()]
+    if cx.faults:
+        raise NotAComplexError("; ".join(cx.faults))
 
 
 def rel_homology(emb: SubpairEmbedding, M: FiniteModule) -> HomologyReport:
@@ -103,7 +139,7 @@ def rel_homology(emb: SubpairEmbedding, M: FiniteModule) -> HomologyReport:
     rank certificate; only when that guard raises are they formed again, to
     name every failing degree.
     """
-    cx = RelativeStandardComplex(emb, M)
+    cx = held_complex(emb, M)
     try:
         h = cx.homology()
     except NotAComplexError:
@@ -140,15 +176,17 @@ def ext_via_duality(emb: SubpairEmbedding, M: FiniteModule, n: int) -> int:
 
     Only degree n is computed: dim C_n - rank d_n - rank d_{n+1}.
     """
-    cx = RelativeStandardComplex(emb, M)
+    cx = held_complex(emb, M)
     _check_boundaries(cx)
-    return cx.dim_at(-n) - rank(cx.diff(-n)) - rank(cx.diff(-n - 1))
+    return cx.dim_at(-n) - cx.boundary_rank(n) - cx.boundary_rank(n + 1)
 
 
 def ext_via_chain_maps(emb: SubpairEmbedding, M: FiniteModule, n: int) -> int:
     """Independent route: maps to C[n] from the complex, modulo homotopy."""
-    return homotopy_classes_dim(RelativeStandardComplex(emb, M), single_term(plain_space(1)), n)
+    cx = held_complex(emb, M)
+    dim, r_n = cx.hom_rank(n)
+    return dim - r_n - cx.hom_rank(n - 1)[1]
 
 
 def euler_poincare(emb: SubpairEmbedding, M: FiniteModule) -> int:
-    return RelativeStandardComplex(emb, M).euler_characteristic()
+    return held_complex(emb, M).euler_characteristic()

@@ -4,7 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from hch import liepairs, schemas, signs
+from hch import complexes, liepairs, relhomology, schemas, signs
+from hch.complexes import homotopy_classes_dim, plain_space, single_term
 from hch.gkmodules import FiniteModule, direct_sum, restrict_module, tensor, trivial_module
 from hch.liepairs import Character, SubpairEmbedding
 from hch.linalg import Matrix, add_into, kernel_basis, rank
@@ -373,3 +374,100 @@ def test_rel_homology_matches_the_chain_degree_reference():
             assert got.representatives[n] == reps, (name, n)
         chi = sum(signs.degree_sign(n) * len(cx.kept[n]) for n in range(cx.p_dim + 1))
         assert euler_poincare(emb, M) == chi, name
+
+
+def ref_ext_via_duality(emb, M, n):
+    """The per-call duality route: a fresh complex, d^2-checked and ranked on every call."""
+    cx = RelativeStandardComplex(emb, M)
+    for k in range(2, cx.p_dim + 1):
+        if not (cx.diff(1 - k) @ cx.diff(-k)).is_zero():
+            raise NotAComplexError(f"boundary squared nonzero at degree {k}")
+    return cx.dim_at(-n) - rank(cx.diff(-n)) - rank(cx.diff(-n - 1))
+
+
+def ref_ext_via_chain_maps(emb, M, n):
+    """The per-call chain-map route: a fresh complex and a fresh Hom complex on every call."""
+    return homotopy_classes_dim(RelativeStandardComplex(emb, M), single_term(plain_space(1)), n)
+
+
+def test_held_complex_matches_the_per_call_routes():
+    cases = []
+    for name, mk in SUBPAIR_CATALOG.items():
+        emb = mk()
+        cases += [(f"{name} F{m}", emb, lambda emb=emb, m=m: restrict_module(emb, finite_irrep_so2(m)))
+                  for m in range(7)]
+    ident = SubpairEmbedding.identity(trivial_k_pair())
+    cases += [(f"identity(trivial_k) F{m}", ident, lambda m=m: finite_irrep(m, trivial_k_pair()))
+              for m in (0, 1, 2, 5)]
+    for name, emb, make in cases:
+        M = make()
+        top = RelativeStandardComplex(emb, M).p_dim
+        degrees = list(range(-1, top + 2))
+        want_d = [ref_ext_via_duality(emb, M, n) for n in degrees]
+        want_c = [ref_ext_via_chain_maps(emb, M, n) for n in degrees]
+        assert want_d == want_c, name
+        # one module asked in ascending order, twice; a fresh one in descending order
+        for _ in range(2):
+            assert [ext_via_duality(emb, M, n) for n in degrees] == want_d, name
+            assert [ext_via_chain_maps(emb, M, n) for n in degrees] == want_c, name
+        fresh = make()
+        assert [ext_via_chain_maps(emb, fresh, n) for n in reversed(degrees)] == want_c[::-1], name
+        assert [ext_via_duality(emb, fresh, n) for n in reversed(degrees)] == want_d[::-1], name
+
+
+def test_one_build_per_module(monkeypatch):
+    builds, boundary_ranks, hom_diffs = [], [], []
+    init, rank_, hom_diff = RelativeStandardComplex.__init__, relhomology.rank, complexes._hom_diff
+    monkeypatch.setattr(RelativeStandardComplex, "__init__",
+                        lambda self, emb, M: builds.append(M) or init(self, emb, M))
+    monkeypatch.setattr(relhomology, "rank", lambda m: boundary_ranks.append(m) or rank_(m))
+    monkeypatch.setattr(complexes, "_hom_diff", lambda *a: hom_diffs.append(a[2]) or hom_diff(*a))
+    emb = SUBPAIR_CATALOG["diagonal_torus"]()
+    docs = emb.to_json(), restrict_module(emb, finite_irrep_so2(4)).to_json()
+
+    def load():
+        emb = schemas.load_subpair(docs[0])
+        return emb, schemas.load_finite_module(emb.small, docs[1])
+
+    emb, M = load()
+    dims = [ext(emb, M, n) for ext in (ext_via_duality, ext_via_chain_maps) for n in range(4)]
+    assert dims == [1, 1, 0, 0] * 2
+    assert euler_poincare(emb, M) == 0
+    assert rel_homology(emb, M).dims == {0: 1, 1: 1}
+    assert builds == [M]
+    # d_0 .. d_4 and delta_-1 .. delta_3, each once
+    assert len(boundary_ranks) == 5
+    assert sorted(hom_diffs) == list(range(-1, 4))
+    _, again = load()
+    assert ext_via_duality(emb, again, 0) == 1
+    assert builds == [M, again]
+
+
+def test_failing_complex_raises_on_every_call():
+    pair = trivial_k_pair()
+    emb = SubpairEmbedding.identity(pair)
+    F1 = finite_irrep(1, pair)
+    # h acting twice as it should: not a representation, so d^2 != 0
+    bad = FiniteModule(pair, F1.k_weights,
+                       [F1.g_action[0], F1.g_action[1].scale(Scalar(2)), F1.g_action[2]])
+    text = "boundary squared nonzero at degree 2; boundary squared nonzero at degree 3"
+    for compute in (lambda: ext_via_duality(emb, bad, 1), lambda: ext_via_duality(emb, bad, 1),
+                    lambda: rel_homology(emb, bad), lambda: ext_via_duality(emb, bad, 0)):
+        with pytest.raises(NotAComplexError) as err:
+            compute()
+        assert str(err.value) == text
+    assert ref_ext_via_duality(emb, F1, 1) == ext_via_duality(emb, F1, 1) == 0
+
+
+def test_mismatched_embedding_raises_after_a_complex_is_held():
+    pair = trivial_k_pair()
+    emb = SubpairEmbedding.identity(pair)
+    M = finite_irrep(2, pair)
+    assert ext_via_duality(emb, M, 0) == 0
+    other = SUBPAIR_CATALOG["diagonal_torus"]()
+    for compute in (ext_via_duality, ext_via_chain_maps):
+        with pytest.raises(ValueError, match="module must live over the small pair"):
+            compute(other, M, 0)
+    for compute in (rel_homology, euler_poincare):
+        with pytest.raises(ValueError, match="module must live over the small pair"):
+            compute(other, M)
