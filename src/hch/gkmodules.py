@@ -100,12 +100,6 @@ class FiniteModule:
             "g_action": [m.to_json() for m in self.g_action],
         }
 
-    @staticmethod
-    def from_json(pair: Pair, obj) -> "FiniteModule":
-        weights = [pair.K.character(ch.get("torus", []), ch.get("finite", []))
-                   for ch in obj["k_weights"]]
-        return FiniteModule(pair, weights, [Matrix.from_json(m) for m in obj["g_action"]])
-
 
 @dataclass
 class DefectMap:

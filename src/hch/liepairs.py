@@ -117,16 +117,6 @@ class LieAlgebra:
                 triples.append([j, k, l, str(v.re), str(v.im)])
         return {"dim": self.dim, "basis_labels": self.basis_labels, "brackets": triples}
 
-    @staticmethod
-    def from_json(obj) -> "LieAlgebra":
-        brackets: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-        for j, k, l, re, im in obj.get("brackets", []):
-            comp = brackets.setdefault((j, k), {})
-            if l in comp:
-                raise ValueError(f"bracket entry ({j}, {k}, {l}) given twice")
-            comp[l] = Scalar(re, im)
-        return LieAlgebra(int(obj["dim"]), obj.get("basis_labels"), brackets)
-
 
 def _vadd(*vs: Vector) -> Vector:
     out = list(vs[0])
@@ -202,10 +192,6 @@ class DiagGroup:
     def to_json(self):
         return {"torus_rank": self.torus_rank, "finite_invariants": list(self.finite_invariants)}
 
-    @staticmethod
-    def from_json(obj) -> "DiagGroup":
-        return DiagGroup(int(obj.get("torus_rank", 0)), [int(n) for n in obj.get("finite_invariants", [])])
-
 
 class Pair:
     """A Harish-Chandra pair (g, K) with K diagonalizable.
@@ -278,14 +264,6 @@ class Pair:
             "ad_grading": [ch.to_json() for ch in self.ad_grading],
             "iota": self.iota.to_json(),
         }
-
-    @staticmethod
-    def from_json(obj) -> "Pair":
-        g = LieAlgebra.from_json(obj["g"])
-        K = DiagGroup.from_json(obj["K"])
-        grading = [K.character(ch.get("torus", []), ch.get("finite", [])) for ch in obj["ad_grading"]]
-        iota = Matrix.from_json(obj["iota"]) if "iota" in obj else None
-        return Pair(g, K, grading, iota)
 
 
 def _complement(pair: Pair):
@@ -426,13 +404,3 @@ class SubpairEmbedding:
             "alg_embed": self.alg_embed.to_json(),
             "grp_embed": self.grp_embed.to_json(),
         }
-
-    @staticmethod
-    def from_json(obj) -> "SubpairEmbedding":
-        small = Pair.from_json(obj["small"])
-        big = Pair.from_json(obj["big"])
-        alg = Matrix.from_json(obj["alg_embed"])
-        ge = obj.get("grp_embed", {})
-        grp = CharacterRestriction(big.K, small.K,
-                                   ge.get("torus_map", []), ge.get("finite_map", []))
-        return SubpairEmbedding(small, big, alg, grp)

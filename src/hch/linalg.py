@@ -13,10 +13,11 @@ Matrices are stored as sparse maps (row, col) -> Scalar, and elimination
 rows as sparse maps col -> Scalar.  No sparse map in the package holds an
 explicit zero: ``add_into`` is the one way to accumulate into such a map, and
 every module that builds one goes through it.  ``Matrix(...)`` validates
-input from outside the library (JSON, literal rows, tests): it range-checks,
-coerces and drops zeros.  A builder whose entries it produced itself, from
-Scalars of other matrices, places them through ``Matrix._raw`` and is not
-checked again.
+input from Python callers (literal rows, tests): it range-checks, coerces
+and drops zeros.  A builder whose entries it produced itself, from Scalars
+of other matrices, places them through ``Matrix._raw`` and is not checked
+again; so do the JSON loaders of ``schemas``, which check each entry as they
+read it.
 
 Every exact elimination goes through ``_rref``, which keeps a column index
 (column -> ids of the rows holding it) current through fill-in and
@@ -271,13 +272,6 @@ class Matrix:
                 [r, c, v.to_json()] for (r, c), v in sorted(self.entries.items())
             ],
         }
-
-    @staticmethod
-    def from_json(obj) -> "Matrix":
-        ents = {}
-        for r, c, v in obj.get("entries", []):
-            ents[(int(r), int(c))] = Scalar.from_json(v)
-        return Matrix(int(obj["rows"]), int(obj["cols"]), ents)
 
 
 # -- elimination --------------------------------------------------------------

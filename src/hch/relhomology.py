@@ -54,7 +54,6 @@ class RelativeStandardComplex(Complex):
         if M.pair.g.dim != emb.small.g.dim:
             raise ValueError("module must live over the small pair of the embedding")
         pair = M.pair
-        self.module = M
         chosen, _, brackets = pair.complement
         K = pair.K
         zero = K.zero_char()

@@ -22,7 +22,9 @@ from hch.linalg import (
     vec,
     vec_is_zero,
 )
+from hch.liepairs import DiagGroup, LieAlgebra, Pair
 from hch.scalars import I, ONE, ZERO, Scalar
+from hch.schemas import load_finite_module
 
 
 def test_scalar_field_ops():
@@ -202,8 +204,12 @@ def test_scale_by_plus_or_minus_one_multiplies_nothing():
 
 
 def test_matrix_json_roundtrip():
+    # read back as the one action matrix of a module over a 1-dimensional pair
     m = Matrix.from_rows([[1, I], [0, Scalar(Fraction(1, 3))]])
-    assert Matrix.from_json(m.to_json()) == m
+    K = DiagGroup()
+    pair = Pair(LieAlgebra(1), K, [K.zero_char()])
+    doc = {"k_weights": [{}, {}], "g_action": [m.to_json()]}
+    assert load_finite_module(pair, doc).g_action == [m]
 
 
 # -- the column-indexed elimination against the scanning one it replaced ---------

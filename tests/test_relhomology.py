@@ -1,5 +1,7 @@
 """Relative homology, coinvariants, and the duality/chain-map Ext agreement."""
 
+import gc
+import weakref
 from itertools import combinations
 
 import pytest
@@ -175,11 +177,10 @@ def test_non_complex_is_named(monkeypatch):
     assert issubclass(NotAComplexError, ValueError)
 
 
-def reference_boundary(cx, n):
+def reference_boundary(cx, M, n):
     """wedge^n(p) (x) M -> wedge^{n-1}(p) (x) M, one kept column at a time:
     dense p-basis vectors, ``g.bracket`` and ``projection.apply`` per column,
     and every sign made by ``Scalar(...)``."""
-    M = cx.module
     g = M.pair.g
     p_basis, projection = p_complement(M.pair)
     row = {key: r for r, key in enumerate(cx.kept.get(n - 1, ()))}
@@ -229,13 +230,12 @@ def test_boundaries_match_the_per_column_reference():
     for name, emb, M in boundary_cases():
         cx = RelativeStandardComplex(emb, M)
         for n in range(1, cx.p_dim + 1):
-            assert cx.diff(-n) == reference_boundary(cx, n), (name, n)
+            assert cx.diff(-n) == reference_boundary(cx, M, n), (name, n)
 
 
-def ref_kept(cx):
+def ref_kept(cx, M):
     """The kept basis by the scan over every (wedge subset, module index), with
     the total weight tested through ``K.add``."""
-    M = cx.module
     K = M.pair.K
     zero = K.zero_char()
     p_weights = [M.pair.ad_grading[v.index(Scalar(1))] for v in p_complement(M.pair)[0]]
@@ -263,7 +263,7 @@ def unreduced(M, shift):
 def test_kept_basis_matches_the_scan():
     for name, emb, M in boundary_cases():
         cx = RelativeStandardComplex(emb, M)
-        assert cx.kept == ref_kept(cx), name
+        assert cx.kept == ref_kept(cx, M), name
     kept = 0
     for name in ("diagonal_torus", "torus_normalizer"):
         emb = SUBPAIR_CATALOG[name]()
@@ -271,8 +271,9 @@ def test_kept_basis_matches_the_scan():
             M = restrict_module(emb, finite_irrep_so2(m))
             want = RelativeStandardComplex(emb, M)
             for shift in (1, -3):
-                cx = RelativeStandardComplex(emb, unreduced(M, shift))
-                assert cx.kept == ref_kept(cx) == want.kept, (name, m, shift)
+                shifted = unreduced(M, shift)
+                cx = RelativeStandardComplex(emb, shifted)
+                assert cx.kept == ref_kept(cx, shifted) == want.kept, (name, m, shift)
                 assert all(cx.diff(-n) == want.diff(-n) for n in range(1, cx.p_dim + 1))
                 kept += len(cx.kept[0])
     assert kept > 0
@@ -297,6 +298,22 @@ def test_p_is_derived_once_per_pair(monkeypatch):
     assert derived == [pair]
     again, _ = ext_grid()
     assert again is not pair and derived == [pair, again]
+
+
+def test_held_complex_dies_with_its_module():
+    # no reference cycle: reference counting alone frees a dropped module
+    emb = SUBPAIR_CATALOG["diagonal_torus"]()
+    M = restrict_module(emb, finite_irrep_so2(2))
+    assert rel_homology(emb, M).dims == {0: 1, 1: 1}
+    module, cx = weakref.ref(M), weakref.ref(M.relative_complex)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del M
+        assert module() is None and cx() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_building_the_complex_makes_no_scalar(monkeypatch):
@@ -369,7 +386,8 @@ def test_rel_homology_matches_the_chain_degree_reference():
         assert sorted(got.dims) == list(range(cx.p_dim + 1)), name
         for n in range(cx.p_dim + 1):
             # boundaries in chain degree n and n + 1, built column by column
-            reps = reference_homology_at(reference_boundary(cx, n), reference_boundary(cx, n + 1))
+            reps = reference_homology_at(reference_boundary(cx, M, n),
+                                         reference_boundary(cx, M, n + 1))
             assert got.dims[n] == len(reps), (name, n)
             assert got.representatives[n] == reps, (name, n)
         chi = sum(signs.degree_sign(n) * len(cx.kept[n]) for n in range(cx.p_dim + 1))
