@@ -18,11 +18,11 @@ import sys
 from fractions import Fraction
 
 from .hcomplexes import check_h_axioms
-from .linalg import unit_vec
 from .relhomology import NotAComplexError, coinvariants, euler_poincare, rel_homology
 from .resolution import StandardResolution
 from .bands import DegenerateBandError, MaxWindowError, UncertifiedStabilizationError
 from .gkmodules import UnsupportedAlgebraError
+from .scalars import ONE
 from .schemas import SchemaError, load_finite_module, load_pair, load_subpair
 from .sl2 import SUBPAIR_CATALOG, OracleMismatchError, sl2_branching_report
 
@@ -122,8 +122,7 @@ def _cmd_ep(args) -> int:
 
 def _cmd_coinv(args) -> int:
     emb, module = _load_subpair_module(args)
-    h_basis = [unit_vec(emb.small.g.dim, j) for j in range(emb.small.g.dim)]
-    report = coinvariants(module, h_basis)
+    report = coinvariants(module, [{j: ONE} for j in range(emb.small.g.dim)])
     _emit(_json_text({"dim": report.dims[0]}), args.output)
     return EXIT_OK
 

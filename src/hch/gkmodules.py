@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bands import BandOp
-from .liepairs import Character, Pair, SubpairEmbedding, ValidationReport
-from .linalg import Matrix, Vector, add_into, rank, unit_vec
+from .liepairs import Character, Pair, SubpairEmbedding, ValidationReport, check_element
+from .linalg import Matrix, SparseVector, add_into, rank
 from .poly import Poly
-from .scalars import ONE, ZERO, Scalar, as_scalar
+from .scalars import ONE, Scalar, as_scalar
 
 
 class FiniteModule:
@@ -32,12 +32,14 @@ class FiniteModule:
             if (m.rows, m.cols) != (self.dim, self.dim):
                 raise ValueError("action matrix shape mismatch")
 
-    def action_matrix(self, x: Vector) -> Matrix:
-        out = Matrix.zeros(self.dim, self.dim)
-        for j, a in enumerate(x):
-            if not a.is_zero():
-                out = out + self.g_action[j].scale(a)
-        return out
+    def action_matrix(self, x: SparseVector) -> Matrix:
+        """rho(x) for a sparse g-element x."""
+        check_element(x, len(self.g_action))
+        ents: Dict = {}
+        for j, a in x.items():
+            for rc, v in self.g_action[j].entries.items():
+                add_into(ents, rc, a * v)
+        return Matrix._raw(self.dim, self.dim, ents)
 
     def validate(self) -> ValidationReport:
         bad = []
@@ -80,11 +82,9 @@ class FiniteModule:
         maps = []
         for t in range(self.pair.K.torus_rank):
             ents = self.torus_weight_matrix(t, cols).entries  # a fresh map, summed into
-            for rho, a in zip(self.g_action, self.pair.iota_vec(t)):
-                if a.is_zero():
-                    continue
+            for l, a in self.pair.iota_vec(t).items():
                 na = -a
-                for (r, c), v in rho.entries.items():
+                for (r, c), v in self.g_action[l].entries.items():
                     j = c if index is None else index.get(c)
                     if j is not None:
                         add_into(ents, (r, j), na * v)
@@ -220,8 +220,7 @@ def restrict_module(emb: SubpairEmbedding, m: FiniteModule) -> FiniteModule:
     if m.pair is not emb.big and m.pair.to_json() != emb.big.to_json():
         raise ValueError("module is not over the big pair of the embedding")
     weights = [emb.grp_embed.restrict(ch) for ch in m.k_weights]
-    action = [m.action_matrix(emb.embed(unit_vec(emb.small.g.dim, j)))
-              for j in range(emb.small.g.dim)]
+    action = [m.action_matrix(emb.embed({j: ONE})) for j in range(emb.small.g.dim)]
     return FiniteModule(emb.small, weights, action)
 
 
@@ -232,30 +231,25 @@ class UnsupportedAlgebraError(ValueError):
     """The Casimir certificate only knows sl2 triples."""
 
 
-def _find_sl2_triple(pair: Pair) -> Tuple[Vector, Vector, Vector]:
+def _find_sl2_triple(pair: Pair) -> Tuple[SparseVector, SparseVector, SparseVector]:
     """Locate a standard (e, h, f) triple among the basis, by label.
 
     Accepts the plain sl2 labels e/h/f and the weight-adapted labels
     u+/k0/u- (where (u+/2, k0, u-/2) is a standard triple).
     """
     labels = pair.g.basis_labels
-    d = pair.g.dim
     if set(labels) >= {"e", "h", "f"}:
-        e = unit_vec(d, labels.index("e"))
-        h = unit_vec(d, labels.index("h"))
-        f = unit_vec(d, labels.index("f"))
+        e, h, f = ({labels.index(x): ONE} for x in "ehf")
     elif set(labels) >= {"u+", "k0", "u-"}:
         half = Scalar(1) / Scalar(2)
-        e = tuple(half if k == labels.index("u+") else ZERO for k in range(d))
-        h = unit_vec(d, labels.index("k0"))
-        f = tuple(half if k == labels.index("u-") else ZERO for k in range(d))
+        e, h, f = ({labels.index(x): c} for x, c in (("u+", half), ("k0", ONE), ("u-", half)))
     else:
         raise UnsupportedAlgebraError(
             f"no sl2 triple found among basis labels {labels}"
         )
     g = pair.g
-    two_e = tuple(Scalar(2) * a for a in e)
-    neg_two_f = tuple(Scalar(-2) * a for a in f)
+    two_e = {l: Scalar(2) * a for l, a in e.items()}
+    neg_two_f = {l: Scalar(-2) * a for l, a in f.items()}
     if (g.bracket(h, e) != two_e or g.bracket(h, f) != neg_two_f
             or g.bracket(e, f) != h):
         raise UnsupportedAlgebraError("labeled triple does not satisfy the sl2 relations")
@@ -350,31 +344,22 @@ class BandModule:
         for j in range(g.dim):
             for k in range(j + 1, g.dim):
                 lhs = self.band_ops[j].commutator(self.band_ops[k])
-                rhs = BandOp()
-                for l, c in enumerate(g.bracket_basis(j, k)):
-                    if not c.is_zero():
-                        rhs = rhs + self.band_ops[l].scale(c)
-                if lhs != rhs:
+                if lhs != self.act_vector(g.bracket_basis(j, k)):
                     bad.append(f"bracket identity fails on g-basis pair ({j},{k})")
         return ValidationReport.good() if not bad else ValidationReport.bad(*bad)
 
     def defect_band(self) -> BandOp:
         """w(xi) for the torus generator, as a band operator."""
-        drho = BandOp({0: Poly.x()})
-        alpha = BandOp()
-        for j, a in enumerate(self.pair.iota_vec(0)):
-            if not a.is_zero():
-                alpha = alpha + self.band_ops[j].scale(a)
-        return drho - alpha
+        return BandOp({0: Poly.x()}) - self.act_vector(self.pair.iota_vec(0))
 
     def is_genuine(self) -> bool:
         return self.defect_band().is_zero()
 
-    def act_vector(self, x: Vector) -> BandOp:
+    def act_vector(self, x: SparseVector) -> BandOp:
+        check_element(x, len(self.band_ops))
         out = BandOp()
-        for j, a in enumerate(x):
-            if not a.is_zero():
-                out = out + self.band_ops[j].scale(a)
+        for j, a in x.items():
+            out = out + self.band_ops[j].scale(a)
         return out
 
     def check_casimir(self) -> CasimirReport:

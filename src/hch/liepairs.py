@@ -3,6 +3,12 @@
 A pair couples a Lie algebra g with a diagonalizable group K (torus x finite
 abelian factors), an Ad-weight grading of the chosen g-basis, and an embedding
 iota of the torus Lie algebra into g.  Validation checks are exact.
+
+A Lie-algebra element is a ``linalg.SparseVector``, a {basis index: Scalar}
+map with no stored zeros: ``bracket_basis``, ``bracket``, ``Pair.iota_vec``
+and ``SubpairEmbedding.embed`` each return a fresh one, in ascending index
+order, and a basis vector x_j is ``{j: ONE}``.  An index outside the algebra
+raises ``IndexError`` (``check_element``); it is never read as zero.
 """
 
 from __future__ import annotations
@@ -12,9 +18,14 @@ from functools import cached_property
 from itertools import combinations
 from typing import Dict, Optional, Sequence, Tuple
 
-from .linalg import (Matrix, SparseVector, Vector, add_into, independent_over, inverse, rank,
-                     sparse_columns, unit_vec, vec_is_zero)
-from .scalars import ONE, ZERO, Scalar, as_scalar
+from .linalg import Matrix, SparseVector, add_into, independent_over, inverse, rank, sparse_columns
+from .scalars import ONE, Scalar, as_scalar
+
+
+def check_element(indices, dim: int) -> None:
+    """Raise IndexError unless every index in ``indices`` (an element's keys) lies in 0..dim-1."""
+    if not all(0 <= j < dim for j in indices):
+        raise IndexError("basis index out of range")
 
 
 @dataclass(frozen=True)
@@ -50,9 +61,10 @@ class LieAlgebra:
         self._brackets: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
         if brackets:
             for (j, k), comp in brackets.items():
-                if not (0 <= j < dim and 0 <= k < dim):
+                if not all(0 <= i < dim for i in (j, k, *comp)):
                     raise IndexError("bracket index out of range")
-                comp = {l: as_scalar(v) for l, v in comp.items() if not as_scalar(v).is_zero()}
+                comp = {l: as_scalar(v) for l, v in sorted(comp.items())
+                        if not as_scalar(v).is_zero()}
                 if not comp:
                     continue
                 if j == k:
@@ -63,51 +75,35 @@ class LieAlgebra:
                     raise ValueError(f"bracket [x{j}, x{k}] given in both orders")
                 self._brackets[(j, k)] = comp
 
-    def bracket_basis(self, j: int, k: int) -> Vector:
-        out = [ZERO] * self.dim
-        if j == k:
-            return tuple(out)
-        if j < k:
-            for l, v in self._brackets.get((j, k), {}).items():
-                out[l] = v
-        else:
-            for l, v in self._brackets.get((k, j), {}).items():
-                out[l] = -v
-        return tuple(out)
+    def bracket_basis(self, j: int, k: int) -> SparseVector:
+        """[x_j, x_k] as a fresh sparse map."""
+        check_element((j, k), self.dim)
+        if j <= k:
+            return dict(self._brackets.get((j, k), {}))
+        return {l: -v for l, v in self._brackets.get((k, j), {}).items()}
 
-    def bracket(self, x: Vector, y: Vector) -> Vector:
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ValueError("vector length must equal dim")
-        out = [ZERO] * self.dim
-        for j, a in enumerate(x):
-            if a.is_zero():
-                continue
-            for k, b in enumerate(y):
-                if b.is_zero():
-                    continue
-                for l, c in enumerate(self.bracket_basis(j, k)):
-                    if not c.is_zero():
-                        out[l] = out[l] + a * b * c
-        return tuple(out)
+    def bracket(self, x: SparseVector, y: SparseVector) -> SparseVector:
+        out: SparseVector = {}
+        for j, a in x.items():
+            for k, b in y.items():
+                for l, c in self.bracket_basis(j, k).items():
+                    add_into(out, l, a * b * c)
+        return dict(sorted(out.items()))
 
-    def ad(self, x: Vector) -> Matrix:
+    def ad(self, x: SparseVector) -> Matrix:
         """Matrix of ad(x) = [x, .] in the chosen basis."""
-        cols = [self.bracket(x, unit_vec(self.dim, k)) for k in range(self.dim)]
-        return Matrix.from_columns(cols, rows=self.dim)
+        return Matrix._from_sparse_columns(self.dim, [self.bracket(x, {k: ONE})
+                                                      for k in range(self.dim)])
 
     def check_jacobi(self) -> ValidationReport:
         bad = []
-        for j in range(self.dim):
-            for k in range(j + 1, self.dim):
-                for l in range(k + 1, self.dim):
-                    xj, xk, xl = (unit_vec(self.dim, m) for m in (j, k, l))
-                    s = _vadd(
-                        self.bracket(xj, self.bracket(xk, xl)),
-                        self.bracket(xk, self.bracket(xl, xj)),
-                        self.bracket(xl, self.bracket(xj, xk)),
-                    )
-                    if not vec_is_zero(s):
-                        bad.append(f"Jacobi fails on basis triple ({j},{k},{l})")
+        for j, k, l in combinations(range(self.dim), 3):
+            s: SparseVector = {}
+            for a, b, c in ((j, k, l), (k, l, j), (l, j, k)):
+                for m, v in self.bracket({a: ONE}, self.bracket_basis(b, c)).items():
+                    add_into(s, m, v)
+            if s:
+                bad.append(f"Jacobi fails on basis triple ({j},{k},{l})")
         return ValidationReport.good() if not bad else ValidationReport.bad(*bad)
 
     def to_json(self):
@@ -115,15 +111,7 @@ class LieAlgebra:
         for (j, k), comp in sorted(self._brackets.items()):
             for l, v in sorted(comp.items()):
                 triples.append([j, k, l, str(v.re), str(v.im)])
-        return {"dim": self.dim, "basis_labels": self.basis_labels, "brackets": triples}
-
-
-def _vadd(*vs: Vector) -> Vector:
-    out = list(vs[0])
-    for v in vs[1:]:
-        for k, a in enumerate(v):
-            out[k] = out[k] + a
-    return tuple(out)
+        return {"dim": self.dim, "basis_labels": list(self.basis_labels), "brackets": triples}
 
 
 @dataclass(frozen=True)
@@ -213,8 +201,10 @@ class Pair:
             raise ValueError("iota must be dim(g) x torus_rank")
         self.iota = iota
 
-    def iota_vec(self, t: int) -> Vector:
-        return self.iota.column(t)
+    def iota_vec(self, t: int) -> SparseVector:
+        """iota(xi_t) as a fresh sparse map."""
+        ents = self.iota.entries
+        return {j: ents[(j, t)] for j in range(self.g.dim) if (j, t) in ents}
 
     @cached_property
     def complement(self) -> Tuple[Tuple[int, ...], Matrix, Dict[Tuple[int, int], SparseVector]]:
@@ -241,19 +231,16 @@ class Pair:
         if self.K.torus_rank > 0 and rank(self.iota) != self.K.torus_rank:
             bad.append("iota is not injective")
         for t in range(self.K.torus_rank):
-            col = self.iota_vec(t)
-            for j, a in enumerate(col):
-                if not a.is_zero() and not self.ad_grading[j].is_zero():
+            for j in self.iota_vec(t):
+                if not self.ad_grading[j].is_zero():
                     bad.append(f"iota(xi_{t}) has a component of nonzero Ad-weight at basis {j}")
                     break
         # derived action: ad(iota(xi_t)) must be diagonal with the declared weights
         for t in range(self.K.torus_rank):
-            admat = self.g.ad(self.iota_vec(t))
-            for j in range(self.g.dim):
-                expected = as_scalar(self.ad_grading[j].torus[t])
-                col = admat.column(j)
-                want = tuple(expected if k == j else ZERO for k in range(self.g.dim))
-                if col != want:
+            cols = sparse_columns(self.g.ad(self.iota_vec(t)))
+            for j, col in enumerate(cols):
+                w = self.ad_grading[j].torus[t]
+                if col != ({j: as_scalar(w)} if w else {}):
                     bad.append(f"(dAd)(xi_{t}) != ad(iota(xi_{t})) on basis vector {j}")
         return ValidationReport.good() if not bad else ValidationReport.bad(*bad)
 
@@ -282,7 +269,7 @@ def _complement(pair: Pair):
     brackets = {}
     for a, b in combinations(range(len(chosen)), 2):
         br: SparseVector = {}
-        for l, c in g._brackets.get((chosen[a], chosen[b]), {}).items():
+        for l, c in g.bracket_basis(chosen[a], chosen[b]).items():
             for r, v in columns[l].items():
                 add_into(br, r, c * v)
         brackets[(a, b)] = dict(sorted(br.items()))
@@ -341,7 +328,8 @@ class CharacterRestriction:
         return CharacterRestriction(K, K, tm, fm)
 
     def to_json(self):
-        return {"torus_map": self.torus_map, "finite_map": self.finite_map}
+        return {"torus_map": [list(row) for row in self.torus_map],
+                "finite_map": [list(row) for row in self.finite_map]}
 
 
 class SubpairEmbedding:
@@ -357,21 +345,26 @@ class SubpairEmbedding:
         self.alg_embed = alg_embed
         self.grp_embed = grp_embed
 
-    def embed(self, x: Vector) -> Vector:
-        return self.alg_embed.apply(x)
+    def embed(self, x: SparseVector) -> SparseVector:
+        """The image of the h-element x in g, as a fresh sparse map."""
+        check_element(x, self.small.g.dim)
+        out: SparseVector = {}
+        for (r, c), v in self.alg_embed.entries.items():
+            a = x.get(c)
+            if a is not None:
+                add_into(out, r, a * v)
+        return dict(sorted(out.items()))
 
     def validate(self) -> ValidationReport:
         bad = []
         if rank(self.alg_embed) != self.small.g.dim:
             bad.append("alg_embed is not injective")
+        images = [self.embed({j: ONE}) for j in range(self.small.g.dim)]
         # bracket preservation
-        for j in range(self.small.g.dim):
-            for k in range(j + 1, self.small.g.dim):
-                lhs = self.big.g.bracket(self.embed(unit_vec(self.small.g.dim, j)),
-                                         self.embed(unit_vec(self.small.g.dim, k)))
-                rhs = self.embed(self.small.g.bracket_basis(j, k))
-                if lhs != rhs:
-                    bad.append(f"alg_embed does not preserve bracket on basis pair ({j},{k})")
+        for j, k in combinations(range(self.small.g.dim), 2):
+            lhs = self.big.g.bracket(images[j], images[k])
+            if lhs != self.embed(self.small.g.bracket_basis(j, k)):
+                bad.append(f"alg_embed does not preserve bracket on basis pair ({j},{k})")
         # iota compatibility: embedding of small torus generators matches big iota
         if self.small.K.torus_rank > 0:
             lhs = self.alg_embed @ self.small.iota
@@ -379,12 +372,9 @@ class SubpairEmbedding:
             if lhs != rhs:
                 bad.append("iota maps are incompatible with the torus embedding")
         # weight compatibility: components of an embedded weight vector restrict correctly
-        for j in range(self.small.g.dim):
+        for j, img in enumerate(images):
             want = self.small.ad_grading[j]
-            img = self.embed(unit_vec(self.small.g.dim, j))
-            for idx, a in enumerate(img):
-                if a.is_zero():
-                    continue
+            for idx in img:
                 got = self.grp_embed.restrict(self.big.ad_grading[idx])
                 if got != want:
                     bad.append(

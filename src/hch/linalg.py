@@ -4,10 +4,16 @@ Every "cycles modulo boundaries" question in the package goes through two
 routines: ``kernel_on`` gives the canonical kernel of a matrix on a set of
 its columns, and ``independent_over`` keeps the candidates that extend the
 span of a matrix's columns, by one elimination of those columns.  Every
-column that crosses a module boundary is a ``SparseVector``, an {index:
-Scalar} map: ``sparse_columns`` reads a matrix's columns in that form,
-``Matrix._from_sparse_columns`` places them back, and ``dense`` turns one into
-a coordinate tuple where a representative is reported.
+column, Lie-algebra element and coordinate vector that crosses a module
+boundary is a ``SparseVector``, an {index: Scalar} map with no stored zeros:
+``sparse_columns`` reads a matrix's columns in that form and
+``Matrix._from_sparse_columns`` places them back.
+
+Three outputs stay dense coordinate tuples (``Vector``): ``kernel_basis``
+(the band windows of ``bands`` read its basis) and ``solve``, which the
+benchmark's layer timers in ``bench/layers.py`` wrap by these names and
+signatures; and ``dense``, which writes a sparse vector as the coordinate list
+in which a finite homology representative is reported.
 
 Matrices are stored as sparse maps (row, col) -> Scalar, and elimination
 rows as sparse maps col -> Scalar.  No sparse map in the package holds an
@@ -62,18 +68,6 @@ def add_into(acc: Dict, key, v) -> None:
         del acc[key]
     else:
         acc[key] = s
-
-
-def vec(entries: Iterable) -> Vector:
-    return tuple(as_scalar(x) for x in entries)
-
-
-def unit_vec(n: int, j: int) -> Vector:
-    return tuple(ONE if k == j else ZERO for k in range(n))
-
-
-def vec_is_zero(v: Vector) -> bool:
-    return all(a.is_zero() for a in v)
 
 
 class Matrix:
@@ -136,17 +130,6 @@ class Matrix:
         return Matrix._raw(rows, cols, {})
 
     @staticmethod
-    def from_columns(cols: Sequence[Vector], rows: Optional[int] = None) -> "Matrix":
-        if rows is None:
-            rows = len(cols[0]) if cols else 0
-        ents = {}
-        for j, col in enumerate(cols):
-            for i, v in enumerate(col):
-                if not v.is_zero():
-                    ents[(i, j)] = v
-        return Matrix(rows, len(cols), ents)
-
-    @staticmethod
     def diagonal(values: Sequence) -> "Matrix":
         n = len(values)
         return Matrix(n, n, {(k, k): as_scalar(v) for k, v in enumerate(values)})
@@ -155,9 +138,6 @@ class Matrix:
 
     def __getitem__(self, rc: Tuple[int, int]) -> Scalar:
         return self.entries.get(rc, ZERO)
-
-    def column(self, c: int) -> Vector:
-        return tuple(self.entries.get((r, c), ZERO) for r in range(self.rows))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -223,15 +203,6 @@ class Matrix:
         return self.scale(other)
 
     __rmul__ = scale
-
-    def apply(self, v: Vector) -> Vector:
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = [ZERO] * self.rows
-        for (r, c), a in self.entries.items():
-            if not v[c].is_zero():
-                out[r] = out[r] + a * v[c]
-        return tuple(out)
 
     def transpose(self) -> "Matrix":
         return Matrix._raw(self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()})

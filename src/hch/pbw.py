@@ -65,9 +65,7 @@ class PBW:
             for mono, c in self.mono_times_gen(mp, j).items():
                 for mono2, c2 in self.mono_times_gen(mono, k).items():
                     add_into(out, mono2, c * c2)
-            for l, cl in enumerate(self.g.bracket_basis(k, j)):
-                if cl.is_zero():
-                    continue
+            for l, cl in self.g.bracket_basis(k, j).items():
                 for mono, c in self.mono_times_gen(mp, l).items():
                     add_into(out, mono, cl * c)
         self._mono_gen[key] = out

@@ -29,17 +29,10 @@ from .complexes import (
     trivial_pair,
 )
 from .gkmodules import FiniteModule
-from .liepairs import Character, Pair, SubpairEmbedding
-from .linalg import Matrix, Vector, dense, independent_over, rank, sparse_columns, unit_vec
+from .liepairs import Character, SubpairEmbedding
+from .linalg import Matrix, SparseVector, dense, independent_over, rank, sparse_columns
 from .reports import HomologyReport
 from .scalars import ONE
-
-
-def p_complement(pair: Pair) -> Tuple[List[Vector], Matrix]:
-    """Basis of p (g-basis vectors) and the projection P: h -> p (coordinates
-    in that basis), read from ``pair.complement``."""
-    chosen, projection, _ = pair.complement
-    return [unit_vec(pair.g.dim, j) for j in chosen], projection
 
 
 class RelativeStandardComplex(Complex):
@@ -151,7 +144,7 @@ def rel_homology(emb: SubpairEmbedding, M: FiniteModule) -> HomologyReport:
     return report
 
 
-def coinvariants(M: FiniteModule, h_basis: Sequence[Vector]) -> HomologyReport:
+def coinvariants(M: FiniteModule, h_basis: Sequence[SparseVector]) -> HomologyReport:
     """M / (h M + non-trivial K^H-isotypic parts), as a degree-0 report."""
     zero = M.pair.K.zero_char()
     kept = [k for k in range(M.dim) if M.k_weights[k] == zero]

@@ -137,8 +137,7 @@ class StandardResolution:
     def _brackets(self) -> Dict[Tuple[int, int], SparseVector]:
         """g's structure constants: ``_brackets[(a, b)]`` is [x_a, x_b] sparse, a < b."""
         g = self.pair.g
-        return {(a, b): {l: c for l, c in enumerate(g.bracket_basis(a, b)) if not c.is_zero()}
-                for a, b in combinations(range(g.dim), 2)}
+        return {(a, b): g.bracket_basis(a, b) for a, b in combinations(range(g.dim), 2)}
 
     def _diff(self, n: int) -> Matrix:
         """Boundary wedge^n -> wedge^{n-1} (cochain map at degree -n).

@@ -30,10 +30,11 @@ from hch.complexes import (
 )
 from hch.gkmodules import FiniteModule, direct_sum, kron, kron_into, tensor, trivial_module
 from hch.hcomplexes import HComplex, HComplexMap, h_cone, h_tensor
-from hch.linalg import Matrix, kernel_basis, solve, unit_vec
+from hch.linalg import Matrix, kernel_basis, solve
 from hch.resolution import StandardResolution
 from hch.scalars import Scalar
 from hch.sl2 import SUBPAIR_CATALOG, finite_irrep, so2_pair, torus_pair, trivial_k_pair
+from dense_reference import apply, from_columns, unit_vec
 
 PAIRS = {"so2": so2_pair, "torus": torus_pair, "trivial_k": trivial_k_pair}
 
@@ -255,7 +256,7 @@ def random_complex(rng):
         cycles = kernel_basis(diffs[1]) if 1 in diffs else [unit_vec(dims[1], k)
                                                             for k in range(dims[1])]
         if cycles:
-            diffs[0] = Matrix.from_columns(cycles) @ random_matrix(rng, len(cycles), dims[0])
+            diffs[0] = from_columns(cycles) @ random_matrix(rng, len(cycles), dims[0])
     interior = None
     if rng.random() < 0.5:
         interior = {n: [c for c in range(d) if rng.random() < 0.7] for n, d in enumerate(dims)}
@@ -344,11 +345,11 @@ def ref_equivariant_hom(M, N):
         dst = bases.get(n + 1, [])
         if not src or not dst:
             continue
-        big, dst_mat = _hom_diff(M, N, n), Matrix.from_columns(dst)
-        cols = [solve(dst_mat, big.apply(v)) for v in src]
+        big, dst_mat = _hom_diff(M, N, n), from_columns(dst)
+        cols = [solve(dst_mat, apply(big, v)) for v in src]
         if None in cols:
             raise ValueError("equivariant Hom not closed under the differential")
-        d = Matrix.from_columns(cols, rows=len(dst))
+        d = from_columns(cols, rows=len(dst))
         if not d.is_zero():
             diffs[n] = d
     return Complex(trivial_pair(), {n: plain_space(len(b)) for n, b in bases.items() if b}, diffs)

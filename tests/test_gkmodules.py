@@ -35,6 +35,7 @@ from hch.sl2 import (
     trivial_k_pair,
 )
 from test_resolution import finite_factor_pair, sl2_sum_pair
+from dense_reference import apply
 
 
 def casimir_value(m):
@@ -55,9 +56,7 @@ def adjoint_module() -> FiniteModule:
     return FiniteModule(
         P,
         [P.K.character([2]), P.K.character([0]), P.K.character([-2])],
-        [P.g.ad((Scalar(1), Scalar(0), Scalar(0))),
-         P.g.ad((Scalar(0), Scalar(1), Scalar(0))),
-         P.g.ad((Scalar(0), Scalar(0), Scalar(1)))],
+        [P.g.ad({j: Scalar(1)}) for j in range(3)],
     )
 
 
@@ -161,8 +160,8 @@ def test_finite_irrep_so2_and_basis_change_oracle():
     # and u+ maps the w-eigenspace into the (w+2)-eigenspace
     u_plus = h_m + (e_m + f_m).scale(i)
     v = kernel_basis(k0 - Matrix.identity(m + 1).scale(Scalar(-m)))[0]
-    img = u_plus.apply(v)
-    chk = k0.apply(img)
+    img = apply(u_plus, v)
+    chk = apply(k0, img)
     assert chk == tuple(Scalar(2 - m) * x for x in img)
 
 

@@ -8,9 +8,10 @@ from hch.liepairs import (
     Pair,
     SubpairEmbedding,
 )
-from hch.linalg import Matrix, vec
-from hch.scalars import Scalar
+from hch.linalg import Matrix
+from hch.scalars import ONE, Scalar
 from hch.schemas import SchemaError, load_pair
+from hch.sl2 import finite_irrep, principal_series
 
 
 def make_sl2():
@@ -26,7 +27,7 @@ def torus_pair():
     sl2 = make_sl2()
     K = DiagGroup(torus_rank=1)
     grading = [K.character([2]), K.character([0]), K.character([-2])]
-    iota = Matrix.from_columns([vec([0, 1, 0])])
+    iota = Matrix.from_rows([[0], [1], [0]])
     return Pair(sl2, K, grading, iota)
 
 
@@ -46,7 +47,7 @@ def test_bracket_given_twice_raises():
         load_pair(abelian_k([[0, 1, 1, "1", "0"], [0, 1, 1, "2", "0"]]))
     # one order only: the components add up to the bracket
     g = load_pair(abelian_k([[1, 0, 0, "1", "0"], [1, 0, 1, "3", "0"]])).g
-    assert g.bracket_basis(0, 1) == (Scalar(-1), Scalar(-3))
+    assert g.bracket_basis(0, 1) == {0: Scalar(-1), 1: Scalar(-3)}
 
 
 def test_nonzero_self_bracket_raises():
@@ -55,8 +56,36 @@ def test_nonzero_self_bracket_raises():
         LieAlgebra(2, None, {(0, 0): {1: Scalar(1)}, (0, 1): {0: Scalar(1)}})
     # a zero self-bracket is accepted and changes nothing
     g = LieAlgebra(2, None, {(1, 1): {0: Scalar(0)}, (0, 1): {0: Scalar(1)}})
-    assert g.bracket_basis(1, 1) == (Scalar(0), Scalar(0))
-    assert g.bracket_basis(0, 1) == (Scalar(1), Scalar(0))
+    assert g.bracket_basis(1, 1) == {}
+    assert g.bracket_basis(0, 1) == {0: Scalar(1)}
+
+
+def test_bracket_component_out_of_range_raises():
+    # a component outside the algebra has no basis vector to be, zero or not
+    for comp in ({5: Scalar(1)}, {2: Scalar(1)}, {-1: Scalar(1)}, {0: Scalar(1), 2: Scalar(0)}):
+        with pytest.raises(IndexError, match="bracket index out of range"):
+            LieAlgebra(2, None, {(0, 1): comp})
+
+
+def test_element_index_out_of_range_raises():
+    # a sparse element names its basis indices; a wrong one is not read as zero
+    g = make_sl2()
+    for call in (lambda: g.bracket({3: ONE}, {0: ONE}), lambda: g.bracket_basis(0, -1),
+                 lambda: g.ad({3: ONE}),
+                 lambda: diagonal_torus_in_so2_pair().embed({1: ONE}),
+                 lambda: finite_irrep(2).action_matrix({-1: ONE}),
+                 lambda: principal_series(0, 0).module.act_vector({3: ONE})):
+        with pytest.raises(IndexError, match="basis index out of range"):
+            call()
+
+
+def test_bracket_basis_is_a_fresh_map():
+    g = make_sl2()
+    g.bracket_basis(0, 1)[0] = Scalar(7)
+    g.bracket_basis(1, 0).clear()
+    assert g.bracket_basis(0, 1) == {0: Scalar(-2)}
+    assert g.bracket_basis(1, 0) == {0: Scalar(2)}
+
 
 def test_jacobi_violation():
     tampered = LieAlgebra(3, ["e", "h", "f"], {
@@ -71,15 +100,15 @@ def test_jacobi_violation():
 
 def test_bracket_relations():
     sl2 = make_sl2()
-    e, h, f = vec([1, 0, 0]), vec([0, 1, 0]), vec([0, 0, 1])
-    assert sl2.bracket(h, e) == vec([2, 0, 0])
+    e, h, f = {0: ONE}, {1: ONE}, {2: ONE}
+    assert sl2.bracket(h, e) == {0: Scalar(2)}
     assert sl2.bracket(e, f) == h
-    assert sl2.bracket(e, e) == vec([0, 0, 0])
+    assert sl2.bracket(e, e) == {}
 
 
 def test_ad_diagonal():
     sl2 = make_sl2()
-    admat = sl2.ad(vec([0, 1, 0]))
+    admat = sl2.ad({1: ONE})
     assert admat == Matrix.diagonal([2, 0, -2])
 
 
@@ -91,7 +120,7 @@ def test_validate_pair_bad_grading():
     sl2 = make_sl2()
     K = DiagGroup(torus_rank=1)
     grading = [K.character([1]), K.character([0]), K.character([-2])]
-    iota = Matrix.from_columns([vec([0, 1, 0])])
+    iota = Matrix.from_rows([[0], [1], [0]])
     rep = Pair(sl2, K, grading, iota).validate()
     assert not rep.ok
     assert any("(dAd)" in v for v in rep.violations)
@@ -127,12 +156,12 @@ def diagonal_torus_in_so2_pair():
     })
     K = DiagGroup(torus_rank=1)
     big = Pair(g, K, [K.character([2]), K.character([0]), K.character([-2])],
-               Matrix.from_columns([vec([0, 1, 0])]))
+               Matrix.from_rows([[0], [1], [0]]))
     h = LieAlgebra(1, ["theta"])
     mu2 = DiagGroup(finite_invariants=[2])
     small = Pair(h, mu2, [mu2.zero_char()])
     # theta = (u+ + u-)/2
-    alg = Matrix.from_columns([vec([Scalar(1, 0) / Scalar(2), Scalar(0), Scalar(1) / Scalar(2)])], rows=3)
+    alg = Matrix.from_rows([[Scalar(1) / Scalar(2)], [0], [Scalar(1) / Scalar(2)]])
     grp = CharacterRestriction(K, mu2, torus_map=[], finite_map=[[1]])
     return SubpairEmbedding(small, big, alg, grp)
 

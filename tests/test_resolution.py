@@ -131,8 +131,8 @@ def reference_boundary(res, n):
             for p in range(n):
                 for q in range(p + 1, n):
                     rest = tuple(x for k, x in enumerate(subset) if k not in (p, q))
-                    for l, cl in enumerate(g.bracket_basis(subset[p], subset[q])):
-                        if cl.is_zero() or l in rest:
+                    for l, cl in g.bracket_basis(subset[p], subset[q]).items():
+                        if l in rest:
                             continue
                         pos = sum(1 for x in rest if x < l)
                         wedge = rest[:pos] + (l,) + rest[pos:]

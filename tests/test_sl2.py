@@ -8,6 +8,7 @@ import pytest
 from hch.bands import BandOp, band_kernel, class_indices
 from hch.gkmodules import EmptyWindowError, check_hc
 from hch.liepairs import SubpairEmbedding
+from hch.linalg import add_into, sparse_columns
 from hch.poly import Poly
 from hch.polarfields import vector_field_apply, x1x2_power
 from hch.scalars import I, Scalar
@@ -39,17 +40,12 @@ def S(x):
 def test_sl2_relations():
     g = sl2()
     assert g.check_jacobi().ok
-    e = (Scalar(1), Scalar(0), Scalar(0))
-    h = (Scalar(0), Scalar(1), Scalar(0))
-    f = (Scalar(0), Scalar(0), Scalar(1))
-    assert g.bracket(h, e) == (Scalar(2), Scalar(0), Scalar(0))
-    assert g.bracket(h, f) == (Scalar(0), Scalar(0), Scalar(-2))
+    e, h, f = {0: Scalar(1)}, {1: Scalar(1)}, {2: Scalar(1)}
+    assert g.bracket(h, e) == {0: Scalar(2)}
+    assert g.bracket(h, f) == {2: Scalar(-2)}
     assert g.bracket(e, f) == h
     # ad(h) spectrum
-    adh = g.ad(h)
-    assert adh.column(0) == (Scalar(2), Scalar(0), Scalar(0))
-    assert adh.column(1) == (Scalar(0),) * 3
-    assert adh.column(2) == (Scalar(0), Scalar(0), Scalar(-2))
+    assert sparse_columns(g.ad(h)) == [{0: Scalar(2)}, {}, {2: Scalar(-2)}]
 
 
 def test_rotation_basis_is_isomorphic():
@@ -57,16 +53,14 @@ def test_rotation_basis_is_isomorphic():
     g = sl2()
     rot = sl2_rotation_basis()
     eb = rotation_basis_embedding()
-    cols = [eb.column(j) for j in range(3)]
+    cols = sparse_columns(eb)
     for j in range(3):
         for k in range(3):
             lhs = g.bracket(cols[j], cols[k])
-            rhs_coords = rot.bracket_basis(j, k)
-            rhs = tuple(
-                sum((c * x for c, x in zip(rhs_coords, [col[r] for col in cols])),
-                    Scalar(0))
-                for r in range(3)
-            )
+            rhs = {}
+            for l, c in rot.bracket_basis(j, k).items():
+                for r, x in cols[l].items():
+                    add_into(rhs, r, c * x)
             assert lhs == rhs, (j, k)
     assert rot.check_jacobi().ok
 

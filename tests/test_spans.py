@@ -1,7 +1,8 @@
 """The two span routines, and the cycles-modulo-boundaries questions built on them.
 
 The reference functions below are the hand-rolled versions that
-``coinvariants``, ``p_complement`` and ``check_exactness`` replaced: each
+``coinvariants``, ``Pair.complement`` (read in dense form through the test
+helper ``p_complement``) and ``check_exactness`` replaced: each
 scattered, reduced and tested membership on its own.  A reduced echelon span
 is unique, so the routines built on ``independent_over`` and ``kernel_on``
 must return the same representatives and the same violation lists.  The
@@ -32,9 +33,8 @@ from hch.linalg import (
     kernel_on,
     rank_mod_p,
     sparse_columns,
-    unit_vec,
 )
-from hch.relhomology import coinvariants, p_complement, rel_homology
+from hch.relhomology import coinvariants, rel_homology
 from hch.reports import HomologyReport
 from hch.resolution import StandardResolution
 from hch.scalars import ZERO, Scalar
@@ -48,13 +48,9 @@ from hch.sl2 import (
 )
 from test_complexes import random_complex
 from test_resolution import sl2_sum_pair
+from dense_reference import apply, as_map, column, from_columns, p_complement, unit_vec
 
 # -- the replaced routines, kept as references -----------------------------------
-
-
-def as_map(v):
-    """The sparse form of a coordinate tuple."""
-    return {k: x for k, x in enumerate(v) if not x.is_zero()}
 
 
 def ref_independent_over(ambient, base, candidates):
@@ -81,7 +77,7 @@ def ref_coinvariants(M, h_basis):
         if act is None:
             continue
         for k in range(M.dim):
-            col = act.column(k)
+            col = column(act, k)
             v = [ZERO] * len(kept)
             for r, x in enumerate(col):
                 if not x.is_zero() and r in index:
@@ -94,7 +90,7 @@ def ref_coinvariants(M, h_basis):
 def ref_p_complement(pair):
     g, K = pair.g, pair.K
     zero = K.zero_char()
-    torus_cols = [pair.iota.column(t) for t in range(K.torus_rank)]
+    torus_cols = [column(pair.iota, t) for t in range(K.torus_rank)]
     chosen = []
     span = Subspace(g.dim, [as_map(c) for c in torus_cols])
     for j in range(g.dim):
@@ -106,7 +102,7 @@ def ref_p_complement(pair):
     cols = torus_cols + p_basis
     if len(cols) != g.dim:
         raise ValueError("complement of the torus image is not K-stable")
-    inv = inverse(Matrix.from_columns(cols, rows=g.dim))
+    inv = inverse(from_columns(cols, rows=g.dim))
     ents = {}
     for r in range(len(p_basis)):
         for c in range(g.dim):
@@ -201,16 +197,16 @@ def test_kernel_on_is_the_kernel_of_the_chosen_columns_at_full_length(seed):
     got = [dense(v, m.cols) for v in got]
     assert got == expected
     assert all(len(v) == m.cols for v in got)
-    assert all(m.apply(v) == (ZERO,) * m.rows for v in got)
+    assert all(apply(m, v) == (ZERO,) * m.rows for v in got)
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_independent_over_matches_the_subspace_reference(seed):
     rng = random.Random(100 + seed)
     base = _random_matrix(rng, rng.randint(1, 6), rng.randint(0, 4))
-    cands = [_random_matrix(rng, base.rows, 1).column(0) for _ in range(rng.randint(0, 6))]
+    cands = [column(_random_matrix(rng, base.rows, 1), 0) for _ in range(rng.randint(0, 6))]
     cands += [unit_vec(base.rows, j) for j in range(base.rows)]
-    expected = ref_independent_over(base.rows, [base.column(c) for c in range(base.cols)],
+    expected = ref_independent_over(base.rows, [column(base, c) for c in range(base.cols)],
                                     cands)
     assert independent_over(base, [as_map(v) for v in cands]) == [as_map(v) for v in expected]
 
@@ -231,7 +227,7 @@ def test_coinvariants_match_the_reference():
     dims = set()
     for name, pair, M in cases:
         for basis in h_bases(pair.g.dim):
-            rep = coinvariants(M, basis)
+            rep = coinvariants(M, [as_map(eta) for eta in basis])
             expected = ref_coinvariants(M, basis)
             assert rep.representatives[0] == expected, (name, basis)
             assert rep.dims == {0: len(expected)}
