@@ -5,6 +5,22 @@ coefficients polynomial in n.  Kernels are computed on growing windows with
 no output truncation, so every reported kernel vector is a genuine global
 kernel vector; cokernels are computed as kernels of the transposed operator
 on the graded dual, i.e. as solution spaces of the adjoint linear recurrence.
+
+A ``BandOp`` is not changed after ``__init__``, so it keeps every line f_n it
+evaluates: the kernel and cokernel windows, and anything that checked the
+table before them, read one evaluation per line and operator.
+
+A window dimension is certified only past N* = ``root_bound(op)``, the
+indicial-root bound for finite-support solutions of linear recurrences
+(Abramov 1989; Abramov, Bronstein and Petkovsek 1995).  Let B bound the
+moduli of the roots of the extreme-shift coefficients c_lo and c_hi.  A
+finitely supported kernel vector with top index t leaves c_hi(t) alone on
+f_{t+hi}, so c_hi(t) = 0, and likewise at its bottom index: the support lies
+in [-B, B].  Past B the adjoint recurrence sum_s c_s(n) y_{n+s} = 0 runs
+both ways uniquely, since its extreme coefficients do not vanish there, so
+every solution on a window N >= B + max|s| extends, uniquely, to all of Z.
+A window N >= N* = B + max|s| therefore already holds the whole kernel and
+cokernel, and ``_stabilize`` stops only at such a window.
 """
 
 from __future__ import annotations
@@ -20,12 +36,16 @@ from .scalars import Scalar, as_scalar
 
 
 class BandOp:
-    """Sum over shifts s of (coefficient polynomial in n) * (shift by s)."""
+    """Sum over shifts s of (coefficient polynomial in n) * (shift by s).
 
-    __slots__ = ("table",)
+    Not changed after ``__init__``; ``apply_line`` keeps its lines in ``_lines``.
+    """
+
+    __slots__ = ("table", "_lines")
 
     def __init__(self, table: Optional[Dict[int, Poly]] = None):
         self.table: Dict[int, Poly] = {}
+        self._lines: Dict[int, Dict[int, Scalar]] = {}
         if table:
             for s, p in table.items():
                 if not isinstance(p, Poly):
@@ -83,13 +103,19 @@ class BandOp:
         return self.compose(other) - other.compose(self)
 
     def apply_line(self, n: int) -> Dict[int, Scalar]:
-        """Image of f_n as a sparse {index: coefficient} map."""
-        out = {}
-        for s, p in self.table.items():
-            c = p(n)
-            if not c.is_zero():
-                out[n + s] = c
-        return out
+        """Image of f_n as a sparse {index: coefficient} map.
+
+        Evaluated once per operator and n: the map is kept by the operator and
+        shared by every caller, so it is read-only.
+        """
+        line = self._lines.get(n)
+        if line is None:
+            line = self._lines[n] = {}
+            for s, p in self.table.items():
+                c = p(n)
+                if c:
+                    line[n + s] = c
+        return line
 
     def windowed_matrix(self, source: Sequence[int]) -> Tuple[List[int], Matrix]:
         """Matrix from span{f_n : n in source} into the full (enlarged) image span.
@@ -119,6 +145,23 @@ class BandOp:
         return BandOp({int(s): Poly.from_json(p) for s, p in obj.items()})
 
 
+def root_bound(op: BandOp) -> int:
+    """N*: the window radius past which op's kernel and cokernel are complete.
+
+    Cauchy's bound 1 + max_i |c_i/c_d| on the roots of each extreme-shift
+    coefficient c_0 + ... + c_d n^d of degree d >= 1, in integers through
+    |x + iy| <= |x| + |y| and rounded up; the larger of the two, plus
+    op.max_shift().  See the module docstring for why it suffices.
+    """
+    bound = 0
+    shifts = op.shifts()
+    for s in {shifts[0], shifts[-1]} if shifts else ():
+        *low, top = op.table[s].coeffs
+        if low:
+            bound = max(bound, 1 + max((c / top).abs_ceil() for c in low))
+    return bound + op.max_shift()
+
+
 class DegenerateBandError(ValueError):
     """Window dimensions keep growing: the input is not of Harish-Chandra type."""
 
@@ -128,7 +171,7 @@ class MaxWindowError(ValueError):
 
 
 class UncertifiedStabilizationError(RuntimeError):
-    """Max window reached without two consecutive agreements."""
+    """Max window reached without two consecutive agreements past N*."""
 
     def __init__(self, message, stabilization: Stabilization):
         super().__init__(message)
@@ -163,26 +206,30 @@ def _check_growth(dims: List[int]):
         )
 
 
-def _stabilize(kind: str, policy: StabilizationPolicy,
-               window: Callable[[int], Tuple[List[int], Matrix]]):
-    """Kernel on growing windows until two consecutive dims agree.
+def _stabilize(kind: str, policy: StabilizationPolicy, nstar: int,
+               columns: Callable[[int], List[int]],
+               matrix: Callable[[int, List[int]], Matrix]):
+    """Kernel on growing windows until two consecutive dims agree past N*.
 
-    window(N) returns the indices of the matrix columns and the matrix for
-    window N.  Returns (dim, representatives, Stabilization), with
-    representatives built for the last window only.
+    columns(N) returns the indices of the matrix columns for window N and
+    matrix(N, cols) the matrix.  A window N stops the ladder when its dim
+    equals the previous one and N >= nstar, or when the column class holds
+    no index within nstar (a class that is empty at every window).  Returns
+    (dim, representatives, Stabilization), with representatives built for
+    the last window only.
     """
     windows = list(policy.capped())
     dims: List[int] = []
     for k, N in enumerate(windows):
-        columns, mat = window(N)
-        basis = kernel_basis(mat)
+        cols = columns(N)
+        basis = kernel_basis(matrix(N, cols))
         dims.append(len(basis))
         _check_growth(dims)
-        if k >= 1 and dims[-1] == dims[-2]:
-            reps = [{n: c for n, c in zip(columns, v) if not c.is_zero()} for v in basis]
+        if k >= 1 and dims[-1] == dims[-2] and (N >= nstar or not columns(nstar)):
+            reps = [{n: c for n, c in zip(cols, v) if not c.is_zero()} for v in basis]
             return dims[-1], reps, Stabilization(windows[: k + 1], dims, True)
     raise UncertifiedStabilizationError(
-        f"{kind} dims {dims} did not stabilize within windows {windows}",
+        f"{kind} dims {dims} did not stabilize past N* = {nstar} within windows {windows}",
         Stabilization(windows, dims, False),
     )
 
@@ -194,13 +241,10 @@ def band_kernel(op: BandOp, indices: Callable[[int], List[int]],
     indices(N) must return the source K-type indices inside the window |n| <= N.
     Returns (dim, representatives, Stabilization); raises
     UncertifiedStabilizationError when the window list is exhausted without two
-    consecutive agreements.
+    consecutive agreements past N* = root_bound(op).
     """
-    def window(N):
-        source = indices(N)
-        return source, op.windowed_matrix(source)[1]
-
-    return _stabilize("kernel", policy, window)
+    return _stabilize("kernel", policy, root_bound(op), indices,
+                      lambda N, source: op.windowed_matrix(source)[1])
 
 
 def band_cokernel(op: BandOp, source_indices: Callable[[int], List[int]],
@@ -213,27 +257,25 @@ def band_cokernel(op: BandOp, source_indices: Callable[[int], List[int]],
     tracked on growing windows.  Equations are imposed for every source index
     whose full stencil lies inside the window; free/constrained branch points
     (vanishing leading coefficients) are handled automatically because the
-    equations are solved globally per window.
+    equations are solved globally per window.  Each equation row is the
+    operator's kept line f_n, so kernel and cokernel evaluate it once.
     """
     if op.is_zero():
         raise DegenerateBandError("cokernel of the zero band operator is not finite")
     shifts = op.shifts()
 
-    def window(N):
-        targets = target_indices(N)
+    def matrix(N, targets):
         tindex = {n: i for i, n in enumerate(targets)}
         ents = {}
         nrows = 0
         for n in source_indices(N):
             if all((n + s) in tindex for s in shifts):
-                for s in shifts:
-                    c = op.coeff(s)(n)
-                    if not c.is_zero():
-                        ents[(nrows, tindex[n + s])] = c
+                for m, c in op.apply_line(n).items():
+                    ents[(nrows, tindex[m])] = c
                 nrows += 1
-        return targets, Matrix._raw(nrows, len(targets), ents)
+        return Matrix._raw(nrows, len(targets), ents)
 
-    return _stabilize("cokernel", policy, window)
+    return _stabilize("cokernel", policy, root_bound(op), target_indices, matrix)
 
 
 def class_indices(residue: int, modulus: int) -> Callable[[int], List[int]]:

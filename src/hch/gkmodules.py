@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bands import BandOp
-from .liepairs import Character, Pair, SubpairEmbedding, ValidationReport, check_element
+from .liepairs import Character, Pair, SubpairEmbedding, ValidationReport, check_element, same_pair
 from .linalg import Matrix, SparseVector, add_into, rank
 from .poly import Poly
 from .scalars import ONE, Scalar, as_scalar
@@ -130,7 +130,7 @@ def trivial_module(pair: Pair) -> FiniteModule:
 
 
 def direct_sum(m: FiniteModule, n: FiniteModule) -> FiniteModule:
-    if m.pair is not n.pair and m.pair.to_json() != n.pair.to_json():
+    if not same_pair(m.pair, n.pair):
         raise ValueError("direct sum needs modules over the same pair")
     return FiniteModule(
         m.pair,
@@ -217,7 +217,7 @@ def contragredient(m: FiniteModule) -> FiniteModule:
 
 def restrict_module(emb: SubpairEmbedding, m: FiniteModule) -> FiniteModule:
     """Restrict a module over emb.big to the small pair along the embedding."""
-    if m.pair is not emb.big and m.pair.to_json() != emb.big.to_json():
+    if not same_pair(m.pair, emb.big):
         raise ValueError("module is not over the big pair of the embedding")
     weights = [emb.grp_embed.restrict(ch) for ch in m.k_weights]
     action = [m.action_matrix(emb.embed({j: ONE})) for j in range(emb.small.g.dim)]

@@ -253,6 +253,13 @@ class Pair:
         }
 
 
+def same_pair(a: Pair, b: Pair) -> bool:
+    """a.to_json() == b.to_json(), compared field by field without serializing."""
+    return a is b or (a.g.dim == b.g.dim and a.g.basis_labels == b.g.basis_labels
+                      and a.g._brackets == b.g._brackets and a.K == b.K
+                      and a.ad_grading == b.ad_grading and a.iota == b.iota)
+
+
 def _complement(pair: Pair):
     """Raises if the weight-zero basis vectors fail to complete the torus image."""
     g, zero, tr = pair.g, pair.K.zero_char(), pair.K.torus_rank

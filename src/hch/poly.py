@@ -96,10 +96,11 @@ class Poly:
         return out
 
     def __call__(self, n) -> Scalar:
-        n = as_scalar(n)
+        if n.__class__ is not int:  # a Scalar times an int needs no coercion first
+            n = as_scalar(n)
         acc = ZERO
         for c in reversed(self.coeffs):
-            acc = acc * n + c
+            acc = acc * n + c if acc else c
         return acc
 
     def __repr__(self):

@@ -126,6 +126,10 @@ class Scalar:
             return None
         return (a + b * root) * pow(d, -1, p) % p
 
+    def abs_ceil(self) -> int:
+        """The least integer >= (|a| + |b|)/d, an upper bound on |self|."""
+        return -(-(abs(self._a) + abs(self._b)) // self._d)
+
     def conjugate(self) -> "Scalar":
         return _of(self._a, -self._b, self._d)
 

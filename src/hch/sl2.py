@@ -9,8 +9,11 @@ Basis conventions, fixed once:
 Principal-series band tables are never written down by hand: they are
 derived per lambda from the polar vector-field oracle.  Each table takes one
 oracle pass over a check window of K-types: the coefficients are interpolated
-exactly in the K-type index from seven of those images, and the table is then
-re-verified against every image of the window.  ``principal_series`` derives
+exactly in the K-type index from three of those images, the fewest that expose
+a coefficient that is not affine, and the table is then re-verified against
+every image of the window, which alone decides whether it is accepted.  The
+verified lines stay with the operator for the windows that read them
+afterwards.  ``principal_series`` derives
 only the theta table up front, which is all the branching reports read; the
 e, f and kappa tables and the rotation-adapted module are derived, and checked
 the same way, when they are first read.
@@ -135,16 +138,21 @@ def _derive_band(mat, lam, parity: int) -> BandOp:
     """Band table of a vector field on the K-types f_n, n = parity mod 2.
 
     One oracle pass: the vector field is applied once to each f_n of the
-    check window |n| <= CHECK_RADIUS (plus the seven samples, should they lie
-    outside it).  The shift-s coefficient is interpolated in n from the images
-    at the seven samples n = parity + 2t, |t| <= 3, must be affine there, and
-    the resulting table must then reproduce every image of the window.
+    check window |n| <= CHECK_RADIUS.  The shift-s coefficient is interpolated
+    in n from the images at the three samples n = parity + 2t, |t| <= 1, must
+    be affine there, and the resulting table must then reproduce every image
+    of the window; checking it evaluates, and keeps, the table's lines there.
+
+    Three samples suffice: two fix an affine coefficient, and a third is the
+    fewest that exposes a degree-2 one.  An oracle that some affine table
+    matches on the whole window passes both tests with that table, and no
+    other oracle passes the window check, so the tables accepted are the same
+    for any sample set of at least three window indices.
     """
     lam = as_scalar(lam)
-    samples = [parity + 2 * t for t in range(-3, 4)]
+    samples = [parity + 2 * t for t in range(-1, 2)]
     window = [n for n in range(-CHECK_RADIUS, CHECK_RADIUS + 1) if n % 2 == parity]
-    images = {n: vector_field_apply(mat, lam, {n: Scalar(1)})
-              for n in sorted(set(window).union(samples))}
+    images = {n: vector_field_apply(mat, lam, {n: Scalar(1)}) for n in window}
     by_shift: Dict[int, List] = {}
     for n in samples:
         for t, c in images[n].items():

@@ -200,6 +200,26 @@ def test_sl2_demo_uncertified_is_exit_3_with_window_data(capsys, monkeypatch):
     assert row["windows"]["dims_per_window"]  # raw window data still emitted
 
 
+def test_sl2_demo_rows_past_the_old_ladder(capsys):
+    code, out, _ = run(capsys, "sl2-demo", "--lambda", "24,26,30")
+    assert code == 0
+    assert out.splitlines()[1:] == [f"{lam}\t0\t3\t1\t2\ttrue" for lam in (24, 26, 30)]
+    code, out, _ = run(capsys, "sl2-demo", "--lambda", "26,30", "--subpair", "torus_normalizer")
+    assert code == 0
+    assert out.splitlines()[1:] == [f"{lam}\t0\t2\t1\t1\ttrue" for lam in (26, 30)]
+
+
+def test_sl2_demo_beyond_the_last_window_is_exit_3(capsys):
+    code, out, _ = run(capsys, "sl2-demo", "--lambda", "50", "--format", "json")
+    assert code == 3
+    row, = json.loads(out)["rows"]
+    assert row["certified"] is False and row["dim_H1"] is None
+    assert row["windows"]["windows"] == [16, 24, 32, 48]
+    code, out, _ = run(capsys, "sl2-demo", "--lambda", "30,34")
+    assert code == 3
+    assert out.splitlines()[1:] == ["30\t0\t3\t1\t2\ttrue", "34\t0\t-\t-\t-\tfalse"]
+
+
 @pytest.mark.parametrize("cap", ["abc", "2.5", ""])
 def test_sl2_demo_malformed_max_window_is_exit_2(capsys, monkeypatch, cap):
     monkeypatch.setenv("HCH_MAX_WINDOW", cap)

@@ -20,11 +20,12 @@ from hch.gkmodules import (
     trivial_module,
 )
 from hch.complexes import Complex, TensorLayout, tensor_complex
-from hch.liepairs import Pair
+from hch.liepairs import Character, DiagGroup, LieAlgebra, Pair, same_pair
 from hch.linalg import Matrix, kernel_basis
 from hch.resolution import StandardResolution
 from hch.scalars import Scalar, as_scalar
 from hch.sl2 import (
+    SUBPAIR_CATALOG,
     diagonal_torus_subpair,
     finite_irrep,
     finite_irrep_so2,
@@ -266,3 +267,58 @@ def test_tensor_weights_match_the_elementwise_sum():
         assert R.term(n).k_weights == [add(a, b) for i in blocks[n]
                                        for a in res.term(i).k_weights
                                        for b in res.term(n - i).k_weights]
+
+
+def _catalog_pairs():
+    pairs = [so2_pair(), torus_pair(), trivial_k_pair(), sl2_sum_pair(), finite_factor_pair()]
+    for make in SUBPAIR_CATALOG.values():
+        emb = make()
+        pairs += [emb.small, emb.big]
+    return pairs
+
+
+def _one_field_changed(pair: Pair):
+    """Copies of pair that differ from it in exactly one serialized field."""
+    g, K = pair.g, pair.K
+    brackets = {jk: dict(comp) for jk, comp in g._brackets.items()}
+    out = [Pair(LieAlgebra(g.dim, ["y"] + g.basis_labels[1:], brackets), K, pair.ad_grading, pair.iota)]
+    if brackets:
+        (jk, comp), *_ = brackets.items()
+        scaled = {**brackets, jk: {l: v * 2 for l, v in comp.items()}}
+        out.append(Pair(LieAlgebra(g.dim, g.basis_labels, scaled), K, pair.ad_grading, pair.iota))
+    other_k = DiagGroup(K.torus_rank, K.finite_invariants + (2,))
+    grading = [Character(ch.torus, ch.finite + (0,)) for ch in pair.ad_grading]
+    out.append(Pair(g, other_k, pair.ad_grading, pair.iota))  # K alone changed
+    out.append(Pair(g, other_k, grading, pair.iota))
+    if K.torus_rank:
+        first = pair.ad_grading[0]
+        moved = Character((first.torus[0] + 1, *first.torus[1:]), first.finite)
+        out.append(Pair(g, K, [moved] + pair.ad_grading[1:], pair.iota))
+        (rc, v), *_ = pair.iota.entries.items()
+        out.append(Pair(g, K, pair.ad_grading, Matrix._raw(pair.iota.rows, pair.iota.cols,
+                                                            {**pair.iota.entries, rc: v + 1})))
+    return out
+
+
+def test_same_pair_agrees_with_json_equality():
+    pairs = _catalog_pairs()
+    pairs += [q for p in pairs for q in _one_field_changed(p)]
+    for a in pairs:
+        for b in pairs:
+            assert same_pair(a, b) == (a.to_json() == b.to_json())
+    for p in _catalog_pairs():
+        changed = _one_field_changed(p)
+        assert len(changed) >= 3 and not any(same_pair(p, q) for q in changed)
+        assert same_pair(p, Pair(p.g, p.K, list(p.ad_grading), Matrix(p.iota.rows, p.iota.cols,
+                                                                        p.iota.entries)))
+
+
+def test_module_over_another_pair_is_refused():
+    emb = diagonal_torus_subpair()
+    F2 = finite_irrep_so2(2)
+    assert restrict_module(emb, F2).dim == 3  # a fresh so2_pair() is the same pair
+    with pytest.raises(ValueError, match=r"^module is not over the big pair of the embedding$"):
+        restrict_module(emb, finite_irrep(2))
+    with pytest.raises(ValueError, match=r"^direct sum needs modules over the same pair$"):
+        direct_sum(F2, finite_irrep(2))
+    assert direct_sum(F2, finite_irrep_so2(1)).dim == 5

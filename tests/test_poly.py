@@ -50,6 +50,7 @@ def test_empty_input_is_the_zero_polynomial():
 
 
 def test_integer_samples_of_an_affine_coefficient():
-    # the shape the band derivation uses: seven integer nodes, values 3n/2 - 1
+    # integer nodes of step 2 with values 3n/2 - 1, the shape the band derivation
+    # interpolates (it reads three nodes, parity + 2t for |t| <= 1; here seven)
     pts = [(n, Scalar(3 * n) / 2 - 1) for n in range(-6, 8, 2)]
     assert interpolate(pts) == Poly([Scalar(-1), Scalar(3) / 2])
