@@ -1,10 +1,10 @@
-"""Band operators on Z-graded spaces and window-stabilized kernel/cokernel.
+"""Band operators on Z-graded spaces and window-certified kernel/cokernel.
 
 A band operator sends a graded line f_n to a finite sum of lines f_{n+s} with
-coefficients polynomial in n.  Kernels are computed on growing windows with
-no output truncation, so every reported kernel vector is a genuine global
-kernel vector; cokernels are computed as kernels of the transposed operator
-on the graded dual, i.e. as solution spaces of the adjoint linear recurrence.
+coefficients polynomial in n.  Kernels are computed on windows with no output
+truncation, so every reported kernel vector is a genuine global kernel
+vector; cokernels are computed as kernels of the transposed operator on the
+graded dual, i.e. as solution spaces of the adjoint linear recurrence.
 
 A ``BandOp`` is not changed after ``__init__``, so it keeps every line f_n it
 evaluates: the kernel and cokernel windows, and anything that checked the
@@ -20,13 +20,13 @@ in [-B, B].  Past B the adjoint recurrence sum_s c_s(n) y_{n+s} = 0 runs
 both ways uniquely, since its extreme coefficients do not vanish there, so
 every solution on a window N >= B + max|s| extends, uniquely, to all of Z.
 A window N >= N* = B + max|s| therefore already holds the whole kernel and
-cokernel, and ``_stabilize`` stops only at such a window.
+cokernel.  ``_stabilize`` computes the windows W = max(16, N*) and W + 8,
+both past N*, and certifies the dimension when they agree.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .linalg import Matrix, add_into, kernel_basis
@@ -163,7 +163,7 @@ def root_bound(op: BandOp) -> int:
 
 
 class DegenerateBandError(ValueError):
-    """Window dimensions keep growing: the input is not of Harish-Chandra type."""
+    """Kernel or cokernel not finite: a zero operator, or a target class no line reaches."""
 
 
 class MaxWindowError(ValueError):
@@ -171,93 +171,90 @@ class MaxWindowError(ValueError):
 
 
 class UncertifiedStabilizationError(RuntimeError):
-    """Max window reached without two consecutive agreements past N*."""
+    """HCH_MAX_WINDOW is below the check window W + 8, so no dimension is certified."""
 
     def __init__(self, message, stabilization: Stabilization):
         super().__init__(message)
         self.stabilization = stabilization
 
 
-DEFAULT_WINDOWS = (16, 24, 32, 48)
+def _windows(nstar: int) -> List[int]:
+    """The windows W = max(16, N*) and W + 8 that are at most HCH_MAX_WINDOW.
+
+    The floor 16 fixes the windows of every operator with N* <= 15 at
+    (16, 24), so their reports, which record the windows and the
+    representatives read on the last one, do not depend on N*.  A cap below
+    W leaves the one window [cap].
+    """
+    w = max(16, nstar)
+    cap = os.environ.get("HCH_MAX_WINDOW")
+    if cap is None:
+        return [w, w + 8]
+    try:
+        cap = int(cap)
+    except ValueError:
+        raise MaxWindowError(f"HCH_MAX_WINDOW must be an integer, got {cap!r}") from None
+    if cap < 1:
+        raise MaxWindowError(f"HCH_MAX_WINDOW must be at least 1, got {cap}")
+    return [n for n in (w, w + 8) if n <= cap] or [cap]
 
 
-@dataclass(frozen=True)
-class StabilizationPolicy:
-    windows: Tuple[int, ...] = DEFAULT_WINDOWS
-
-    def capped(self) -> Tuple[int, ...]:
-        cap = os.environ.get("HCH_MAX_WINDOW")
-        if cap is None:
-            return self.windows
-        try:
-            cap = int(cap)
-        except ValueError:
-            raise MaxWindowError(f"HCH_MAX_WINDOW must be an integer, got {cap!r}") from None
-        if cap < 1:
-            raise MaxWindowError(f"HCH_MAX_WINDOW must be at least 1, got {cap}")
-        kept = tuple(w for w in self.windows if w <= cap)
-        return kept if kept else (cap,)
-
-
-def _check_growth(dims: List[int]):
-    if len(dims) >= 4 and dims[-1] > dims[-2] > dims[-3] > dims[-4]:
-        raise DegenerateBandError(
-            f"window dimensions keep growing {dims}; refusing to stabilize a degenerate input"
-        )
-
-
-def _stabilize(kind: str, policy: StabilizationPolicy, nstar: int,
-               columns: Callable[[int], List[int]],
+def _stabilize(kind: str, nstar: int, columns: Callable[[int], List[int]],
                matrix: Callable[[int, List[int]], Matrix]):
-    """Kernel on growing windows until two consecutive dims agree past N*.
+    """Kernel dims on the windows W = max(16, N*) and W + 8, certified when equal.
 
     columns(N) returns the indices of the matrix columns for window N and
-    matrix(N, cols) the matrix.  A window N stops the ladder when its dim
-    equals the previous one and N >= nstar, or when the column class holds
-    no index within nstar (a class that is empty at every window).  Returns
-    (dim, representatives, Stabilization), with representatives built for
-    the last window only.
+    matrix(N, cols) the matrix.  Both windows lie past N*, so the dims of a
+    nonzero operator agree (module docstring) unless some column index is
+    reached by no line.  Such an index is free at every window, so the
+    dimension is infinite and unequal dims raise DegenerateBandError.  The
+    check is exact when the column class gains an index on each side between
+    W and W + 8, which holds for every class of modulus <= 8; every caller of
+    ``class_indices`` uses modulus 2 or 4.  Returns (dim, representatives,
+    Stabilization), with representatives read on the window W + 8.
     """
-    windows = list(policy.capped())
-    dims: List[int] = []
-    for k, N in enumerate(windows):
+    windows = _windows(nstar)
+    dims = []
+    for N in windows:
         cols = columns(N)
         basis = kernel_basis(matrix(N, cols))
         dims.append(len(basis))
-        _check_growth(dims)
-        if k >= 1 and dims[-1] == dims[-2] and (N >= nstar or not columns(nstar)):
-            reps = [{n: c for n, c in zip(cols, v) if not c.is_zero()} for v in basis]
-            return dims[-1], reps, Stabilization(windows[: k + 1], dims, True)
-    raise UncertifiedStabilizationError(
-        f"{kind} dims {dims} did not stabilize past N* = {nstar} within windows {windows}",
-        Stabilization(windows, dims, False),
-    )
+    if len(windows) < 2:
+        raise UncertifiedStabilizationError(
+            f"{kind} dims {dims} on windows {windows}: HCH_MAX_WINDOW stops below "
+            f"the check window {max(16, nstar) + 8} past N* = {nstar}",
+            Stabilization(windows, dims, False),
+        )
+    if dims[0] != dims[1]:
+        raise DegenerateBandError(f"{kind} dims {dims} differ past N* = {nstar}")
+    reps = [{n: c for n, c in zip(cols, v) if not c.is_zero()} for v in basis]
+    return dims[1], reps, Stabilization(windows, dims, True)
 
 
-def band_kernel(op: BandOp, indices: Callable[[int], List[int]],
-                policy: StabilizationPolicy = StabilizationPolicy()):
-    """Stabilized kernel of a band operator restricted to the given index classes.
+def band_kernel(op: BandOp, indices: Callable[[int], List[int]]):
+    """Certified kernel of a band operator restricted to the given index classes.
 
     indices(N) must return the source K-type indices inside the window |n| <= N.
-    Returns (dim, representatives, Stabilization); raises
-    UncertifiedStabilizationError when the window list is exhausted without two
-    consecutive agreements past N* = root_bound(op).
+    Returns (dim, representatives, Stabilization); raises DegenerateBandError
+    on the zero operator and UncertifiedStabilizationError when HCH_MAX_WINDOW
+    is below the check window past N* = root_bound(op).
     """
-    return _stabilize("kernel", policy, root_bound(op), indices,
+    if op.is_zero():
+        raise DegenerateBandError("kernel of the zero band operator is not finite")
+    return _stabilize("kernel", root_bound(op), indices,
                       lambda N, source: op.windowed_matrix(source)[1])
 
 
 def band_cokernel(op: BandOp, source_indices: Callable[[int], List[int]],
-                  target_indices: Callable[[int], List[int]],
-                  policy: StabilizationPolicy = StabilizationPolicy()):
-    """Stabilized cokernel dimension of a band operator.
+                  target_indices: Callable[[int], List[int]]):
+    """Certified cokernel dimension of a band operator.
 
     Computed as the kernel of the transposed operator on the graded dual: the
     solution space of the adjoint recurrence sum_s coeff_s(n) c_{n+s} = 0,
-    tracked on growing windows.  Equations are imposed for every source index
-    whose full stencil lies inside the window; free/constrained branch points
-    (vanishing leading coefficients) are handled automatically because the
-    equations are solved globally per window.  Each equation row is the
+    on the windows of ``_stabilize``.  Equations are imposed for every source
+    index whose full stencil lies inside the window; free/constrained branch
+    points (vanishing leading coefficients) are handled automatically because
+    the equations are solved globally per window.  Each equation row is the
     operator's kept line f_n, so kernel and cokernel evaluate it once.
     """
     if op.is_zero():
@@ -275,7 +272,7 @@ def band_cokernel(op: BandOp, source_indices: Callable[[int], List[int]],
                 nrows += 1
         return Matrix._raw(nrows, len(targets), ents)
 
-    return _stabilize("cokernel", policy, root_bound(op), target_indices, matrix)
+    return _stabilize("cokernel", root_bound(op), target_indices, matrix)
 
 
 def class_indices(residue: int, modulus: int) -> Callable[[int], List[int]]:

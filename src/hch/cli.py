@@ -4,11 +4,13 @@ One job per invocation: load JSON descriptions of pairs, modules, and subpair
 embeddings, run a verification or homology computation, and emit the result as
 JSON or TSV.  Exit codes: 0 success, 2 validation failure (schema or
 mathematical, including the library's named failures on well-formed input:
-a degenerate band operator, a band table the vector-field oracle refutes, an
-algebra without an sl2 triple, a relative standard complex whose boundary
-does not square to zero, an HCH_MAX_WINDOW that is not an integer or is
-below 1), 3 computation finished but a stabilization certificate was not
-reached (the window data is still emitted).
+a degenerate band operator (the zero operator, or a target class no line
+reaches), a band table the vector-field oracle refutes, an algebra without an
+sl2 triple, a relative standard complex whose boundary does not square to
+zero, an HCH_MAX_WINDOW that is not an integer or is below 1), 3 computation
+finished but HCH_MAX_WINDOW is below a row's check window W + 8, where
+W = max(16, N*), so its dimensions are not certified (the window data is
+still emitted).
 """
 
 import argparse

@@ -368,10 +368,6 @@ def kernel_basis(m: Matrix) -> List[Vector]:
     return [dense(v, m.cols) for v in _null_space(rows, m.cols)]
 
 
-def cokernel_dim(m: Matrix) -> int:
-    return m.rows - rank(m)
-
-
 def row_space_rows(m: Matrix) -> List[SparseVector]:
     """The nonzero rows of m's reduced echelon form, in pivot order."""
     rows, _ = _rref(_sparse_rows(m), m.cols)

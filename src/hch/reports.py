@@ -28,8 +28,8 @@ class HomologyReport:
 
     Representatives are coordinate vectors for finite computations, or sparse
     {K-type index: coefficient} maps for band computations.  The certified flag
-    of a stabilization entry is set only when the last two windows produced
-    identical dimensions and the last one reaches the operator's root bound
+    of a stabilization entry is set only when the windows W = max(16, N*) and
+    W + 8 produced identical dimensions, both past the operator's root bound
     N* (``bands.root_bound``), past which no window can change them.
     """
 

@@ -4,10 +4,12 @@ The package passes Lie-algebra elements and coordinate vectors as sparse
 {index: Scalar} maps.  The tuple helpers here build and read coordinate
 tuples, and the dense bracket, ad, Jacobi check, embedding, action matrix and
 restriction are the routines the sparse ones replaced, kept as oracles.
+``cokernel_dim`` and the wide-window band dimensions are references with no
+caller in the package.
 """
 
 from hch.gkmodules import FiniteModule
-from hch.linalg import Matrix
+from hch.linalg import Matrix, kernel_basis, rank
 from hch.scalars import ONE, ZERO, as_scalar
 
 # -- coordinate tuples ------------------------------------------------------------
@@ -124,3 +126,28 @@ def p_complement(pair):
     from ``pair.complement``."""
     chosen, projection, _ = pair.complement
     return [unit_vec(pair.g.dim, j) for j in chosen], projection
+
+
+# -- references for linear maps and band operators -------------------------------
+
+
+def cokernel_dim(m):
+    return m.rows - rank(m)
+
+
+def wide_window_band_dims(op, source, target, N=96):
+    """(dim ker, dim coker) of a band operator read on the one window |n| <= N.
+
+    source and target are ``class_indices`` generators.  The kernel is that of
+    the untruncated windowed matrix, the cokernel that of the adjoint
+    equations whose whole stencil lies in the window.  Both are exact once N
+    is at least the operator's root bound N*.
+    """
+    kernel = kernel_basis(op.windowed_matrix(source(N))[1])
+    targets = target(N)
+    tindex = {n: i for i, n in enumerate(targets)}
+    lines = [op.apply_line(n) for n in source(N)
+             if all(n + s in tindex for s in op.shifts())]
+    adjoint = Matrix(len(lines), len(targets),
+                     {(i, tindex[m]): c for i, line in enumerate(lines) for m, c in line.items()})
+    return len(kernel), len(kernel_basis(adjoint))

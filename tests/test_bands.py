@@ -8,7 +8,6 @@ import pytest
 from hch.bands import (
     BandOp,
     DegenerateBandError,
-    StabilizationPolicy,
     UncertifiedStabilizationError,
     band_cokernel,
     band_kernel,
@@ -101,13 +100,12 @@ def test_windowed_matrix_no_truncation():
 
 def test_band_kernel_dims():
     even = class_indices(0, 2)
-    pol = StabilizationPolicy(windows=(6, 8, 10, 12))
 
-    dim, reps, stab = band_kernel(hyperbolic_band(0), even, pol)
+    dim, reps, stab = band_kernel(hyperbolic_band(0), even)
     assert dim == 1 and stab.certified
     assert reps[0] == {0: S(1)}
 
-    dim, reps, stab = band_kernel(hyperbolic_band(4), even, pol)
+    dim, reps, stab = band_kernel(hyperbolic_band(4), even)
     assert dim == 1
     # kernel line is spanned by 2 f_0 - f_4 - f_{-4}
     rep = reps[0]
@@ -115,24 +113,23 @@ def test_band_kernel_dims():
     scale = rep[0] / S(2)
     assert rep[4] == -scale and rep[-4] == -scale
 
-    dim, reps, _ = band_kernel(hyperbolic_band(2), even, pol)
+    dim, reps, _ = band_kernel(hyperbolic_band(2), even)
     assert dim == 1
     rep = reps[0]
     assert set(rep) == {-2, 2} and rep[2] == -rep[-2]
 
-    dim, _, _ = band_kernel(hyperbolic_band(1), even, pol)
+    dim, _, _ = band_kernel(hyperbolic_band(1), even)
     assert dim == 0
-    dim, _, _ = band_kernel(hyperbolic_band(-2), even, pol)
+    dim, _, _ = band_kernel(hyperbolic_band(-2), even)
     assert dim == 0
-    dim, _, _ = band_kernel(hyperbolic_band(Fraction(3, 2)), even, pol)
+    dim, _, _ = band_kernel(hyperbolic_band(Fraction(3, 2)), even)
     assert dim == 0
 
 
 def test_band_cokernel_dims():
     even = class_indices(0, 2)
-    pol = StabilizationPolicy(windows=(8, 12, 16, 20))
     for lam, expected in [(0, 3), (1, 2), (2, 3), (4, 3), (-2, 2)]:
-        dim, _, stab = band_cokernel(hyperbolic_band(lam), even, even, pol)
+        dim, _, stab = band_cokernel(hyperbolic_band(lam), even, even)
         assert stab.certified
         assert dim == expected, lam
 
@@ -143,30 +140,39 @@ def test_zero_band_cokernel_rejected():
 
 
 def test_degenerate_kernel_detected():
-    # the zero operator has ever-growing kernel windows
+    # the zero operator's kernel is every window: refused before any window is read
     with pytest.raises(DegenerateBandError):
         band_kernel(BandOp({0: Poly()}), class_indices(0, 1))
 
 
-def test_uncertified_when_windows_exhausted():
-    pol = StabilizationPolicy(windows=(4, 6))
-    # identity-like shift operator: kernel 0, certifies immediately
-    dim, _, _ = band_kernel(BandOp({1: Poly([1])}), class_indices(0, 1), pol)
-    assert dim == 0
+def test_uncertified_when_windows_exhausted(monkeypatch):
+    shift = BandOp({1: Poly([1])})  # N* = 1: the windows 16 and 24
+    dim, _, stab = band_kernel(shift, class_indices(0, 1))
+    assert dim == 0 and stab.certified
+    monkeypatch.setenv("HCH_MAX_WINDOW", "20")  # below the check window 24
     with pytest.raises(UncertifiedStabilizationError) as exc:
-        band_kernel(BandOp({0: Poly()}), class_indices(0, 1),
-                    StabilizationPolicy(windows=(2, 4, 6)))
+        band_kernel(shift, class_indices(0, 1))
     assert exc.value.stabilization.certified is False
+    assert exc.value.stabilization.dims_per_window == [0]
 
 
 def test_max_window_env_cap(monkeypatch):
-    monkeypatch.setenv("HCH_MAX_WINDOW", "10")
-    pol = StabilizationPolicy(windows=(6, 8, 10, 48))
-    assert pol.capped() == (6, 8, 10)
+    def windows(op):
+        try:
+            return band_kernel(op, class_indices(0, 2))[2].windows
+        except UncertifiedStabilizationError as e:
+            return e.stabilization.windows
+
+    small, wide = hyperbolic_band(0), hyperbolic_band(30)  # N* = 3 and 33
+    assert windows(small) == [16, 24] and windows(wide) == [33, 41]
+    monkeypatch.setenv("HCH_MAX_WINDOW", "41")
+    assert windows(small) == [16, 24] and windows(wide) == [33, 41]
+    monkeypatch.setenv("HCH_MAX_WINDOW", "20")
+    assert windows(small) == [16] and windows(wide) == [20]
     monkeypatch.setenv("HCH_MAX_WINDOW", "4")
-    assert pol.capped() == (4,)
-    monkeypatch.delenv("HCH_MAX_WINDOW")
-    assert pol.capped() == (6, 8, 10, 48)
+    assert windows(small) == [4] and windows(wide) == [4]
+    monkeypatch.setenv("HCH_MAX_WINDOW", "40")
+    assert windows(wide) == [33]
 
 
 def test_bandop_json_roundtrip():

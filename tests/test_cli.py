@@ -209,12 +209,23 @@ def test_sl2_demo_rows_past_the_old_ladder(capsys):
     assert out.splitlines()[1:] == [f"{lam}\t0\t2\t1\t1\ttrue" for lam in (26, 30)]
 
 
-def test_sl2_demo_beyond_the_last_window_is_exit_3(capsys):
+def test_sl2_demo_beyond_the_last_window_is_exit_3(capsys, monkeypatch):
+    code, out, _ = run(capsys, "sl2-demo", "--lambda", "50", "--format", "json")
+    assert code == 0
+    row, = json.loads(out)["rows"]
+    assert (row["dim_H0"], row["dim_H1"], row["certified"]) == (3, 1, True)
+    code, out, _ = run(capsys, "sl2-demo", "--lambda", "30,34")
+    assert code == 0
+    assert out.splitlines()[1:] == ["30\t0\t3\t1\t2\ttrue", "34\t0\t3\t1\t2\ttrue"]
+    # lambda = 50 has N* = 53: a cap of 60 keeps the window 53 and drops the check window 61
+    monkeypatch.setenv("HCH_MAX_WINDOW", "60")
     code, out, _ = run(capsys, "sl2-demo", "--lambda", "50", "--format", "json")
     assert code == 3
     row, = json.loads(out)["rows"]
     assert row["certified"] is False and row["dim_H1"] is None
-    assert row["windows"]["windows"] == [16, 24, 32, 48]
+    assert row["windows"]["windows"] == [53]
+    # lambda = 34 needs the windows 37 and 45, lambda = 30 only 33 and 41
+    monkeypatch.setenv("HCH_MAX_WINDOW", "44")
     code, out, _ = run(capsys, "sl2-demo", "--lambda", "30,34")
     assert code == 3
     assert out.splitlines()[1:] == ["30\t0\t3\t1\t2\ttrue", "34\t0\t-\t-\t-\tfalse"]
@@ -266,7 +277,7 @@ def _raise(exc):
 
 
 @pytest.mark.parametrize("target, exc, argv", [
-    ("hch.sl2.band_kernel", DegenerateBandError("window dimensions keep growing"),
+    ("hch.sl2.band_kernel", DegenerateBandError("cokernel dims [8, 12] differ past N* = 7"),
      ["sl2-demo", "--lambda", "2"]),
     ("hch.sl2.principal_series", OracleMismatchError("band table disagrees"),
      ["sl2-demo", "--lambda", "2"]),

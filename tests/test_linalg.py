@@ -12,7 +12,6 @@ from hch.linalg import (
     Matrix,
     Subspace,
     add_into,
-    cokernel_dim,
     column_space,
     kernel_basis,
     rank,
@@ -23,7 +22,7 @@ from hch.linalg import (
 from hch.liepairs import DiagGroup, LieAlgebra, Pair
 from hch.scalars import I, ONE, ZERO, Scalar
 from hch.schemas import load_finite_module
-from dense_reference import apply, as_map, column, from_columns, vec, vec_is_zero
+from dense_reference import apply, as_map, cokernel_dim, column, from_columns, vec, vec_is_zero
 
 
 def test_scalar_field_ops():

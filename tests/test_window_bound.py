@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 import hch.sl2
+from dense_reference import wide_window_band_dims
 from hch.bands import (
     BandOp,
-    StabilizationPolicy,
+    DegenerateBandError,
     UncertifiedStabilizationError,
     band_cokernel,
     band_kernel,
@@ -18,7 +19,6 @@ from hch.poly import Poly
 from hch.scalars import Scalar
 from hch.sl2 import principal_series, sl2_branching_report
 
-REFERENCE = StabilizationPolicy(windows=(64, 72))
 RATIONALS = [Fraction(7, 3), Fraction(-5, 2), Fraction(-7, 5), Fraction(47, 2),
              Fraction(77, 3), Fraction(101, 3)]
 
@@ -52,28 +52,24 @@ def test_root_bound_cases():
     ("diagonal_torus", 30, (3, 1)),
     ("torus_normalizer", 26, (2, 1)),
     ("torus_normalizer", 30, (2, 1)),
+    *[("diagonal_torus", lam, (3, 1)) for lam in (32, 34, 36, 40, 44, 50)],
+    *[("torus_normalizer", lam, (2, 1)) for lam in (34, 38, 42, 46, 50)],
+    ("diagonal_torus", Fraction(101, 3), (2, 0)),
 ])
 def test_rows_past_the_old_ladder_are_right(subpair, lam, dims):
     rep = sl2_branching_report(lam, 0, subpair)
     assert (rep.dims[0], rep.dims[1]) == dims
     assert rep.certified()
-    assert all(s.windows[-1] >= root_bound(principal_series(lam, 0).theta)
-               for s in rep.stabilization.values())
-
-
-@pytest.mark.parametrize("subpair", ["diagonal_torus", "torus_normalizer"])
-@pytest.mark.parametrize("lam", [34, 50])
-def test_rows_the_ladder_cannot_reach_are_not_certified(subpair, lam):
-    with pytest.raises(UncertifiedStabilizationError) as exc:
-        sl2_branching_report(lam, 0, subpair)
-    assert exc.value.stabilization.certified is False
+    w = max(16, root_bound(principal_series(lam, 0).theta))
+    assert all(s.windows == [w, w + 8] for s in rep.stabilization.values())
 
 
 @pytest.mark.parametrize("lam", [50, Fraction(201, 2)])
 def test_empty_classes_certify_as_before(lam):
     rep = sl2_branching_report(lam, 1)
     assert rep.dims == {0: 0, 1: 0} and rep.certified()
-    assert all(s.windows == [16, 24] for s in rep.stabilization.values())
+    w = max(16, root_bound(principal_series(lam, 1).theta))
+    assert all(s.windows == [w, w + 8] for s in rep.stabilization.values())
 
 
 def test_sweep_rows_stop_at_the_first_two_windows():
@@ -87,12 +83,10 @@ def test_sweep_rows_stop_at_the_first_two_windows():
 @pytest.mark.parametrize("subpair", ["diagonal_torus", "torus_normalizer"])
 def test_every_certified_row_equals_the_wide_window_reference(subpair, eps):
     uncertified = []
-    for lam in [*range(-4, 41), *RATIONALS]:
+    for lam in [*range(-4, 61), *RATIONALS]:
         theta = principal_series(lam, eps).theta
         c1, c0 = hch.sl2._coinvariant_classes(eps, subpair)
-        h1, _, stab1 = band_kernel(theta, c1, REFERENCE)
-        h0, _, stab0 = band_cokernel(theta, c1, c0, REFERENCE)
-        assert stab1.certified and stab0.certified
+        h1, h0 = wide_window_band_dims(theta, c1, c0)
         try:
             rep = sl2_branching_report(lam, eps, subpair)
         except UncertifiedStabilizationError:
@@ -100,18 +94,25 @@ def test_every_certified_row_equals_the_wide_window_reference(subpair, eps):
             continue
         assert rep.certified()
         assert rep.dims == {0: h0, 1: h1}, lam
-    if eps == 0:
-        # the default ladder ends at 48 and cannot certify an even lambda past it
-        assert uncertified and min(uncertified) >= 31
-    else:
-        assert uncertified == []
+    assert uncertified == []
 
 
-def test_a_window_below_nstar_never_certifies():
-    # theta at lambda = 30 agrees on the windows 16 and 24 (both read H1 = 0)
+def test_a_window_below_nstar_never_certifies(monkeypatch):
+    # theta at lambda = 30 reads H1 = 0 on the window 24, below N* = 33
     theta = principal_series(30, 0).theta
     even = class_indices(0, 2)
-    with pytest.raises(UncertifiedStabilizationError, match=r"past N\* = 33"):
-        band_kernel(theta, even, StabilizationPolicy(windows=(16, 24)))
-    dim, _, stab = band_kernel(theta, even, StabilizationPolicy(windows=(16, 24, 33, 40)))
-    assert dim == 1 and stab.windows == [16, 24, 33, 40] and stab.dims_per_window == [0, 0, 1, 1]
+    monkeypatch.setenv("HCH_MAX_WINDOW", "24")
+    with pytest.raises(UncertifiedStabilizationError, match=r"past N\* = 33") as exc:
+        band_kernel(theta, even)
+    assert exc.value.stabilization.windows == [24]
+    assert exc.value.stabilization.dims_per_window == [0]
+    monkeypatch.delenv("HCH_MAX_WINDOW")
+    dim, _, stab = band_kernel(theta, even)
+    assert dim == 1 and stab.windows == [33, 41] and stab.dims_per_window == [1, 1]
+
+
+def test_a_target_class_no_line_reaches_is_degenerate():
+    # theta moves by +-2, so from 0 mod 4 it reaches 2 mod 4 and never 1 mod 4
+    theta = principal_series(4, 0).theta
+    with pytest.raises(DegenerateBandError, match=r"cokernel dims \[8, 12\] differ past N\* = 7"):
+        band_cokernel(theta, class_indices(0, 4), class_indices(1, 4))
