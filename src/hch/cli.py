@@ -153,10 +153,6 @@ def _parse_lambdas(text: str):
     return out
 
 
-def _rat_str(x: Fraction) -> str:
-    return str(x)
-
-
 def _cmd_sl2_demo(args) -> int:
     if args.subpair not in SUBPAIR_CATALOG:
         raise SchemaError("--subpair",
@@ -165,7 +161,7 @@ def _cmd_sl2_demo(args) -> int:
     lams = _parse_lambdas(args.lam)
     rows = []
     for lam in lams:
-        base = {"lambda": _rat_str(lam), "epsilon": args.epsilon}
+        base = {"lambda": str(lam), "epsilon": args.epsilon}
         try:
             rep = sl2_branching_report(lam, args.epsilon, args.subpair)
         except UncertifiedStabilizationError as e:

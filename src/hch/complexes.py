@@ -10,6 +10,12 @@ complex counts every column as interior, so ``homology`` is one loop for both
 kinds.  The relative standard complex of ``relhomology`` and the standard
 resolution augmented by its counit are Complexes too.
 
+``homology_dim`` is the one rank formula for an unmarked complex, dim H^n =
+dim C^n - rank d^n - rank d^(n-1), with each rank eliminated once per complex
+(``rank_at``) and no representatives built.  Both Ext routes of
+``relhomology`` and ``homotopy_classes_dim`` read it; both Ext routes check
+d^2 = 0 on the relative complex first.
+
 ``homology`` certifies a degree exact by counting ranks, with no rational
 elimination.  Let B be the columns of d^(n-1) that lie on the interior
 columns.  If d^n kills B (an exact product over Q(i)), then im B lies in the
@@ -87,6 +93,7 @@ class Complex:
                 raise ValueError(f"differential shape mismatch at degree {n}")
             self.diffs[n] = d
         self.interior = dict(interior) if interior else None
+        self._ranks: Dict[int, int] = {}
 
     # -- access ---------------------------------------------------------------
 
@@ -128,6 +135,16 @@ class Complex:
             return []
         where = "" if self.interior is None else " on an interior column"
         return [f"d^2 != 0 at degree {n}{where}"]
+
+    def rank_at(self, n: int) -> int:
+        """rank of d^n, eliminated on the first read and cached."""
+        if n not in self._ranks:
+            self._ranks[n] = rank(self.diff(n))
+        return self._ranks[n]
+
+    def homology_dim(self, n: int) -> int:
+        """dim H^n of an unmarked complex by ranks alone; no representatives are built."""
+        return self.dim_at(n) - self.rank_at(n) - self.rank_at(n - 1)
 
     def check_complex(self) -> ValidationReport:
         bad = [v for n in self.degrees() for v in self.square_fault(n, self.interior_diff(n))]
@@ -563,13 +580,6 @@ def chain_maps(M: Complex, N: Complex) -> List[Dict[int, Matrix]]:
     return [lay.unpack(v) for v in kernel_on(d, range(d.cols))]
 
 
-def hom_diff_rank(M: Complex, N: Complex, n: int) -> Tuple[int, int]:
-    """(dim Hom^n(M, N), rank of delta: Hom^n -> Hom^(n+1))."""
-    d_n = _hom_diff(M, N, n)
-    return d_n.cols, rank(d_n)
-
-
 def homotopy_classes_dim(M: Complex, N: Complex, n: int = 0) -> int:
     """dim H^n of the plain Hom complex: degree-n maps modulo homotopy."""
-    dim, r_n = hom_diff_rank(M, N, n)
-    return dim - r_n - hom_diff_rank(M, N, n - 1)[1]
+    return hom_complex(M, N).homology_dim(n)

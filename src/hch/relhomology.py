@@ -11,26 +11,32 @@ C_n at cochain degree -n, so H_n is ``Complex.homology`` at degree -n and the
 Euler–Poincaré characteristic is ``Complex.euler_characteristic``.  It depends
 on M alone, so it is built once per module and held by it (``held_complex``):
 every degree, both Ext routes, EP and ``rel_homology`` read that one build.
+
+Both Ext routes read one rank formula, ``Complex.homology_dim``: the duality
+route on the complex itself at degree -n, the chain-map route on its dual
+Hom(C, k), held by the complex as ``dual``.  Both first check d^2 = 0 on the
+complex (``_check_boundaries``) and raise NotAComplexError when it fails.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import signs
 from .complexes import (
     Complex,
     NotAComplexError,
     ce_boundary,
-    hom_diff_rank,
+    hom_complex,
     plain_space,
     single_term,
     trivial_pair,
 )
 from .gkmodules import FiniteModule
 from .liepairs import Character, SubpairEmbedding
-from .linalg import Matrix, SparseVector, dense, independent_over, rank, sparse_columns
+from .linalg import Matrix, SparseVector, dense, independent_over, sparse_columns
 from .reports import HomologyReport
 from .scalars import ONE
 
@@ -39,8 +45,8 @@ class RelativeStandardComplex(Complex):
     """C_n = K^H-coinvariants of wedge^n(p) (x) M, with the two-sum boundary.
 
     C_n is a plain space at cochain degree -n, and the boundary C_n -> C_{n-1}
-    is ``diff(-n)``.  The d^2 check and the ranks the two Ext routes read are
-    each computed once per complex, and the routes keep their ranks apart.
+    is ``diff(-n)``.  The d^2 check, the ranks (``rank_at``) and the dual are
+    each computed once per complex.
     """
 
     def __init__(self, emb: SubpairEmbedding, M: FiniteModule):
@@ -81,21 +87,17 @@ class RelativeStandardComplex(Complex):
                 raise ValueError("boundary leaves the coinvariant part") from None
         terms = {-n: plain_space(len(self.kept[n])) for n in range(dp + 1)}
         super().__init__(trivial_pair(), terms, diffs)
-        self.faults: Optional[List[str]] = None
-        self.boundary_ranks: Dict[int, int] = {}
-        self.hom_ranks: Dict[int, Tuple[int, int]] = {}
 
-    def boundary_rank(self, n: int) -> int:
-        """rank of d_n: C_n -> C_(n-1) (duality route)."""
-        if n not in self.boundary_ranks:
-            self.boundary_ranks[n] = rank(self.diff(-n))
-        return self.boundary_ranks[n]
+    @cached_property
+    def faults(self) -> List[str]:
+        """Each n with d_(n-1) d_n != 0, in ascending order, named."""
+        return [f"boundary squared nonzero at degree {n}" for n in range(2, self.p_dim + 1)
+                if not (self.diff(1 - n) @ self.diff(-n)).is_zero()]
 
-    def hom_rank(self, n: int) -> Tuple[int, int]:
-        """(dim Hom^n, rank delta_n) of the plain Hom complex into C (chain-map route)."""
-        if n not in self.hom_ranks:
-            self.hom_ranks[n] = hom_diff_rank(self, single_term(plain_space(1)), n)
-        return self.hom_ranks[n]
+    @cached_property
+    def dual(self) -> Complex:
+        """Hom(C, k): its H^n is the degree-n maps to k modulo homotopy (chain-map route)."""
+        return hom_complex(self, single_term(plain_space(1)))
 
 
 def held_complex(emb: SubpairEmbedding, M: FiniteModule) -> RelativeStandardComplex:
@@ -117,9 +119,6 @@ def _check_boundaries(cx: RelativeStandardComplex) -> None:
 
     The products are formed on the first call; a failing complex raises on every call.
     """
-    if cx.faults is None:
-        cx.faults = [f"boundary squared nonzero at degree {n}" for n in range(2, cx.p_dim + 1)
-                     if not (cx.diff(1 - n) @ cx.diff(-n)).is_zero()]
     if cx.faults:
         raise NotAComplexError("; ".join(cx.faults))
 
@@ -170,14 +169,14 @@ def ext_via_duality(emb: SubpairEmbedding, M: FiniteModule, n: int) -> int:
     """
     cx = held_complex(emb, M)
     _check_boundaries(cx)
-    return cx.dim_at(-n) - cx.boundary_rank(n) - cx.boundary_rank(n + 1)
+    return cx.homology_dim(-n)
 
 
 def ext_via_chain_maps(emb: SubpairEmbedding, M: FiniteModule, n: int) -> int:
     """Independent route: maps to C[n] from the complex, modulo homotopy."""
     cx = held_complex(emb, M)
-    dim, r_n = cx.hom_rank(n)
-    return dim - r_n - cx.hom_rank(n - 1)[1]
+    _check_boundaries(cx)
+    return cx.dual.homology_dim(n)
 
 
 def euler_poincare(emb: SubpairEmbedding, M: FiniteModule) -> int:

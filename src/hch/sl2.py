@@ -317,14 +317,3 @@ def sl2_branching_report(lam, epsilon: int,
     report.representatives = {0: reps0, 1: reps1}
     report.stabilization = {0: stab0, 1: stab1}
     return report
-
-
-def branching_table(lams, epsilon: int, subpair_name: str = "diagonal_torus"):
-    """Rows (lambda, epsilon, dim H0, dim H1, EP, certified) for a lambda sweep."""
-    rows = []
-    for lam in lams:
-        rep = sl2_branching_report(lam, epsilon, subpair_name)
-        rows.append((as_scalar(lam), epsilon, rep.dims.get(0, 0),
-                     rep.dims.get(1, 0), rep.euler_characteristic(),
-                     rep.certified()))
-    return rows

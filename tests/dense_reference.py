@@ -4,10 +4,11 @@ The package passes Lie-algebra elements and coordinate vectors as sparse
 {index: Scalar} maps.  The tuple helpers here build and read coordinate
 tuples, and the dense bracket, ad, Jacobi check, embedding, action matrix and
 restriction are the routines the sparse ones replaced, kept as oracles.
-``cokernel_dim`` and the wide-window band dimensions are references with no
-caller in the package.
+``cokernel_dim``, ``homotopy_classes_dim`` and the wide-window band
+dimensions are references with no caller in the package.
 """
 
+from hch.complexes import _hom_diff
 from hch.gkmodules import FiniteModule
 from hch.linalg import Matrix, kernel_basis, rank
 from hch.scalars import ONE, ZERO, as_scalar
@@ -133,6 +134,13 @@ def p_complement(pair):
 
 def cokernel_dim(m):
     return m.rows - rank(m)
+
+
+def homotopy_classes_dim(M, N, n=0):
+    """dim H^n of the plain Hom complex from two fresh Hom differentials,
+    delta_n and delta_(n-1), with no Hom complex built."""
+    d_n = _hom_diff(M, N, n)
+    return d_n.cols - rank(d_n) - rank(_hom_diff(M, N, n - 1))
 
 
 def wide_window_band_dims(op, source, target, N=96):

@@ -6,8 +6,8 @@ from itertools import combinations
 
 import pytest
 
-from hch import complexes, liepairs, relhomology, schemas, signs
-from hch.complexes import homotopy_classes_dim, plain_space, single_term
+from hch import complexes, liepairs, schemas, signs
+from hch.complexes import plain_space, single_term
 from hch.gkmodules import FiniteModule, direct_sum, restrict_module, tensor, trivial_module
 from hch.liepairs import Character, SubpairEmbedding
 from hch.linalg import Matrix, add_into, kernel_basis, rank
@@ -29,7 +29,7 @@ from hch.sl2 import (
     torus_pair,
     trivial_k_pair,
 )
-from dense_reference import apply, bracket, column, from_columns, p_complement
+from dense_reference import apply, bracket, column, from_columns, homotopy_classes_dim, p_complement
 
 
 def catalog_modules():
@@ -171,7 +171,8 @@ def test_non_complex_is_named(monkeypatch):
     ones = lambda self, n: Matrix._raw(self.dim_at(n + 1), self.dim_at(n), {
         (r, c): Scalar(1) for r in range(self.dim_at(n + 1)) for c in range(self.dim_at(n))})
     monkeypatch.setattr(RelativeStandardComplex, "diff", ones)
-    for compute in (lambda: rel_homology(emb, M), lambda: ext_via_duality(emb, M, 1)):
+    for compute in (lambda: rel_homology(emb, M), lambda: ext_via_duality(emb, M, 1),
+                    lambda: ext_via_chain_maps(emb, M, 1)):
         with pytest.raises(NotAComplexError, match="boundary squared nonzero at degree 2"):
             compute()
     assert issubclass(NotAComplexError, ValueError)
@@ -404,7 +405,7 @@ def ref_ext_via_duality(emb, M, n):
 
 
 def ref_ext_via_chain_maps(emb, M, n):
-    """The per-call chain-map route: a fresh complex and a fresh Hom complex on every call."""
+    """The per-call chain-map route: a fresh complex and two fresh Hom differentials per call."""
     return homotopy_classes_dim(RelativeStandardComplex(emb, M), single_term(plain_space(1)), n)
 
 
@@ -434,11 +435,11 @@ def test_held_complex_matches_the_per_call_routes():
 
 
 def test_one_build_per_module(monkeypatch):
-    builds, boundary_ranks, hom_diffs = [], [], []
-    init, rank_, hom_diff = RelativeStandardComplex.__init__, relhomology.rank, complexes._hom_diff
+    builds, ranks, hom_diffs = [], [], []
+    init, rank_, hom_diff = RelativeStandardComplex.__init__, complexes.rank, complexes._hom_diff
     monkeypatch.setattr(RelativeStandardComplex, "__init__",
                         lambda self, emb, M: builds.append(M) or init(self, emb, M))
-    monkeypatch.setattr(relhomology, "rank", lambda m: boundary_ranks.append(m) or rank_(m))
+    monkeypatch.setattr(complexes, "rank", lambda m: ranks.append(m) or rank_(m))
     monkeypatch.setattr(complexes, "_hom_diff", lambda *a: hom_diffs.append(a[2]) or hom_diff(*a))
     emb = SUBPAIR_CATALOG["diagonal_torus"]()
     docs = emb.to_json(), restrict_module(emb, finite_irrep_so2(4)).to_json()
@@ -448,14 +449,17 @@ def test_one_build_per_module(monkeypatch):
         return emb, schemas.load_finite_module(emb.small, docs[1])
 
     emb, M = load()
-    dims = [ext(emb, M, n) for ext in (ext_via_duality, ext_via_chain_maps) for n in range(4)]
-    assert dims == [1, 1, 0, 0] * 2
+    for _ in range(2):
+        dims = [ext(emb, M, n) for ext in (ext_via_duality, ext_via_chain_maps) for n in range(4)]
+        assert dims == [1, 1, 0, 0] * 2
     assert euler_poincare(emb, M) == 0
     assert rel_homology(emb, M).dims == {0: 1, 1: 1}
     assert builds == [M]
-    # d_0 .. d_4 and delta_-1 .. delta_3, each once
-    assert len(boundary_ranks) == 5
-    assert sorted(hom_diffs) == list(range(-1, 4))
+    # d_0 .. d_4 on the complex and delta_-1 .. delta_3 on its dual, each once
+    cx = M.relative_complex
+    assert ranks == [cx.diff(-n) for n in range(5)] + [cx.dual.diff(n) for n in (0, -1, 1, 2, 3)]
+    # the dual is built once, one Hom differential per degree it has
+    assert sorted(hom_diffs) == [0, 1]
     _, again = load()
     assert ext_via_duality(emb, again, 0) == 1
     assert builds == [M, again]
@@ -470,7 +474,8 @@ def test_failing_complex_raises_on_every_call():
                        [F1.g_action[0], F1.g_action[1].scale(Scalar(2)), F1.g_action[2]])
     text = "boundary squared nonzero at degree 2; boundary squared nonzero at degree 3"
     for compute in (lambda: ext_via_duality(emb, bad, 1), lambda: ext_via_duality(emb, bad, 1),
-                    lambda: rel_homology(emb, bad), lambda: ext_via_duality(emb, bad, 0)):
+                    lambda: rel_homology(emb, bad), lambda: ext_via_duality(emb, bad, 0),
+                    lambda: ext_via_chain_maps(emb, bad, 1), lambda: ext_via_chain_maps(emb, bad, 0)):
         with pytest.raises(NotAComplexError) as err:
             compute()
         assert str(err.value) == text

@@ -21,7 +21,6 @@ from hch.sl2 import (
     SUBPAIR_CATALOG,
     OracleMismatchError,
     finite_irrep,
-    branching_table,
     principal_series,
     sl2_branching_report,
     rotation_basis_embedding,
@@ -344,10 +343,3 @@ def test_w_fixed_theta_kernel_is_4z():
 def test_so2_branching():
     assert sl2_branching_report(5, 0, "so2").dims == {0: 1}
     assert sl2_branching_report(5, 1, "so2").dims == {0: 0}
-
-
-def test_branching_table_shape():
-    rows = branching_table(range(0, 3), 0)
-    assert len(rows) == 3
-    lam, eps, h0, h1, ep, cert = rows[2]
-    assert (h0, h1, ep, cert) == (3, 1, 2, True)
