@@ -126,11 +126,14 @@ class BandOp:
         """
         targets = sorted({n + s for n in source for s in self.table})
         tindex = {n: i for i, n in enumerate(targets)}
-        ents = {}
+        columns: Dict[int, Dict[int, Scalar]] = {}
         for j, n in enumerate(source):
+            col = {}
             for m, c in self.apply_line(n).items():
-                ents[(tindex[m], j)] = c
-        return targets, Matrix._raw(len(targets), len(source), ents)
+                col[tindex[m]] = c
+            if col:
+                columns[j] = col
+        return targets, Matrix._raw(len(targets), len(source), columns)
 
     def __repr__(self):
         if not self.table:
@@ -263,14 +266,18 @@ def band_cokernel(op: BandOp, source_indices: Callable[[int], List[int]],
 
     def matrix(N, targets):
         tindex = {n: i for i, n in enumerate(targets)}
-        ents = {}
+        columns: Dict[int, Dict[int, Scalar]] = {}
         nrows = 0
         for n in source_indices(N):
             if all((n + s) in tindex for s in shifts):
                 for m, c in op.apply_line(n).items():
-                    ents[(nrows, tindex[m])] = c
+                    col = columns.get(tindex[m])
+                    if col is None:
+                        columns[tindex[m]] = {nrows: c}
+                    else:
+                        col[nrows] = c
                 nrows += 1
-        return Matrix._raw(nrows, len(targets), ents)
+        return Matrix._raw(nrows, len(targets), columns)
 
     return _stabilize("cokernel", root_bound(op), target_indices, matrix)
 

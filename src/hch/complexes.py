@@ -53,7 +53,6 @@ from .linalg import (
     kernel_on,
     rank,
     rank_mod_p,
-    sparse_columns,
 )
 from .reports import HomologyReport
 from .scalars import ONE
@@ -160,37 +159,37 @@ class Complex:
         whose boundaries are not cycles raises NotAComplexError.
         """
         report = HomologyReport()
-        # the previous degree's columns: d^(n-1)'s, or all empty if it is not n - 1
-        into: List[SparseVector] = []
+        # the previous degree's column map: d^(n-1)'s, or empty if it is not n - 1
+        into: Dict[int, SparseVector] = {}
         for n in self.degrees():
             d_out, cols = self.diff(n), self.interior_cols(n)
-            out_cols = sparse_columns(d_out)
             reps = []
-            if cols and not self._counted_exact(d_out, out_cols, cols, into):
+            if cols and not self._counted_exact(d_out, cols, into):
                 found = independent_over(self.diff(n - 1), kernel_on(d_out, cols))
                 reps = [dense(v, self.dim_at(n)) for v in found]
             report.dims[n] = len(reps)
             report.representatives[n] = reps
-            into = out_cols
+            into = d_out.columns
         return report
 
-    def _counted_exact(self, d_out: Matrix, out_cols: List[SparseVector], cols: Sequence[int],
-                       into: List[SparseVector]) -> bool:
+    def _counted_exact(self, d_out: Matrix, cols: Sequence[int],
+                       into: Dict[int, SparseVector]) -> bool:
         """True when the rank count proves every cycle of d_out on ``cols`` a boundary.
 
-        ``out_cols`` and ``into`` are the columns of d_out and d^(n-1); B is
-        the nonzero columns of ``into`` supported on ``cols``.  False proves
-        nothing; d_out @ B != 0 on an unmarked complex raises NotAComplexError.
+        ``into`` is the column map of d^(n-1); B is its columns supported on
+        ``cols``.  False proves nothing; d_out @ B != 0 on an unmarked complex
+        raises NotAComplexError.
         """
         inside = set(cols)
-        bounded = [v for v in into if v and v.keys() <= inside]
+        bounded = [v for v in into.values() if v.keys() <= inside]
         if not (d_out @ Matrix._from_sparse_columns(d_out.cols, bounded)).is_zero():
             if self.interior is None:
                 raise NotAComplexError(
                     "not a complex: boundaries are not cycles (d_out @ d_in != 0)")
             return False
+        out = d_out.columns
         r_in = rank_mod_p(bounded)
-        r_out = rank_mod_p(out_cols[c] for c in cols)
+        r_out = rank_mod_p(out[c] for c in cols if c in out)
         return r_in is not None and r_out is not None and r_in + r_out >= len(cols)
 
     # -- constructions ----------------------------------------------------------
@@ -228,19 +227,15 @@ def ce_boundary(columns: Iterable[Tuple[Tuple[int, ...], Collection[int]]], rows
     act[s][k] is x_s acting on coefficient vector k, a {row: Scalar} map.
     brackets[(a, b)], for every a < b, is [x_a, x_b] in the wedge basis, a
     {basis index: Scalar} map.
-    The action and bracket terms are worked out once per subset.
+    The action and bracket terms are worked out once per subset, and each
+    column is summed in one sparse map.
     """
-    ents: Dict = {}
+    out: Dict[int, SparseVector] = {}
     col = 0
     for subset, ks in columns:
         n = len(subset)
-        for i, s in enumerate(subset):
-            negate = action_sign(i) < 0
-            target = row_of(subset[:i] + subset[i + 1:])
-            act_s = act[s]
-            for c, k in enumerate(ks, col):
-                for r, v in act_s[k].items():
-                    add_into(ents, (target[r], c), -v if negate else v)
+        faces = [(row_of(subset[:i] + subset[i + 1:]), act[s], action_sign(i) < 0)
+                 for i, s in enumerate(subset)]
         terms = []
         for p in range(n):
             for q in range(p + 1, n):
@@ -251,10 +246,16 @@ def ce_boundary(columns: Iterable[Tuple[Tuple[int, ...], Collection[int]]], rows
                         isgn, wedge = wedge_insert(l, rest)
                         terms.append((row_of(wedge), cl if sgn * isgn > 0 else -cl))
         for c, k in enumerate(ks, col):
+            acc: SparseVector = {}
+            for target, act_s, negate in faces:
+                for r, v in act_s[k].items():
+                    add_into(acc, target[r], -v if negate else v)
             for target, v in terms:
-                add_into(ents, (target[k], c), v)
+                add_into(acc, target[k], v)
+            if acc:
+                out[c] = acc
         col += len(ks)
-    return Matrix._raw(rows, col, ents)
+    return Matrix._raw(rows, col, out)
 
 
 def trivial_dim_zero(pair: Pair) -> FiniteModule:
@@ -312,13 +313,13 @@ def cone_matrix(rows: int, cols: int, split_row: int, split_col: int,
     a missing block is zero.  Both the cone differential and the h-cone
     contraction are placed through here.
     """
-    ents: Dict = {}
+    columns: Dict[int, SparseVector] = {}
     for block, roff, coff, negate in ((shifted, 0, 0, shifted_sign < 0),
                                       (lower_left, split_row, 0, False),
                                       (lower_right, split_row, split_col, False)):
         if block is not None:
-            kron_into(ents, 1, block, roff, coff, negate)
-    return Matrix._raw(rows, cols, ents)
+            kron_into(columns, 1, block, roff, coff, negate)
+    return Matrix._raw(rows, cols, columns)
 
 
 def cone(f: ComplexMap) -> Tuple[Complex, ComplexMap, ComplexMap]:
@@ -354,12 +355,11 @@ def cone(f: ComplexMap) -> Tuple[Complex, ComplexMap, ComplexMap]:
     c = Complex(N.pair, terms, diffs, interior)
     incl = ComplexMap(N, c, {
         n: Matrix._raw(c.dim_at(n), N.dim_at(n),
-                       {(M.dim_at(n + 1) + r, r): ONE for r in range(N.dim_at(n))})
+                       {r: {M.dim_at(n + 1) + r: ONE} for r in range(N.dim_at(n))})
         for n in N.degrees()
     })
     proj = ComplexMap(c, M.shift(1), {
-        n: Matrix._raw(M.dim_at(n + 1), c.dim_at(n),
-                       {(r, r): ONE for r in range(M.dim_at(n + 1))})
+        n: Matrix._raw(M.dim_at(n + 1), c.dim_at(n), {r: {r: ONE} for r in range(M.dim_at(n + 1))})
         for n in degs if M.dim_at(n + 1)
     })
     return c, incl, proj
@@ -404,18 +404,18 @@ class TensorLayout:
         M, N = self.M, self.N
         out = {}
         for n, blist in self.blocks.items():
-            ents: Dict = {}
+            columns: Dict[int, SparseVector] = {}
             for i in blist:
                 j = n - i
                 coff = self.offsets[(n, i)]
                 a, b = left.get(i), right.get(j)
                 if a is not None:
-                    kron_into(ents, a, N.dim_at(j), self.offsets[(n + step, i + step)], coff)
+                    kron_into(columns, a, N.dim_at(j), self.offsets[(n + step, i + step)], coff)
                 if b is not None:
-                    kron_into(ents, M.dim_at(i), b, self.offsets[(n + step, i)], coff,
+                    kron_into(columns, M.dim_at(i), b, self.offsets[(n + step, i)], coff,
                               right_sign(i) < 0)
-            if ents:
-                out[n] = Matrix._raw(self.dims[n + step], self.dims[n], ents)
+            if columns:
+                out[n] = Matrix._raw(self.dims[n + step], self.dims[n], columns)
         return out
 
 
@@ -473,8 +473,12 @@ class HomLayout:
         for i in self.blocks:
             rows, cols, off = self.N.dim_at(i + self.n), self.M.dim_at(i), self.offsets[i]
             end = off + rows * cols
-            out[i] = Matrix._raw(rows, cols,
-                                 {divmod(k - off, cols): x for k, x in v.items() if off <= k < end})
+            block: Dict[int, SparseVector] = {}
+            for k, x in v.items():
+                if off <= k < end:
+                    r, c = divmod(k - off, cols)
+                    block.setdefault(c, {})[r] = x
+            out[i] = Matrix._raw(rows, cols, block)
         return out
 
 
@@ -487,16 +491,16 @@ def _hom_diff(M: Complex, N: Complex, n: int) -> Matrix:
     src = HomLayout(M, N, n)
     dst = HomLayout(M, N, n + 1)
     negate = signs.hom_precompose_sign(n) < 0
-    ents: Dict = {}
+    columns: Dict[int, SparseVector] = {}
     for i in src.blocks:
         coff = src.offsets[i]
         dn = N.diffs.get(i + n)
         if dn is not None:
-            kron_into(ents, dn, M.dim_at(i), dst.offsets[i], coff)
+            kron_into(columns, dn, M.dim_at(i), dst.offsets[i], coff)
         dm = M.diffs.get(i - 1)
         if dm is not None:
-            kron_into(ents, N.dim_at(i + n), dm.transpose(), dst.offsets[i - 1], coff, negate)
-    return Matrix._raw(dst.dim, src.dim, ents)
+            kron_into(columns, N.dim_at(i + n), dm.transpose(), dst.offsets[i - 1], coff, negate)
+    return Matrix._raw(dst.dim, src.dim, columns)
 
 
 def _equivariance_constraints(M: Complex, N: Complex, n: int) -> Matrix:
@@ -507,20 +511,20 @@ def _equivariance_constraints(M: Complex, N: Complex, n: int) -> Matrix:
     an F - F am = (an (x) 1 - 1 (x) am^T) F; rows may be empty.
     """
     lay = HomLayout(M, N, n)
-    ents: Dict = {}
+    columns: Dict[int, SparseVector] = {}
     nrows = 0
     for i in lay.blocks:
         tm, tn, off = M.terms[i], N.terms[i + n], lay.offsets[i]
         for r, wr in enumerate(tn.k_weights):
             for c, wc in enumerate(tm.k_weights):
                 if wr != wc:
-                    ents[(nrows, off + r * tm.dim + c)] = ONE
+                    columns[off + r * tm.dim + c] = {nrows: ONE}
                     nrows += 1
         for am, an in zip(tm.g_action, tn.g_action):
-            kron_into(ents, an, tm.dim, nrows, off)
-            kron_into(ents, tn.dim, am.transpose(), nrows, off, negate=True)
+            kron_into(columns, an, tm.dim, nrows, off)
+            kron_into(columns, tn.dim, am.transpose(), nrows, off, negate=True)
             nrows += tn.dim * tm.dim
-    return Matrix._raw(nrows, lay.dim, ents)
+    return Matrix._raw(nrows, lay.dim, columns)
 
 
 def hom_complex(M: Complex, N: Complex, equivariant: bool = False) -> Complex:
@@ -565,8 +569,9 @@ def hom_complex(M: Complex, N: Complex, equivariant: bool = False) -> Complex:
         big = _hom_diff(M, N, n)
         img = big @ Matrix._from_sparse_columns(big.cols, src)
         free = {max(v): k for k, v in enumerate(dst)}
-        d = Matrix._raw(len(dst), len(src),
-                        {(free[r], c): x for (r, c), x in img.entries.items() if r in free})
+        cols = ((c, {free[r]: x for r, x in col.items() if r in free})
+                for c, col in img.columns.items())
+        d = Matrix._raw(len(dst), len(src), {c: col for c, col in cols if col})
         if Matrix._from_sparse_columns(big.rows, dst) @ d != img:
             raise ValueError("equivariant Hom not closed under the differential")
         if not d.is_zero():

@@ -9,7 +9,7 @@ is computed rather than assumed zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .bands import BandOp
 from .liepairs import Character, Pair, SubpairEmbedding, ValidationReport, check_element, same_pair
@@ -35,30 +35,29 @@ class FiniteModule:
     def action_matrix(self, x: SparseVector) -> Matrix:
         """rho(x) for a sparse g-element x."""
         check_element(x, len(self.g_action))
-        ents: Dict = {}
+        out = Matrix.zeros(self.dim, self.dim)
         for j, a in x.items():
-            for rc, v in self.g_action[j].entries.items():
-                add_into(ents, rc, a * v)
-        return Matrix._raw(self.dim, self.dim, ents)
+            out = out + self.g_action[j].scale(a)
+        return out
 
     def validate(self) -> ValidationReport:
+        """The bracket is represented, rho(x_j) rho(x_k) = rho(x_k) rho(x_j) +
+        rho([x_j, x_k]) by column products, and each action shifts weights by
+        its Ad-weight, with the shifted weight summed once per column."""
         bad = []
-        g = self.pair.g
+        g, act = self.pair.g, self.g_action
         for j in range(g.dim):
             for k in range(j + 1, g.dim):
-                lhs = self.g_action[j].commutator(self.g_action[k])
-                rhs = self.action_matrix(g.bracket_basis(j, k))
-                if lhs != rhs:
+                if act[j] @ act[k] != act[k] @ act[j] + self.action_matrix(g.bracket_basis(j, k)):
                     bad.append(f"bracket representation fails on g-basis pair ({j},{k})")
-        K = self.pair.K
+        K, weights = self.pair.K, self.k_weights
         for j in range(g.dim):
             shift = self.pair.ad_grading[j]
-            for (r, c) in self.g_action[j].entries:
-                want = K.add(self.k_weights[c], shift)
-                if self.k_weights[r] != want:
-                    bad.append(
-                        f"action of g-basis {j} is not K-equivariant at entry ({r},{c})"
-                    )
+            for c, col in act[j].columns.items():
+                want = K.add(weights[c], shift)
+                for r in col:
+                    if weights[r] != want:
+                        bad.append(f"action of g-basis {j} is not K-equivariant at entry ({r},{c})")
         return ValidationReport.good() if not bad else ValidationReport.bad(*bad)
 
     def torus_weight_matrix(self, t: int, cols: Optional[Sequence[int]] = None) -> Matrix:
@@ -67,7 +66,7 @@ class FiniteModule:
         cols = range(self.dim) if cols is None else cols
         weights = self.k_weights
         return Matrix._raw(self.dim, len(cols), {
-            (c, j): as_scalar(weights[c].torus[t]) for j, c in enumerate(cols) if weights[c].torus[t]})
+            j: {c: as_scalar(weights[c].torus[t])} for j, c in enumerate(cols) if weights[c].torus[t]})
 
     def defect(self, cols: Optional[Sequence[int]] = None) -> "DefectMap":
         """w(xi_t) = d(rho)(xi_t) - rho(iota(xi_t)) for each torus generator t,
@@ -75,20 +74,16 @@ class FiniteModule:
 
         Each map starts from the torus weights on ``cols`` and adds -a times
         the action of every g-basis vector with coefficient a in iota(xi_t),
-        read on ``cols`` only, through ``add_into``: the work is that of the
-        chosen columns, not of the whole square.
+        picked on ``cols`` first: the work is that of the chosen columns, not
+        of the whole square.
         """
-        index = None if cols is None else {c: j for j, c in enumerate(cols)}
         maps = []
         for t in range(self.pair.K.torus_rank):
-            ents = self.torus_weight_matrix(t, cols).entries  # a fresh map, summed into
+            w = self.torus_weight_matrix(t, cols)
             for l, a in self.pair.iota_vec(t).items():
-                na = -a
-                for (r, c), v in self.g_action[l].entries.items():
-                    j = c if index is None else index.get(c)
-                    if j is not None:
-                        add_into(ents, (r, j), na * v)
-            maps.append(Matrix._raw(self.dim, self.dim if cols is None else len(cols), ents))
+                rho = self.g_action[l]
+                w = w + (rho if cols is None else rho.restrict_columns(cols)).scale(-a)
+            maps.append(w)
         return DefectMap(self, maps, None if cols is None else list(cols))
 
     def is_genuine(self) -> bool:
@@ -139,49 +134,86 @@ def direct_sum(m: FiniteModule, n: FiniteModule) -> FiniteModule:
     )
 
 
-def _factor(m: "Matrix | int", negate: bool):
-    """(rows, cols, entries, unit) of (-1 if negate) * m; an int n is I_n, and
-    unit says the entries are ones that need no multiplication."""
-    if isinstance(m, int):
-        one = -ONE if negate else ONE
-        return m, m, [((k, k), one) for k in range(m)], not negate
-    ents = [(rc, -v) for rc, v in m.entries.items()] if negate else m.entries.items()
-    return m.rows, m.cols, ents, False
+def _add_shifted(columns: Dict[int, SparseVector], c: int, old: SparseVector, shift: int,
+                 pairs: Iterable[Tuple[int, Scalar]]) -> None:
+    """Add the entries (r + shift, v) into column c, already placed as ``old``."""
+    for r, v in pairs:
+        r += shift
+        if r in old:
+            add_into(old, r, v)
+        else:
+            old[r] = v
+    if not old:
+        del columns[c]
 
 
-def kron_into(ents: Dict, a: "Matrix | int", b: "Matrix | int",
+def kron_into(columns: Dict[int, SparseVector], a: "Matrix | int", b: "Matrix | int",
               roff: int = 0, coff: int = 0, negate: bool = False) -> None:
-    """Add (-1 if negate) * (a (x) b) into the sparse map ents at offset (roff, coff).
+    """Add (-1 if negate) * (a (x) b) into the column map ``columns`` at offset (roff, coff).
 
     The one placer behind every tensor, Leibniz, Hom and cone block.  An int n
-    stands for I_n, whose ones are placed, not multiplied; the sign goes on
-    one factor once.  Products of nonzero entries are nonzero, so only a key
-    already present needs add_into.
+    stands for I_n, whose ones are placed, never built or multiplied; the
+    sign goes on one factor once.  A new column is one fresh dict, filled by
+    a plain loop (at one or two entries a column, cheaper than a dict
+    comprehension on CPython 3.11); a column already placed is summed into in
+    place, so ``columns`` holds only columns its builder made.
     """
-    neg_b = negate and not isinstance(b, int)
-    brows, bcols, bents, b_unit = _factor(b, neg_b)
-    _, _, aents, a_unit = _factor(a, negate and not neg_b)
-    for (r1, c1), v1 in aents:
-        r0, c0 = roff + r1 * brows, coff + c1 * bcols
-        for (r2, c2), v2 in bents:
-            v = v2 if a_unit else (v1 if b_unit else v1 * v2)
-            key = (r0 + r2, c0 + c2)
-            if key in ents:
-                add_into(ents, key, v)
+    get = columns.get
+    if isinstance(b, int):
+        # a (x) I_b: column c1 * b + k holds a's column c1 at rows r1 * b + k;
+        # an int a is I_a, whose column c1 is the one row c1
+        if isinstance(a, int):
+            one = -ONE if negate else ONE
+            acols = ((c1, {c1: one}) for c1 in range(a))
+        else:
+            acols = (-a if negate else a).columns.items()
+        for c1, acol in acols:
+            c0 = coff + c1 * b
+            rows = [(roff + r1 * b, v) for r1, v in acol.items()]
+            for k in range(b):
+                old = get(c0 + k)
+                if old is None:
+                    columns[c0 + k] = new = {}
+                    for r, v in rows:
+                        new[r + k] = v
+                else:
+                    _add_shifted(columns, c0 + k, old, k, rows)
+        return
+    bcols, br, bc = (-b if negate else b).columns, b.rows, b.cols
+    if isinstance(a, int):
+        # I_a (x) b: b's columns once per diagonal block k
+        for k in range(a):
+            r0, c0 = roff + k * br, coff + k * bc
+            for c2, bcol in bcols.items():
+                old = get(c0 + c2)
+                if old is None:
+                    columns[c0 + c2] = new = {}
+                    for r2, v in bcol.items():
+                        new[r0 + r2] = v
+                else:
+                    _add_shifted(columns, c0 + c2, old, r0, bcol.items())
+        return
+    for c1, acol in a.columns.items():
+        for c2, bcol in bcols.items():
+            c = coff + c1 * bc + c2
+            new = {roff + r1 * br + r2: v1 * v2 for r1, v1 in acol.items() for r2, v2 in bcol.items()}
+            old = get(c)
+            if old is None:
+                columns[c] = new
             else:
-                ents[key] = v
+                _add_shifted(columns, c, old, 0, new.items())
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    ents: Dict = {}
-    kron_into(ents, a, b)
-    return Matrix._raw(a.rows * b.rows, a.cols * b.cols, ents)
+    columns: Dict[int, SparseVector] = {}
+    kron_into(columns, a, b)
+    return Matrix._raw(a.rows * b.rows, a.cols * b.cols, columns)
 
 
 def tensor_into(weights: List[Character], action: List[Dict], m: FiniteModule,
                 n: FiniteModule, off: int) -> None:
     """Append the weights of m (x) n and add its Leibniz g-action x (x) 1 + 1 (x) x
-    into the sparse maps of action at diagonal offset off.
+    into the column maps of action at diagonal offset off.
 
     The weight row a + n.k_weights is summed once per distinct weight a of m.
     """
@@ -386,11 +418,9 @@ class BandModule:
         pos = {n: i for i, n in enumerate(enlarged)}
         mats = []
         for op in self.band_ops:
-            ents = {}
-            for c, n in enumerate(idx):
-                for t, v in op.apply_line(n).items():
-                    ents[(pos[t], c)] = v
-            mats.append(Matrix._raw(len(enlarged), len(idx), ents))
+            lines = ((c, op.apply_line(n)) for c, n in enumerate(idx))
+            mats.append(Matrix._raw(len(enlarged), len(idx), {
+                c: {pos[t]: v for t, v in line.items()} for c, line in lines if line}))
         return TruncatedSlice(idx, enlarged, mats, list(idx))
 
     def to_json(self):

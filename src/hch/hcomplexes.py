@@ -75,10 +75,9 @@ def check_h_axioms(h: HComplex) -> ValidationReport:
         for t in range(trank):
             i_m = h.i_at(t, n)
             # (i) K-equivariance: i_xi preserves weights
-            for (r, c), _ in i_m.entries.items():
-                if tprev.k_weights[r] != tn.k_weights[c]:
-                    bad.append(f"axiom i: i_xi{t} mixes K-weights at degree {n}")
-                    break
+            wprev, w = tprev.k_weights, tn.k_weights
+            if any(wprev[r] != w[c] for c, col in i_m.columns.items() for r in col):
+                bad.append(f"axiom i: i_xi{t} mixes K-weights at degree {n}")
             # (ii) commutes with the g-action
             for j in range(pair.g.dim):
                 if tprev.g_action[j] @ i_r[t] != i_m @ act_r[j]:

@@ -203,8 +203,7 @@ class Pair:
 
     def iota_vec(self, t: int) -> SparseVector:
         """iota(xi_t) as a fresh sparse map."""
-        ents = self.iota.entries
-        return {j: ents[(j, t)] for j in range(self.g.dim) if (j, t) in ents}
+        return dict(sorted(self.iota.columns.get(t, {}).items()))
 
     @cached_property
     def complement(self) -> Tuple[Tuple[int, ...], Matrix, Dict[Tuple[int, int], SparseVector]]:
@@ -270,9 +269,9 @@ def _complement(pair: Pair):
         raise ValueError("complement of the torus image is not K-stable")
     basis = sparse_columns(pair.iota) + [{j: ONE} for j in chosen]
     inv = inverse(Matrix._from_sparse_columns(g.dim, basis))
-    projection = Matrix._raw(len(chosen), g.dim,
-                             {(r - tr, c): v for (r, c), v in inv.entries.items() if r >= tr})
-    columns = sparse_columns(projection)
+    get = inv.columns.get
+    columns = [{r - tr: v for r, v in get(l, {}).items() if r >= tr} for l in range(g.dim)]
+    projection = Matrix._from_sparse_columns(len(chosen), columns)
     brackets = {}
     for a, b in combinations(range(len(chosen)), 2):
         br: SparseVector = {}
@@ -319,12 +318,10 @@ class CharacterRestriction:
 
     def torus_embedding(self) -> Matrix:
         """Matrix of the dual inclusion Lie(T_H) -> Lie(T_K)."""
-        ents = {}
-        for i, row in enumerate(self.torus_map):
-            for j, a in enumerate(row):
-                if a:
-                    ents[(j, i)] = as_scalar(a)
-        return Matrix._raw(self.big.torus_rank, self.small.torus_rank, ents)
+        columns = ((i, {j: as_scalar(a) for j, a in enumerate(row) if a})
+                   for i, row in enumerate(self.torus_map))
+        return Matrix._raw(self.big.torus_rank, self.small.torus_rank,
+                           {i: col for i, col in columns if col})
 
     @staticmethod
     def identity(K: DiagGroup) -> "CharacterRestriction":
@@ -356,9 +353,9 @@ class SubpairEmbedding:
         """The image of the h-element x in g, as a fresh sparse map."""
         check_element(x, self.small.g.dim)
         out: SparseVector = {}
-        for (r, c), v in self.alg_embed.entries.items():
-            a = x.get(c)
-            if a is not None:
+        images = self.alg_embed.columns
+        for c, a in x.items():
+            for r, v in images.get(c, {}).items():
                 add_into(out, r, a * v)
         return dict(sorted(out.items()))
 

@@ -15,15 +15,21 @@ benchmark's layer timers in ``bench/layers.py`` wrap by these names and
 signatures; and ``dense``, which writes a sparse vector as the coordinate list
 in which a finite homology representative is reported.
 
-Matrices are stored as sparse maps (row, col) -> Scalar, and elimination
-rows as sparse maps col -> Scalar.  No sparse map in the package holds an
-explicit zero: ``add_into`` is the one way to accumulate into such a map, and
-every module that builds one goes through it.  ``Matrix(...)`` validates
-input from Python callers (literal rows, tests): it range-checks, coerces
-and drops zeros.  A builder whose entries it produced itself, from Scalars
-of other matrices, places them through ``Matrix._raw`` and is not checked
-again; so do the JSON loaders of ``schemas``, which check each entry as they
-read it.
+A matrix is stored by columns, as one map {col: {row: Scalar}} with no
+stored zero and no empty column (CSC in dict form), and elimination rows as
+sparse maps col -> Scalar.  A product is Gustavson's column product, and a
+column pick takes the stored columns, so each reads only the columns it
+needs; ``transpose`` and ``_sparse_rows`` are the only places that regroup
+a matrix's entries by row.  ``entries`` is a read-only {(row, col): Scalar} view for
+readers outside the package.  A stored column is never changed once
+placed, so matrices share columns, and ``sparse_columns`` hands out copies.
+No sparse map in the package holds an explicit zero: ``add_into``
+accumulates into such a map everywhere but in the two inner loops that
+inline it, the product and ``_rref``.  ``Matrix(...)`` validates input from
+Python callers (literal rows, tests): it range-checks, coerces and drops
+zeros.  A builder whose columns it produced itself, from Scalars of other
+matrices, places them through ``Matrix._raw`` and is not checked again; so
+do the JSON loaders of ``schemas``, which check each entry as they read it.
 
 Every exact elimination goes through ``_rref``, which keeps a column index
 (column -> ids of the rows holding it) current through fill-in and
@@ -44,6 +50,7 @@ something.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import ItemsView, Mapping
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .scalars import ONE, ZERO, Scalar, as_scalar
@@ -70,42 +77,81 @@ def add_into(acc: Dict, key, v) -> None:
         acc[key] = s
 
 
+class _EntryView(Mapping):
+    """Read-only {(row, col): Scalar} view of a matrix's column map."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns: Dict[int, SparseVector]):
+        self._columns = columns
+
+    def __getitem__(self, rc: Tuple[int, int]) -> Scalar:
+        r, c = rc
+        return self._columns.get(c, {})[r]
+
+    def __iter__(self):
+        for c, col in self._columns.items():
+            for r in col:
+                yield r, c
+
+    def __len__(self) -> int:
+        return sum(map(len, self._columns.values()))
+
+    def items(self) -> "_EntryItems":
+        return _EntryItems(self)
+
+
+class _EntryItems(ItemsView):
+    """The ((row, col), Scalar) pairs of an entry view, read column by column."""
+
+    def __iter__(self):
+        for c, col in self._mapping._columns.items():
+            for r, v in col.items():
+                yield (r, c), v
+
+
 class Matrix:
-    """Sparse rows x cols matrix over Q(i)."""
+    """Sparse rows x cols matrix over Q(i), stored by columns.
 
-    __slots__ = ("rows", "cols", "entries")
+    ``columns`` maps a column index to its sparse column {row: Scalar}; it
+    holds no zero entry and no empty column.  A stored column is never
+    changed once placed, so matrices share columns freely.
+    """
 
-    def __init__(self, rows: int, cols: int, entries: Optional[Dict[Tuple[int, int], Scalar]] = None):
+    __slots__ = ("rows", "cols", "columns")
+
+    def __init__(self, rows: int, cols: int, entries: Optional[Mapping[Tuple[int, int], Scalar]] = None):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
         self.rows = rows
         self.cols = cols
-        ents: Dict[Tuple[int, int], Scalar] = {}
+        columns: Dict[int, SparseVector] = {}
         if entries:
             for (r, c), v in entries.items():
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise IndexError(f"entry ({r},{c}) out of bounds for {rows}x{cols}")
                 v = as_scalar(v)
                 if not v.is_zero():
-                    ents[(r, c)] = v
-        self.entries = ents
+                    columns.setdefault(c, {})[r] = v
+        self.columns = columns
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def _raw(rows: int, cols: int, entries: Dict[Tuple[int, int], Scalar]) -> "Matrix":
-        """Internal: entries already validated (in range, Scalar, nonzero)."""
+    def _raw(rows: int, cols: int, columns: Dict[int, SparseVector]) -> "Matrix":
+        """Internal: a column map already validated (in range, Scalar, no zero
+        entry, no empty column); the matrix keeps it, and its columns, as given."""
         m = object.__new__(Matrix)
         m.rows = rows
         m.cols = cols
-        m.entries = entries
+        m.columns = columns
         return m
 
     @staticmethod
     def _from_sparse_columns(rows: int, columns: Sequence[SparseVector]) -> "Matrix":
-        """Internal: the rows x len(columns) matrix with these sparse columns."""
-        return Matrix._raw(rows, len(columns),
-                           {(r, j): x for j, v in enumerate(columns) for r, x in v.items()})
+        """Internal: the rows x len(columns) matrix with these sparse columns,
+        which it keeps: the caller does not change them afterwards."""
+        return Matrix._raw(rows, len(columns), {j: v for j, v in enumerate(columns) if v})
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "Matrix":
@@ -116,14 +162,12 @@ class Matrix:
             if len(row) != nc:
                 raise ValueError("ragged rows")
             for c, v in enumerate(row):
-                v = as_scalar(v)
-                if not v.is_zero():
-                    ents[(r, c)] = v
+                ents[(r, c)] = v
         return Matrix(nr, nc, ents)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix._raw(n, n, {(k, k): ONE for k in range(n)})
+        return Matrix._raw(n, n, {k: {k: ONE} for k in range(n)})
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
@@ -132,49 +176,71 @@ class Matrix:
     @staticmethod
     def diagonal(values: Sequence) -> "Matrix":
         n = len(values)
-        return Matrix(n, n, {(k, k): as_scalar(v) for k, v in enumerate(values)})
+        return Matrix(n, n, {(k, k): v for k, v in enumerate(values)})
 
     # -- access ---------------------------------------------------------------
 
+    @property
+    def entries(self) -> Mapping[Tuple[int, int], Scalar]:
+        """The nonzero entries as a read-only {(row, col): Scalar} view."""
+        return _EntryView(self.columns)
+
     def __getitem__(self, rc: Tuple[int, int]) -> Scalar:
-        return self.entries.get(rc, ZERO)
+        r, c = rc
+        return self.columns.get(c, {}).get(r, ZERO)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self.entries == other.entries
+        return (self.rows, self.cols) == (other.rows, other.cols) and self.columns == other.columns
 
     def __hash__(self):
         return hash((self.rows, self.cols, frozenset(self.entries.items())))
 
     def __repr__(self):
         if self.rows * self.cols > 64:
-            return f"Matrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
+            nnz = sum(map(len, self.columns.values()))
+            return f"Matrix({self.rows}x{self.cols}, {nnz} nonzero)"
         return "Matrix(" + "; ".join(
             " ".join(repr(self[r, c]) for c in range(self.cols)) for r in range(self.rows)
         ) + ")"
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.columns
 
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix addition")
-        ents = dict(self.entries)
-        for rc, v in other.entries.items():
-            add_into(ents, rc, v)
-        return Matrix._raw(self.rows, self.cols, ents)
+        if not other.columns:
+            return self
+        if not self.columns:
+            return other
+        out = dict(self.columns)
+        for c, col in other.columns.items():
+            acc = out.get(c)
+            if acc is None:
+                out[c] = col
+                continue
+            acc = dict(acc)
+            for r, v in col.items():
+                add_into(acc, r, v)
+            if acc:
+                out[c] = acc
+            else:
+                del out[c]
+        return Matrix._raw(self.rows, self.cols, out)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + -other
 
     def __neg__(self) -> "Matrix":
-        return Matrix._raw(self.rows, self.cols, {rc: -v for rc, v in self.entries.items()})
+        return Matrix._raw(self.rows, self.cols, {c: {r: -v for r, v in col.items()}
+                                                  for c, col in self.columns.items()})
 
     def scale(self, c) -> "Matrix":
-        """c times self; c = 1 returns self (entries are never mutated in place)."""
+        """c times self; c = 1 returns self (columns are never changed in place)."""
         c = as_scalar(c)
         if c.is_zero():
             return Matrix.zeros(self.rows, self.cols)
@@ -182,20 +248,53 @@ class Matrix:
             return self
         if -c == ONE:
             return -self
-        return Matrix._raw(self.rows, self.cols,
-                           {rc: c * v for rc, v in self.entries.items()})
+        return Matrix._raw(self.rows, self.cols, {j: {r: c * v for r, v in col.items()}
+                                                  for j, col in self.columns.items()})
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Gustavson's column product: column c of self @ other is
+        sum_k other[k, c] * self[:, k], so only the columns of self that
+        other's columns name are read."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        by_row: Dict[int, List[Tuple[int, Scalar]]] = {}
-        for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v))
-        acc: Dict[Tuple[int, int], Scalar] = {}
-        for (r, k), v in self.entries.items():
-            for c, w in by_row.get(k, ()):
-                add_into(acc, (r, c), v * w)
-        return Matrix._raw(self.rows, other.cols, acc)
+        left = self.columns
+        out: Dict[int, SparseVector] = {}
+        for c, bcol in other.columns.items():
+            if len(bcol) == 1:
+                # one term: a column of self, shared as it is when the factor is 1
+                (k, w), = bcol.items()
+                acol = left.get(k)
+                if acol is not None:
+                    if w == ONE:
+                        out[c] = acol
+                    else:
+                        out[c] = col = {}
+                        for r, v in acol.items():
+                            col[r] = v * w
+                continue
+            acc: SparseVector = {}
+            for k, w in bcol.items():
+                acol = left.get(k)
+                if acol is None:
+                    continue
+                if not acc:
+                    # a product of nonzero Scalars is nonzero
+                    for r, v in acol.items():
+                        acc[r] = v * w
+                    continue
+                for r, v in acol.items():
+                    old = acc.get(r)
+                    if old is None:
+                        acc[r] = v * w
+                    else:
+                        s = old + v * w
+                        if s.is_zero():
+                            del acc[r]
+                        else:
+                            acc[r] = s
+            if acc:
+                out[c] = acc
+        return Matrix._raw(self.rows, other.cols, out)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -205,44 +304,42 @@ class Matrix:
     __rmul__ = scale
 
     def transpose(self) -> "Matrix":
-        return Matrix._raw(self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()})
+        out: Dict[int, SparseVector] = {}
+        for c, col in self.columns.items():
+            for r, v in col.items():
+                row = out.get(r)
+                if row is None:
+                    out[r] = {c: v}
+                else:
+                    row[c] = v
+        return Matrix._raw(self.cols, self.rows, out)
 
     def commutator(self, other: "Matrix") -> "Matrix":
         return self @ other - other @ self
 
     def restrict_columns(self, cols: Sequence[int]) -> "Matrix":
         """Submatrix keeping the given columns, in the given order."""
-        index = {c: j for j, c in enumerate(cols)}
-        ents = {}
-        for (r, c), v in self.entries.items():
-            j = index.get(c)
-            if j is not None:
-                ents[(r, j)] = v
-        return Matrix._raw(self.rows, len(cols), ents)
+        have = self.columns
+        return Matrix._raw(self.rows, len(cols),
+                           {j: have[c] for j, c in enumerate(cols) if c in have})
 
     @staticmethod
     def block_diag(blocks: Sequence["Matrix"]) -> "Matrix":
-        rows = sum(b.rows for b in blocks)
-        cols = sum(b.cols for b in blocks)
-        ents = {}
+        out: Dict[int, SparseVector] = {}
         r0 = c0 = 0
         for b in blocks:
-            for (r, c), v in b.entries.items():
-                ents[(r0 + r, c0 + c)] = v
+            for c, col in b.columns.items():
+                out[c0 + c] = {r0 + r: v for r, v in col.items()} if r0 else col
             r0 += b.rows
             c0 += b.cols
-        return Matrix._raw(rows, cols, ents)
+        return Matrix._raw(r0, c0, out)
 
     # -- serialization --------------------------------------------------------
 
     def to_json(self):
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [
-                [r, c, v.to_json()] for (r, c), v in sorted(self.entries.items())
-            ],
-        }
+        entries = [[r, c, v.to_json()] for c, col in self.columns.items() for r, v in col.items()]
+        entries.sort()  # row-major; positions are distinct, so no two values are compared
+        return {"rows": self.rows, "cols": self.cols, "entries": entries}
 
 
 # -- elimination --------------------------------------------------------------
@@ -324,18 +421,18 @@ def _rref(rows: List[SparseVector], ncols: int) -> Tuple[List[SparseVector], Lis
 
 
 def _sparse_rows(m: Matrix) -> List[SparseVector]:
+    """The rows of m as fresh sparse vectors: the one regrouping besides ``transpose``."""
     rows: List[SparseVector] = [dict() for _ in range(m.rows)]
-    for (r, c), v in m.entries.items():
-        rows[r][c] = v
+    for c, col in m.columns.items():
+        for r, v in col.items():
+            rows[r][c] = v
     return rows
 
 
 def sparse_columns(m: Matrix) -> List[SparseVector]:
-    """The columns of m as sparse vectors."""
-    cols: List[SparseVector] = [dict() for _ in range(m.cols)]
-    for (r, c), v in m.entries.items():
-        cols[c][r] = v
-    return cols
+    """The columns of m as sparse vectors: copies, which the caller may change."""
+    get = m.columns.get
+    return [dict(get(c, ())) for c in range(m.cols)]
 
 
 def dense(v: SparseVector, n: int) -> Vector:
@@ -385,12 +482,16 @@ def inverse(m: Matrix) -> Matrix:
     rows, pivots = _rref(aug, 2 * n)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    ents = {}
+    columns: Dict[int, SparseVector] = {}
     for r, prow in enumerate(rows[:n]):
         for c, v in prow.items():
             if c >= n:
-                ents[(r, c - n)] = v
-    return Matrix._raw(n, n, ents)
+                col = columns.get(c - n)
+                if col is None:
+                    columns[c - n] = {r: v}
+                else:
+                    col[r] = v
+    return Matrix._raw(n, n, columns)
 
 
 def solve(m: Matrix, b: Vector) -> Optional[Vector]:

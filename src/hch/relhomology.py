@@ -149,12 +149,13 @@ def coinvariants(M: FiniteModule, h_basis: Sequence[SparseVector]) -> HomologyRe
     kept = [k for k in range(M.dim) if M.k_weights[k] == zero]
     index = {k: i for i, k in enumerate(kept)}
     # the columns of every eta in h_basis acting on M, read on the kept rows
-    ents = {}
+    columns = {}
     for e, eta in enumerate(h_basis):
-        for (r, c), v in M.action_matrix(eta).entries.items():
-            if r in index:
-                ents[(index[r], e * M.dim + c)] = v
-    images = Matrix._raw(len(kept), len(h_basis) * M.dim, ents)
+        for c, col in M.action_matrix(eta).columns.items():
+            col = {index[r]: v for r, v in col.items() if r in index}
+            if col:
+                columns[e * M.dim + c] = col
+    images = Matrix._raw(len(kept), len(h_basis) * M.dim, columns)
     reps = independent_over(images, [{i: ONE} for i in range(len(kept))])
     report = HomologyReport()
     report.dims[0] = len(reps)

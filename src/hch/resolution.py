@@ -125,12 +125,14 @@ class StandardResolution:
         dim, nm = len(weights), len(self.monos)
         actions = []
         for table in self._left:
-            ents = {}
+            columns: Dict[int, SparseVector] = {}
             for off in range(0, dim, nm):
                 for mi, column in enumerate(table):
-                    for r, c in column.items():
-                        ents[(off + r, off + mi)] = c
-            actions.append(Matrix._raw(dim, dim, ents))
+                    if column:
+                        columns[off + mi] = col = {}
+                        for r, c in column.items():
+                            col[off + r] = c
+            actions.append(Matrix._raw(dim, dim, columns))
         return FiniteModule(self.pair, weights, actions)
 
     @cached_property
@@ -151,19 +153,18 @@ class StandardResolution:
 
     def _i_map(self, t: int, n: int) -> Matrix:
         """i_xi at cochain degree -n: wedge^n -> wedge^{n+1}, u (x) l -> -u (x) xi ^ l."""
-        ents: Dict = {}
-        iota = self.pair.iota
+        columns: Dict[int, SparseVector] = {}
+        iota = self.pair.iota_vec(t)
         for subset in self.subsets[n]:
             cols = self._blocks[subset]
-            for j in range(self.pair.g.dim):
-                v = iota[(j, t)]
-                if v.is_zero() or j in subset:
+            for j, v in iota.items():
+                if j in subset:
                     continue
                 sgn, wedge = wedge_insert(j, subset)
                 v = v if sgn < 0 else -v
                 for r, c in zip(self._blocks[wedge], cols):
-                    ents[(r, c)] = v
-        return Matrix._raw(self.dim_at_wedge(n + 1), self.dim_at_wedge(n), ents)
+                    columns.setdefault(c, {})[r] = v
+        return Matrix._raw(self.dim_at_wedge(n + 1), self.dim_at_wedge(n), columns)
 
     def _interior_cols(self, n: int) -> List[int]:
         nm = len(self.monos)
@@ -196,7 +197,7 @@ class StandardResolution:
     def augmentation(self) -> Matrix:
         """Counit onto the trivial module: coefficient of 1 (x) (empty wedge)."""
         unit = self._mono_index[(0,) * self.pair.g.dim]
-        return Matrix._raw(1, self.dim_at_wedge(0), {(0, unit): ONE})
+        return Matrix._raw(1, self.dim_at_wedge(0), {unit: {0: ONE}})
 
     def check_exactness(self) -> ValidationReport:
         """Interior-supported cycles are boundaries (including the counit level).

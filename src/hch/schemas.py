@@ -86,7 +86,7 @@ def _matrix(obj: Any, loc: str) -> Matrix:
     if rows < 0 or cols < 0:
         raise SchemaError(loc, "rows and cols must be nonnegative")
     first: Dict[Tuple[int, int], int] = {}  # position -> index of the entry naming it
-    ents: Dict[Tuple[int, int], Scalar] = {}
+    columns: Dict[int, Dict[int, Scalar]] = {}
     for i, ent in enumerate(_check_list(obj.get("entries", []), f"{loc}.entries")):
         where = f"{loc}.entries[{i}]"
         ent = _check_list(ent, where)
@@ -101,8 +101,12 @@ def _matrix(obj: Any, loc: str) -> Matrix:
         first[r, c] = i
         v = _scalar(ent[2], f"{where}[2]")
         if v:
-            ents[r, c] = v
-    return Matrix._raw(rows, cols, ents)
+            col = columns.get(c)
+            if col is None:
+                columns[c] = {r: v}
+            else:
+                col[r] = v
+    return Matrix._raw(rows, cols, columns)
 
 
 def _character(obj: Any, loc: str) -> Tuple[list, list]:

@@ -106,9 +106,9 @@ def finite_irrep(m: int, pair: Optional[Pair] = None) -> FiniteModule:
     if pair is None:
         pair = torus_pair()
     n = m + 1
-    e_m = Matrix._raw(n, n, {(k - 1, k): as_scalar(k * (m - k + 1)) for k in range(1, n)})
-    h_m = Matrix._raw(n, n, {(k, k): as_scalar(m - 2 * k) for k in range(n) if m != 2 * k})
-    f_m = Matrix._raw(n, n, {(k + 1, k): ONE for k in range(n - 1)})
+    e_m = Matrix._raw(n, n, {k: {k - 1: as_scalar(k * (m - k + 1))} for k in range(1, n)})
+    h_m = Matrix._raw(n, n, {k: {k: as_scalar(m - 2 * k)} for k in range(n) if m != 2 * k})
+    f_m = Matrix._raw(n, n, {k: {k + 1: ONE} for k in range(n - 1)})
     if pair.K.torus_rank == 1:
         weights = [pair.K.character([m - 2 * k]) for k in range(n)]
     else:

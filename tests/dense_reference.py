@@ -5,12 +5,15 @@ The package passes Lie-algebra elements and coordinate vectors as sparse
 tuples, and the dense bracket, ad, Jacobi check, embedding, action matrix and
 restriction are the routines the sparse ones replaced, kept as oracles.
 ``cokernel_dim``, ``homotopy_classes_dim`` and the wide-window band
-dimensions are references with no caller in the package.
+dimensions are references with no caller in the package.  The product,
+column pick, transpose, block diagonal and Kronecker placer written on one
+{(row, col): Scalar} map are the kernels the column-map ``Matrix`` replaced,
+kept as oracles for it.
 """
 
 from hch.complexes import _hom_diff
 from hch.gkmodules import FiniteModule
-from hch.linalg import Matrix, kernel_basis, rank
+from hch.linalg import Matrix, add_into, kernel_basis, rank
 from hch.scalars import ONE, ZERO, as_scalar
 
 # -- coordinate tuples ------------------------------------------------------------
@@ -127,6 +130,70 @@ def p_complement(pair):
     from ``pair.complement``."""
     chosen, projection, _ = pair.complement
     return [unit_vec(pair.g.dim, j) for j in chosen], projection
+
+
+# -- the coordinate-map matrix kernels --------------------------------------------
+# Each reads a matrix through its {(row, col): Scalar} view ``entries`` and
+# returns a Matrix built by the validating constructor.
+
+
+def matmul(a, b):
+    """a @ b: b grouped by row, then every entry of a walked."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch in matrix product")
+    by_row = {}
+    for (r, c), v in b.entries.items():
+        by_row.setdefault(r, []).append((c, v))
+    acc = {}
+    for (r, k), v in a.entries.items():
+        for c, w in by_row.get(k, ()):
+            add_into(acc, (r, c), v * w)
+    return Matrix(a.rows, b.cols, acc)
+
+
+def restrict_columns(m, cols):
+    """The submatrix keeping the given columns, in the given order, by one walk of m."""
+    index = {c: j for j, c in enumerate(cols)}
+    return Matrix(m.rows, len(cols), {(r, index[c]): v for (r, c), v in m.entries.items()
+                                      if c in index})
+
+
+def transpose(m):
+    return Matrix(m.cols, m.rows, {(c, r): v for (r, c), v in m.entries.items()})
+
+
+def block_diag(blocks):
+    ents = {}
+    r0 = c0 = 0
+    for b in blocks:
+        for (r, c), v in b.entries.items():
+            ents[(r0 + r, c0 + c)] = v
+        r0 += b.rows
+        c0 += b.cols
+    return Matrix(r0, c0, ents)
+
+
+def _factor(m, negate):
+    """(rows, cols, entries, unit) of (-1 if negate) * m; an int n is I_n, and
+    unit says the entries are ones that need no multiplication."""
+    if isinstance(m, int):
+        one = -ONE if negate else ONE
+        return m, m, [((k, k), one) for k in range(m)], not negate
+    ents = [(rc, -v) for rc, v in m.entries.items()] if negate else m.entries.items()
+    return m.rows, m.cols, ents, False
+
+
+def kron_into(ents, a, b, roff=0, coff=0, negate=False):
+    """Add (-1 if negate) * (a (x) b) into the {(row, col): Scalar} map ents at
+    offset (roff, coff); an int n stands for I_n."""
+    neg_b = negate and not isinstance(b, int)
+    brows, bcols, bents, b_unit = _factor(b, neg_b)
+    _, _, aents, a_unit = _factor(a, negate and not neg_b)
+    for (r1, c1), v1 in aents:
+        r0, c0 = roff + r1 * brows, coff + c1 * bcols
+        for (r2, c2), v2 in bents:
+            v = v2 if a_unit else (v1 if b_unit else v1 * v2)
+            add_into(ents, (r0 + r2, c0 + c2), v)
 
 
 # -- references for linear maps and band operators -------------------------------

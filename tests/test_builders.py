@@ -431,22 +431,21 @@ def test_kron_into_matches_kron_and_scale(a, b, n, roff, coff, negate, pick):
     full_l = Matrix.identity(n) if pick[0] == "I" else a
     full_r = Matrix.identity(n) if pick[1] == "I" else b
     want = kron(full_l, full_r).scale(Scalar(-1 if negate else 1))
-    seed = {(0, 0): Scalar(5)}  # an entry already present is accumulated into
-    ents = dict(seed)
-    kron_into(ents, left, right, roff, coff, negate)
+    columns = {0: {0: Scalar(5)}}  # an entry already present is accumulated into
+    kron_into(columns, left, right, roff, coff, negate)
     rows, cols = want.rows + roff + 1, want.cols + coff + 1
-    expect = Matrix(rows, cols, seed)
+    expect = Matrix(rows, cols, {(0, 0): Scalar(5)})
     expect = expect + Matrix(rows, cols, {(roff + r, coff + c): v
                                           for (r, c), v in want.entries.items()})
-    assert Matrix(rows, cols, ents) == expect
-    assert all(not v.is_zero() for v in ents.values())
+    assert Matrix._raw(rows, cols, columns) == expect
+    assert all(col and not any(v.is_zero() for v in col.values()) for col in columns.values())
 
 
 def test_kron_into_drops_cancelled_entries():
-    ents = {}
-    kron_into(ents, 2, Matrix.from_rows([[1, 2]]))
-    kron_into(ents, 2, Matrix.from_rows([[1, 0]]), negate=True)
-    assert ents == {(0, 1): Scalar(2), (1, 3): Scalar(2)}
+    columns = {}
+    kron_into(columns, 2, Matrix.from_rows([[1, 2]]))
+    kron_into(columns, 2, Matrix.from_rows([[1, 0]]), negate=True)
+    assert columns == {1: {0: Scalar(2)}, 3: {1: Scalar(2)}}
 
 
 def test_h_tensor_builds_without_validation_or_kron(monkeypatch):

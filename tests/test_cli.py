@@ -311,7 +311,7 @@ def test_non_complex_is_exit_2_with_class_name(tmp_path, capsys, monkeypatch, co
         paths.append(tmp_path / f"{name}.json")
         paths[-1].write_text(json.dumps(obj))
     # a boundary of all ones squares to nonzero from degree 2 on
-    ones = lambda self, n: Matrix._raw(self.dim_at(n + 1), self.dim_at(n), {
+    ones = lambda self, n: Matrix(self.dim_at(n + 1), self.dim_at(n), {
         (r, c): Scalar(1) for r in range(self.dim_at(n + 1)) for c in range(self.dim_at(n))})
     monkeypatch.setattr(RelativeStandardComplex, "diff", ones)
     code, out, err = run(capsys, command, "--subpair", str(paths[0]), "--module", str(paths[1]))

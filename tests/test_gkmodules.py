@@ -295,8 +295,8 @@ def _one_field_changed(pair: Pair):
         moved = Character((first.torus[0] + 1, *first.torus[1:]), first.finite)
         out.append(Pair(g, K, [moved] + pair.ad_grading[1:], pair.iota))
         (rc, v), *_ = pair.iota.entries.items()
-        out.append(Pair(g, K, pair.ad_grading, Matrix._raw(pair.iota.rows, pair.iota.cols,
-                                                            {**pair.iota.entries, rc: v + 1})))
+        out.append(Pair(g, K, pair.ad_grading, Matrix(pair.iota.rows, pair.iota.cols,
+                                                      {**pair.iota.entries, rc: v + 1})))
     return out
 
 

@@ -168,7 +168,7 @@ def test_ext_via_duality_computes_one_degree_like_rel_homology(monkeypatch):
 def test_non_complex_is_named(monkeypatch):
     emb = SubpairEmbedding.identity(trivial_k_pair())
     M = finite_irrep(1, trivial_k_pair())
-    ones = lambda self, n: Matrix._raw(self.dim_at(n + 1), self.dim_at(n), {
+    ones = lambda self, n: Matrix(self.dim_at(n + 1), self.dim_at(n), {
         (r, c): Scalar(1) for r in range(self.dim_at(n + 1)) for c in range(self.dim_at(n))})
     monkeypatch.setattr(RelativeStandardComplex, "diff", ones)
     for compute in (lambda: rel_homology(emb, M), lambda: ext_via_duality(emb, M, 1),
