@@ -19,8 +19,9 @@ import re
 import sys
 from fractions import Fraction
 
+from .complexes import NotAComplexError
 from .hcomplexes import check_h_axioms
-from .relhomology import NotAComplexError, coinvariants, euler_poincare, rel_homology
+from .relhomology import coinvariants, euler_poincare, rel_homology
 from .resolution import StandardResolution
 from .bands import DegenerateBandError, MaxWindowError, UncertifiedStabilizationError
 from .gkmodules import UnsupportedAlgebraError

@@ -10,21 +10,28 @@ complex counts every column as interior, so ``homology`` is one loop for both
 kinds.  The relative standard complex of ``relhomology`` and the standard
 resolution augmented by its counit are Complexes too.
 
+A Complex is never changed after ``__init__``.  ``check_complex`` is its one
+d^2 verdict, formed once and kept: it names each degree n where d^(n+1) d^n
+!= 0 on the interior columns as ``d^2 != 0 at degree n``, and
+``require_complex`` raises it as the one NotAComplexError.
+
 ``homology_dim`` is the one rank formula for an unmarked complex, dim H^n =
 dim C^n - rank d^n - rank d^(n-1), with each rank eliminated once per complex
 (``rank_at``) and no representatives built.  Both Ext routes of
-``relhomology`` and ``homotopy_classes_dim`` read it; both Ext routes check
-d^2 = 0 on the relative complex first.
+``relhomology`` and ``homotopy_classes_dim`` read it; both Ext routes hold the
+relative complex to its verdict first.
 
 ``homology`` certifies a degree exact by counting ranks, with no rational
 elimination.  Let B be the columns of d^(n-1) that lie on the interior
 columns.  If d^n kills B (an exact product over Q(i)), then im B lies in the
 interior cycles Z, so rank B <= dim Z = |interior| - rank(d^n on the
 interior); ranks modulo a prime (``linalg.rank_mod_p``) are lower bounds, so
-rank_P(B) + rank_P(d^n on the interior) >= |interior| forces im B = Z.  On an
-unmarked complex B is every nonzero column of d^(n-1), so the same product is
-the d^2 = 0 check.  A degree the count does not settle is decided by
-elimination: the canonical interior cycles against the span of d^(n-1).
+rank_P(B) + rank_P(d^n on the interior) >= |interior| forces im B = Z.  An
+unmarked complex is held to its verdict first; then B is all of d^(n-1), no
+product is formed, and rank_P(d^(n-1)) is the count made at degree n - 1, so
+each rank mod P is counted once.  A degree the count does not settle is
+decided by elimination: the canonical interior cycles against the span of
+d^(n-1).
 
 Every block of a tensor, Hom or cone matrix is placed by one signed
 Kronecker placer, ``gkmodules.kron_into``, with identity factors given as
@@ -91,8 +98,9 @@ class Complex:
             if d.cols != self.dim_at(n) or d.rows != self.dim_at(n + 1):
                 raise ValueError(f"differential shape mismatch at degree {n}")
             self.diffs[n] = d
-        self.interior = dict(interior) if interior else None
+        self.interior = dict(interior) if interior is not None else None
         self._ranks: Dict[int, int] = {}
+        self._verdict: Optional[ValidationReport] = None
 
     # -- access ---------------------------------------------------------------
 
@@ -128,13 +136,6 @@ class Complex:
         d = self.diff(n)
         return d if self.interior is None else d.restrict_columns(self.interior_cols(n))
 
-    def square_fault(self, n: int, d_r: Matrix) -> List[str]:
-        """The d^2 violation at degree n, if any, given d_r = ``interior_diff(n)``."""
-        if (self.diff(n + 1) @ d_r).is_zero():
-            return []
-        where = "" if self.interior is None else " on an interior column"
-        return [f"d^2 != 0 at degree {n}{where}"]
-
     def rank_at(self, n: int) -> int:
         """rank of d^n, eliminated on the first read and cached."""
         if n not in self._ranks:
@@ -146,8 +147,20 @@ class Complex:
         return self.dim_at(n) - self.rank_at(n) - self.rank_at(n - 1)
 
     def check_complex(self) -> ValidationReport:
-        bad = [v for n in self.degrees() for v in self.square_fault(n, self.interior_diff(n))]
-        return ValidationReport.good() if not bad else ValidationReport.bad(*bad)
+        """The d^2 verdict: each degree n, ascending, with d^(n+1) d^n != 0 on
+        the interior columns; formed on the first call and kept."""
+        if self._verdict is None:
+            where = "" if self.interior is None else " on an interior column"
+            bad = [f"d^2 != 0 at degree {n}{where}" for n in self.degrees()
+                   if not (self.diff(n + 1) @ self.interior_diff(n)).is_zero()]
+            self._verdict = ValidationReport.good() if not bad else ValidationReport.bad(*bad)
+        return self._verdict
+
+    def require_complex(self) -> None:
+        """Raise NotAComplexError with every failing degree of ``check_complex``."""
+        verdict = self.check_complex()
+        if not verdict:
+            raise NotAComplexError("; ".join(verdict.violations))
 
     def homology(self) -> HomologyReport:
         """Cycles modulo boundaries; on a marked complex, the interior cycles only.
@@ -156,41 +169,47 @@ class Complex:
         reads 0.  Elsewhere the cycles are the canonical kernel basis of d^n
         on the interior columns; each one that extends the span of the image
         of d^(n-1) and of the cycles before it is kept.  An unmarked complex
-        whose boundaries are not cycles raises NotAComplexError.
+        is first held to its d^2 verdict (``require_complex``).
         """
+        if self.interior is None:
+            self.require_complex()
         report = HomologyReport()
-        # the previous degree's column map: d^(n-1)'s, or empty if it is not n - 1
+        # d^(n-1)'s column map (empty if n - 1 is not a degree) and, on an
+        # unmarked complex, its rank mod P
         into: Dict[int, SparseVector] = {}
+        r_in: Optional[int] = 0
         for n in self.degrees():
             d_out, cols = self.diff(n), self.interior_cols(n)
             reps = []
-            if cols and not self._counted_exact(d_out, cols, into):
-                found = independent_over(self.diff(n - 1), kernel_on(d_out, cols))
-                reps = [dense(v, self.dim_at(n)) for v in found]
+            if cols:
+                exact, r_in = self._counted_exact(d_out, cols, into, r_in)
+                if not exact:
+                    found = independent_over(self.diff(n - 1), kernel_on(d_out, cols))
+                    reps = [dense(v, self.dim_at(n)) for v in found]
             report.dims[n] = len(reps)
             report.representatives[n] = reps
             into = d_out.columns
         return report
 
-    def _counted_exact(self, d_out: Matrix, cols: Sequence[int],
-                       into: Dict[int, SparseVector]) -> bool:
-        """True when the rank count proves every cycle of d_out on ``cols`` a boundary.
+    def _counted_exact(self, d_out: Matrix, cols: Sequence[int], into: Dict[int, SparseVector],
+                       r_in: Optional[int]) -> Tuple[bool, Optional[int]]:
+        """Whether the rank count proves every cycle of d_out on ``cols`` a boundary,
+        and r_P(d_out on ``cols``), the next degree's r_in.  False proves nothing.
 
-        ``into`` is the column map of d^(n-1); B is its columns supported on
-        ``cols``.  False proves nothing; d_out @ B != 0 on an unmarked complex
-        raises NotAComplexError.
+        On an unmarked complex, whose d^2 = 0 is already checked, r_in is
+        r_P(d^(n-1)).  On a marked one, B is the columns of d^(n-1) (``into``)
+        supported on ``cols``: the certificate's premise is d_out @ B = 0, and
+        then r_in = r_P(B).
         """
-        inside = set(cols)
-        bounded = [v for v in into.values() if v.keys() <= inside]
-        if not (d_out @ Matrix._from_sparse_columns(d_out.cols, bounded)).is_zero():
-            if self.interior is None:
-                raise NotAComplexError(
-                    "not a complex: boundaries are not cycles (d_out @ d_in != 0)")
-            return False
+        if self.interior is not None:
+            inside = set(cols)
+            bounded = [v for v in into.values() if v.keys() <= inside]
+            if not (d_out @ Matrix._from_sparse_columns(d_out.cols, bounded)).is_zero():
+                return False, None
+            r_in = rank_mod_p(bounded)
         out = d_out.columns
-        r_in = rank_mod_p(bounded)
         r_out = rank_mod_p(out[c] for c in cols if c in out)
-        return r_in is not None and r_out is not None and r_in + r_out >= len(cols)
+        return r_in is not None and r_out is not None and r_in + r_out >= len(cols), r_out
 
     # -- constructions ----------------------------------------------------------
 
@@ -198,7 +217,8 @@ class Complex:
         sgn = signs.shift_diff_sign(k)
         terms = {n - k: t for n, t in self.terms.items()}
         diffs = {n - k: (d if sgn == 1 else -d) for n, d in self.diffs.items()}
-        interior = {n - k: cols for n, cols in self.interior.items()} if self.interior else None
+        interior = None if self.interior is None else {
+            n - k: cols for n, cols in self.interior.items()}
         return Complex(self.pair, terms, diffs, interior)
 
 

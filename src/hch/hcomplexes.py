@@ -52,8 +52,8 @@ def check_h_axioms(h: HComplex) -> ValidationReport:
     term's g-action, every i-map and the defect (``defect(cols)``) to those
     columns once, and the three identities share them.  Axiom (i), that i_xi
     preserves K-weights, is still checked on every i-map entry.  The report
-    lists every failure with its axiom, degree and generator, the d^2
-    failures first; d^2 is formed from the same restricted differential.
+    lists every failure with its axiom, degree and generator, after the d^2
+    failures of the complex's verdict (``Complex.check_complex``).
     """
     base = h.base
     pair = base.pair
@@ -61,14 +61,13 @@ def check_h_axioms(h: HComplex) -> ValidationReport:
     if not trank:
         # with no torus generator there is no contraction, and d^2 = 0 is all
         return base.check_complex()
-    squares, bad = [], []
+    bad = list(base.check_complex().violations)
     for n in base.degrees():
         cols = base.interior_cols(n)
         tn = base.term(n)
         tprev = base.term(n - 1)
         d_prev = base.diff(n - 1)
         d_r = base.interior_diff(n)
-        squares += base.square_fault(n, d_r)
         act_r = [a.restrict_columns(cols) for a in tn.g_action]
         i_r = [h.i_at(t, n).restrict_columns(cols) for t in range(trank)]
         defects = tn.defect(cols).maps
@@ -92,7 +91,6 @@ def check_h_axioms(h: HComplex) -> ValidationReport:
             # (iv) homotopy identity d i + i d = w
             if d_prev @ i_r[t] + h.i_at(t, n + 1) @ d_r != defects[t]:
                 bad.append(f"axiom iv: d i + i d != w for xi{t} at degree {n}")
-    bad = squares + bad
     return ValidationReport.good() if not bad else ValidationReport.bad(*bad)
 
 

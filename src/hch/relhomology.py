@@ -14,8 +14,9 @@ every degree, both Ext routes, EP and ``rel_homology`` read that one build.
 
 Both Ext routes read one rank formula, ``Complex.homology_dim``: the duality
 route on the complex itself at degree -n, the chain-map route on its dual
-Hom(C, k), held by the complex as ``dual``.  Both first check d^2 = 0 on the
-complex (``_check_boundaries``) and raise NotAComplexError when it fails.
+Hom(C, k), held by the complex as ``dual``.  They and ``rel_homology`` raise
+through the complex's one d^2 verdict (``Complex.check_complex``), which names
+each failing d_(n-1) d_n as ``d^2 != 0 at degree -n``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from typing import Dict, List, Sequence, Tuple
 from . import signs
 from .complexes import (
     Complex,
-    NotAComplexError,
     ce_boundary,
     hom_complex,
     plain_space,
@@ -45,8 +45,8 @@ class RelativeStandardComplex(Complex):
     """C_n = K^H-coinvariants of wedge^n(p) (x) M, with the two-sum boundary.
 
     C_n is a plain space at cochain degree -n, and the boundary C_n -> C_{n-1}
-    is ``diff(-n)``.  The d^2 check, the ranks (``rank_at``) and the dual are
-    each computed once per complex.
+    is ``diff(-n)``.  The d^2 verdict (``check_complex``), the ranks
+    (``rank_at``) and the dual are each computed once per complex.
     """
 
     def __init__(self, emb: SubpairEmbedding, M: FiniteModule):
@@ -63,7 +63,8 @@ class RelativeStandardComplex(Complex):
         for k, ch in enumerate(M.k_weights):
             by_weight.setdefault(K.add(zero, ch), []).append(k)
         # kept basis: (subset, module index) of trivial total weight;
-        # position[n][subset][k] is the index of (subset, k) in kept[n]
+        # position[n][subset][k] is the index of (subset, k) in kept[n]; only kept
+        # subsets have a position, so the boundary is worked out on them alone
         self.kept: Dict[int, List[Tuple[Tuple[int, ...], int]]] = {}
         position: Dict[int, Dict[Tuple[int, ...], Dict[int, int]]] = {}
         for n in range(dp + 1):
@@ -73,26 +74,22 @@ class RelativeStandardComplex(Complex):
                 w = zero
                 for s in subset:
                     w = K.add(w, p_weights[s])
-                ks = by_weight.get(K.neg(w), ())
-                position[n][subset] = {k: len(kept) + i for i, k in enumerate(ks)}
-                kept.extend((subset, k) for k in ks)
+                ks = by_weight.get(K.neg(w))
+                if ks:
+                    position[n][subset] = {k: len(kept) + i for i, k in enumerate(ks)}
+                    kept.extend((subset, k) for k in ks)
         act = [sparse_columns(M.g_action[j]) for j in chosen]
         diffs = {}
+        nowhere: Dict[int, int] = {}
         for n in range(1, dp + 1):
             try:
                 diffs[-n] = ce_boundary(position[n].items(), len(self.kept[n - 1]),
-                                        position[n - 1].__getitem__, act,
-                                        signs.rel_action_sign, brackets)
+                                        lambda s, below=position[n - 1]: below.get(s, nowhere),
+                                        act, signs.rel_action_sign, brackets)
             except KeyError:
                 raise ValueError("boundary leaves the coinvariant part") from None
         terms = {-n: plain_space(len(self.kept[n])) for n in range(dp + 1)}
         super().__init__(trivial_pair(), terms, diffs)
-
-    @cached_property
-    def faults(self) -> List[str]:
-        """Each n with d_(n-1) d_n != 0, in ascending order, named."""
-        return [f"boundary squared nonzero at degree {n}" for n in range(2, self.p_dim + 1)
-                if not (self.diff(1 - n) @ self.diff(-n)).is_zero()]
 
     @cached_property
     def dual(self) -> Complex:
@@ -114,28 +111,10 @@ def held_complex(emb: SubpairEmbedding, M: FiniteModule) -> RelativeStandardComp
     return cx
 
 
-def _check_boundaries(cx: RelativeStandardComplex) -> None:
-    """Raise NotAComplexError naming, in ascending order, each n with d_(n-1) d_n != 0.
-
-    The products are formed on the first call; a failing complex raises on every call.
-    """
-    if cx.faults:
-        raise NotAComplexError("; ".join(cx.faults))
-
-
 def rel_homology(emb: SubpairEmbedding, M: FiniteModule) -> HomologyReport:
-    """H_n for n = 0..p_dim, read from the complex's homology at degree -n.
-
-    ``Complex.homology`` forms each d_(n-1) d_n once, as its guard and its
-    rank certificate; only when that guard raises are they formed again, to
-    name every failing degree.
-    """
+    """H_n for n = 0..p_dim, read from the complex's homology at degree -n."""
     cx = held_complex(emb, M)
-    try:
-        h = cx.homology()
-    except NotAComplexError:
-        _check_boundaries(cx)
-        raise
+    h = cx.homology()
     report = HomologyReport()
     for n in range(cx.p_dim + 1):
         report.dims[n] = h.dims.get(-n, 0)
@@ -169,14 +148,14 @@ def ext_via_duality(emb: SubpairEmbedding, M: FiniteModule, n: int) -> int:
     Only degree n is computed: dim C_n - rank d_n - rank d_{n+1}.
     """
     cx = held_complex(emb, M)
-    _check_boundaries(cx)
+    cx.require_complex()
     return cx.homology_dim(-n)
 
 
 def ext_via_chain_maps(emb: SubpairEmbedding, M: FiniteModule, n: int) -> int:
     """Independent route: maps to C[n] from the complex, modulo homotopy."""
     cx = held_complex(emb, M)
-    _check_boundaries(cx)
+    cx.require_complex()
     return cx.dual.homology_dim(n)
 
 

@@ -316,7 +316,8 @@ def test_non_complex_is_exit_2_with_class_name(tmp_path, capsys, monkeypatch, co
     monkeypatch.setattr(RelativeStandardComplex, "diff", ones)
     code, out, err = run(capsys, command, "--subpair", str(paths[0]), "--module", str(paths[1]))
     assert code == 2 and out == ""
-    assert err.startswith("error: NotAComplexError: boundary squared nonzero at degree 2; ")
+    # C_n sits at cochain degree -n: d_1 d_2 and d_2 d_3 fail, both named
+    assert err == "error: NotAComplexError: d^2 != 0 at degree -3; d^2 != 0 at degree -2\n"
 
 
 @pytest.mark.parametrize("top", ["-1", "-5"])

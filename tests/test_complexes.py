@@ -103,8 +103,9 @@ def test_euler_characteristic_matches_homology():
 
 def test_homology_of_a_non_complex_raises():
     bad = plain_complex([1, 1, 1], {0: [[1]], 1: [[1]]})
-    with pytest.raises(ValueError, match="boundaries are not cycles"):
+    with pytest.raises(ValueError) as err:
         bad.homology()
+    assert str(err.value) == "d^2 != 0 at degree 0"
     # a ValueError, not an assert: python -O keeps the check
     script = ("from hch.complexes import Complex, plain_space, trivial_pair\n"
               "from hch.linalg import Matrix\n"
@@ -114,7 +115,7 @@ def test_homology_of_a_non_complex_raises():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hch.__file__)))
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True)
-    assert "NotAComplexError: not a complex" in proc.stderr
+    assert "NotAComplexError: d^2 != 0 at degree 0" in proc.stderr
 
 
 def test_shift_involution_and_sign():
@@ -127,6 +128,18 @@ def test_shift_involution_and_sign():
     assert back.diffs == c.diffs and back.degrees() == c.degrees()
     # homology reindexes
     assert s.homology().dims == {n - 1: d for n, d in c.homology().dims.items()}
+
+
+def test_an_empty_interior_marks_every_column_outside():
+    terms = {0: plain_space(1), 1: plain_space(1)}
+    for interior in ({}, {0: [], 1: []}):
+        c = Complex(trivial_pair(), terms, {0: Matrix.zeros(1, 1)}, interior)
+        assert c.interior == interior
+        assert c.homology().dims == {0: 0, 1: 0}
+        assert c.shift(2).interior == {n - 2: cols for n, cols in interior.items()}
+        assert c.shift(2).homology().dims == {-2: 0, -1: 0}
+    unmarked = Complex(trivial_pair(), terms, {0: Matrix.zeros(1, 1)})
+    assert unmarked.interior is None and unmarked.homology().dims == {0: 1, 1: 1}
 
 
 def test_cone_of_identity_is_exact():

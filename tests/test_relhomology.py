@@ -7,12 +7,11 @@ from itertools import combinations
 import pytest
 
 from hch import complexes, liepairs, schemas, signs
-from hch.complexes import plain_space, single_term
+from hch.complexes import NotAComplexError, plain_space, single_term
 from hch.gkmodules import FiniteModule, direct_sum, restrict_module, tensor, trivial_module
 from hch.liepairs import Character, SubpairEmbedding
 from hch.linalg import Matrix, add_into, kernel_basis, rank
 from hch.relhomology import (
-    NotAComplexError,
     RelativeStandardComplex,
     coinvariants,
     ext_via_chain_maps,
@@ -173,8 +172,9 @@ def test_non_complex_is_named(monkeypatch):
     monkeypatch.setattr(RelativeStandardComplex, "diff", ones)
     for compute in (lambda: rel_homology(emb, M), lambda: ext_via_duality(emb, M, 1),
                     lambda: ext_via_chain_maps(emb, M, 1)):
-        with pytest.raises(NotAComplexError, match="boundary squared nonzero at degree 2"):
+        with pytest.raises(NotAComplexError) as err:
             compute()
+        assert str(err.value) == "d^2 != 0 at degree -3; d^2 != 0 at degree -2"
     assert issubclass(NotAComplexError, ValueError)
 
 
@@ -400,7 +400,7 @@ def ref_ext_via_duality(emb, M, n):
     cx = RelativeStandardComplex(emb, M)
     for k in range(2, cx.p_dim + 1):
         if not (cx.diff(1 - k) @ cx.diff(-k)).is_zero():
-            raise NotAComplexError(f"boundary squared nonzero at degree {k}")
+            raise NotAComplexError(f"d^2 != 0 at degree {-k}")
     return cx.dim_at(-n) - rank(cx.diff(-n)) - rank(cx.diff(-n - 1))
 
 
@@ -472,7 +472,7 @@ def test_failing_complex_raises_on_every_call():
     # h acting twice as it should: not a representation, so d^2 != 0
     bad = FiniteModule(pair, F1.k_weights,
                        [F1.g_action[0], F1.g_action[1].scale(Scalar(2)), F1.g_action[2]])
-    text = "boundary squared nonzero at degree 2; boundary squared nonzero at degree 3"
+    text = "d^2 != 0 at degree -3; d^2 != 0 at degree -2"
     for compute in (lambda: ext_via_duality(emb, bad, 1), lambda: ext_via_duality(emb, bad, 1),
                     lambda: rel_homology(emb, bad), lambda: ext_via_duality(emb, bad, 0),
                     lambda: ext_via_chain_maps(emb, bad, 1), lambda: ext_via_chain_maps(emb, bad, 0)):
