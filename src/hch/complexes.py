@@ -13,7 +13,10 @@ resolution augmented by its counit are Complexes too.
 A Complex is never changed after ``__init__``.  ``check_complex`` is its one
 d^2 verdict, formed once and kept: it names each degree n where d^(n+1) d^n
 != 0 on the interior columns as ``d^2 != 0 at degree n``, and
-``require_complex`` raises it as the one NotAComplexError.
+``require_complex`` raises it as the one NotAComplexError.  Every identity
+here (d^2 = 0, the certificate's premise below, a chain map's commuting
+squares, the equivariant Hom's closure) is decided by ``linalg.vanishes``
+without forming its products; ``@`` forms only products that are kept.
 
 ``homology_dim`` is the one rank formula for an unmarked complex, dim H^n =
 dim C^n - rank d^n - rank d^(n-1), with each rank eliminated once per complex
@@ -23,12 +26,12 @@ relative complex to its verdict first.
 
 ``homology`` certifies a degree exact by counting ranks, with no rational
 elimination.  Let B be the columns of d^(n-1) that lie on the interior
-columns.  If d^n kills B (an exact product over Q(i)), then im B lies in the
+columns.  If d^n kills B (exactly over Q(i)), then im B lies in the
 interior cycles Z, so rank B <= dim Z = |interior| - rank(d^n on the
 interior); ranks modulo a prime (``linalg.rank_mod_p``) are lower bounds, so
 rank_P(B) + rank_P(d^n on the interior) >= |interior| forces im B = Z.  An
 unmarked complex is held to its verdict first; then B is all of d^(n-1), no
-product is formed, and rank_P(d^(n-1)) is the count made at degree n - 1, so
+premise is checked, and rank_P(d^(n-1)) is the count made at degree n - 1, so
 each rank mod P is counted once.  A degree the count does not settle is
 decided by elimination: the canonical interior cycles against the span of
 d^(n-1).
@@ -60,6 +63,7 @@ from .linalg import (
     kernel_on,
     rank,
     rank_mod_p,
+    vanishes,
 )
 from .reports import HomologyReport
 from .scalars import ONE
@@ -152,7 +156,7 @@ class Complex:
         if self._verdict is None:
             where = "" if self.interior is None else " on an interior column"
             bad = [f"d^2 != 0 at degree {n}{where}" for n in self.degrees()
-                   if not (self.diff(n + 1) @ self.interior_diff(n)).is_zero()]
+                   if not vanishes((1, self.diff(n + 1), self.interior_diff(n)))]
             self._verdict = ValidationReport.good() if not bad else ValidationReport.bad(*bad)
         return self._verdict
 
@@ -198,13 +202,13 @@ class Complex:
 
         On an unmarked complex, whose d^2 = 0 is already checked, r_in is
         r_P(d^(n-1)).  On a marked one, B is the columns of d^(n-1) (``into``)
-        supported on ``cols``: the certificate's premise is d_out @ B = 0, and
+        supported on ``cols``: the certificate's premise is d_out B = 0, and
         then r_in = r_P(B).
         """
         if self.interior is not None:
             inside = set(cols)
             bounded = [v for v in into.values() if v.keys() <= inside]
-            if not (d_out @ Matrix._from_sparse_columns(d_out.cols, bounded)).is_zero():
+            if not vanishes((1, d_out, Matrix._from_sparse_columns(d_out.cols, bounded))):
                 return False, None
             r_in = rank_mod_p(bounded)
         out = d_out.columns
@@ -309,9 +313,8 @@ class ComplexMap:
     def validate(self) -> ValidationReport:
         bad = []
         for n in sorted(set(self.source.degrees()) | set(self.maps)):
-            lhs = self.target.diff(n) @ self.at(n)
-            rhs = self.at(n + 1) @ self.source.diff(n)
-            if lhs != rhs:
+            if not vanishes((1, self.target.diff(n), self.at(n)),
+                            (-1, self.at(n + 1), self.source.diff(n))):
                 bad.append(f"map does not commute with d at degree {n}")
         return ValidationReport.good() if not bad else ValidationReport.bad(*bad)
 
@@ -575,7 +578,7 @@ def hom_complex(M: Complex, N: Complex, equivariant: bool = False) -> Complex:
     # equivariant: per degree, the canonical kernel of the constraints.  Its
     # vectors are 1 at their own free column, which is their largest index,
     # and 0 at the others, so the differential's coordinates are read at the
-    # free columns; one exact product checks that the image lies in the span.
+    # free columns; one ``vanishes`` checks that the image lies in the span.
     bases: Dict[int, List[SparseVector]] = {}
     for n in range(lo, hi + 1):
         cons = _equivariance_constraints(M, N, n)
@@ -592,7 +595,7 @@ def hom_complex(M: Complex, N: Complex, equivariant: bool = False) -> Complex:
         cols = ((c, {free[r]: x for r, x in col.items() if r in free})
                 for c, col in img.columns.items())
         d = Matrix._raw(len(dst), len(src), {c: col for c, col in cols if col})
-        if Matrix._from_sparse_columns(big.rows, dst) @ d != img:
+        if not vanishes((1, Matrix._from_sparse_columns(big.rows, dst), d), (-1, img)):
             raise ValueError("equivariant Hom not closed under the differential")
         if not d.is_zero():
             diffs[n] = d

@@ -9,11 +9,12 @@ is computed rather than assumed zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .bands import BandOp
 from .liepairs import Character, Pair, SubpairEmbedding, ValidationReport, check_element, same_pair
-from .linalg import Matrix, SparseVector, add_into, rank
+from .linalg import Matrix, SparseVector, add_into, rank, vanishes
 from .poly import Poly
 from .scalars import ONE, Scalar, as_scalar
 
@@ -41,14 +42,16 @@ class FiniteModule:
         return out
 
     def validate(self) -> ValidationReport:
-        """The bracket is represented, rho(x_j) rho(x_k) = rho(x_k) rho(x_j) +
-        rho([x_j, x_k]) by column products, and each action shifts weights by
-        its Ad-weight, with the shifted weight summed once per column."""
+        """The bracket is represented, rho(x_j) rho(x_k) - rho(x_k) rho(x_j) -
+        rho([x_j, x_k]) = 0 (``linalg.vanishes``), and each action shifts
+        weights by its Ad-weight, with the shifted weight summed once per
+        column."""
         bad = []
         g, act = self.pair.g, self.g_action
         for j in range(g.dim):
             for k in range(j + 1, g.dim):
-                if act[j] @ act[k] != act[k] @ act[j] + self.action_matrix(g.bracket_basis(j, k)):
+                bracket = [(-a, act[l]) for l, a in g.bracket_basis(j, k).items()]
+                if not vanishes((1, act[j], act[k]), (-1, act[k], act[j]), *bracket):
                     bad.append(f"bracket representation fails on g-basis pair ({j},{k})")
         K, weights = self.pair.K, self.k_weights
         for j in range(g.dim):
@@ -62,29 +65,25 @@ class FiniteModule:
 
     def torus_weight_matrix(self, t: int, cols: Optional[Sequence[int]] = None) -> Matrix:
         """d(rho)(xi_t) on the columns ``cols`` (every column by default), in
-        that order: the t-th torus exponents on the diagonal."""
+        that order: the t-th torus exponents on the diagonal, with one Scalar
+        per distinct exponent."""
         cols = range(self.dim) if cols is None else cols
         weights = self.k_weights
-        return Matrix._raw(self.dim, len(cols), {
-            j: {c: as_scalar(weights[c].torus[t])} for j, c in enumerate(cols) if weights[c].torus[t]})
+        scalars: Dict[int, Scalar] = {}
+        columns: Dict[int, SparseVector] = {}
+        for j, c in enumerate(cols):
+            z = weights[c].torus[t]
+            if z:
+                s = scalars.get(z)
+                if s is None:
+                    s = scalars[z] = as_scalar(z)
+                columns[j] = {c: s}
+        return Matrix._raw(self.dim, len(cols), columns)
 
     def defect(self, cols: Optional[Sequence[int]] = None) -> "DefectMap":
         """w(xi_t) = d(rho)(xi_t) - rho(iota(xi_t)) for each torus generator t,
-        on the columns ``cols`` (every column by default), in that order.
-
-        Each map starts from the torus weights on ``cols`` and adds -a times
-        the action of every g-basis vector with coefficient a in iota(xi_t),
-        picked on ``cols`` first: the work is that of the chosen columns, not
-        of the whole square.
-        """
-        maps = []
-        for t in range(self.pair.K.torus_rank):
-            w = self.torus_weight_matrix(t, cols)
-            for l, a in self.pair.iota_vec(t).items():
-                rho = self.g_action[l]
-                w = w + (rho if cols is None else rho.restrict_columns(cols)).scale(-a)
-            maps.append(w)
-        return DefectMap(self, maps, None if cols is None else list(cols))
+        on the columns ``cols`` (every column by default), in that order."""
+        return DefectMap(self, None if cols is None else list(cols))
 
     def is_genuine(self) -> bool:
         return all(m.is_zero() for m in self.defect().maps)
@@ -101,12 +100,36 @@ class DefectMap:
     """w(xi) = d(rho)(xi) - rho(iota(xi)) for each torus generator.
 
     ``cols`` is None for the square defect on every column; otherwise the
-    maps hold only those columns, in that order.
+    maps hold only those columns, in that order.  ``terms(t)`` is w(xi_t) as
+    the terms of a sum, which ``linalg.vanishes`` reads without forming it;
+    ``maps`` sums them, on the first read.
     """
 
     module: FiniteModule
-    maps: List[Matrix]
     cols: Optional[List[int]] = None
+
+    def terms(self, t: int) -> List[Tuple[Scalar, Matrix]]:
+        """(coefficient, matrix) terms of w(xi_t): the torus weights on
+        ``cols``, and -a times the action of every g-basis vector with
+        coefficient a in iota(xi_t), picked on ``cols`` first, so the work is
+        that of the chosen columns, not of the whole square."""
+        m, cols = self.module, self.cols
+        out = [(ONE, m.torus_weight_matrix(t, cols))]
+        for l, a in m.pair.iota_vec(t).items():
+            rho = m.g_action[l]
+            out.append((-a, rho if cols is None else rho.restrict_columns(cols)))
+        return out
+
+    @cached_property
+    def maps(self) -> List[Matrix]:
+        """w(xi_t) for each torus generator t, summed from ``terms(t)``."""
+        out = []
+        for t in range(self.module.pair.K.torus_rank):
+            (_, w), *rest = self.terms(t)
+            for a, rho in rest:
+                w = w + rho.scale(a)
+            out.append(w)
+        return out
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.maps)
@@ -115,7 +138,7 @@ class DefectMap:
         """w(xi) rho(x) = rho(x) w(xi) for every g-basis x; needs the square defect."""
         if self.cols is not None:
             raise ValueError("commutes_with_action needs the defect on every column")
-        return all(w.commutator(rho).is_zero()
+        return all(vanishes((1, w, rho), (-1, rho, w))
                    for w in self.maps for rho in self.module.g_action)
 
 

@@ -15,7 +15,7 @@ from typing import Dict, List
 from . import signs
 from .complexes import Complex, ComplexMap, TensorLayout, cone, cone_matrix, tensor_complex
 from .liepairs import ValidationReport
-from .linalg import Matrix, independent_over, kernel_on, sparse_columns
+from .linalg import Matrix, independent_over, kernel_on, sparse_columns, vanishes
 
 
 class HComplex:
@@ -50,10 +50,13 @@ def check_h_axioms(h: HComplex) -> ValidationReport:
     On complexes carrying interior marks, identities (ii)-(iv) are asserted on
     the interior columns only.  Each degree restricts the differential, the
     term's g-action, every i-map and the defect (``defect(cols)``) to those
-    columns once, and the three identities share them.  Axiom (i), that i_xi
-    preserves K-weights, is still checked on every i-map entry.  The report
-    lists every failure with its axiom, degree and generator, after the d^2
-    failures of the complex's verdict (``Complex.check_complex``).
+    columns once, and the three identities share them.  Each identity is one
+    ``linalg.vanishes`` of its terms, the defect's own terms included
+    (``DefectMap.terms``), so no product and no defect matrix is formed.
+    Axiom (i), that i_xi preserves K-weights, is still checked on every i-map
+    entry.  The report lists every failure with its axiom, degree and
+    generator, after the d^2 failures of the complex's verdict
+    (``Complex.check_complex``).
     """
     base = h.base
     pair = base.pair
@@ -70,26 +73,29 @@ def check_h_axioms(h: HComplex) -> ValidationReport:
         d_r = base.interior_diff(n)
         act_r = [a.restrict_columns(cols) for a in tn.g_action]
         i_r = [h.i_at(t, n).restrict_columns(cols) for t in range(trank)]
-        defects = tn.defect(cols).maps
+        defect = tn.defect(cols)
         for t in range(trank):
             i_m = h.i_at(t, n)
-            # (i) K-equivariance: i_xi preserves weights
+            # (i) K-equivariance: i_xi preserves weights (builders share weight
+            # objects, so most pairs are equal by identity)
             wprev, w = tprev.k_weights, tn.k_weights
-            if any(wprev[r] != w[c] for c, col in i_m.columns.items() for r in col):
+            if any(wprev[r] is not w[c] and wprev[r] != w[c]
+                   for c, col in i_m.columns.items() for r in col):
                 bad.append(f"axiom i: i_xi{t} mixes K-weights at degree {n}")
             # (ii) commutes with the g-action
             for j in range(pair.g.dim):
-                if tprev.g_action[j] @ i_r[t] != i_m @ act_r[j]:
+                if not vanishes((1, tprev.g_action[j], i_r[t]), (-1, i_m, act_r[j])):
                     bad.append(f"axiom ii: i_xi{t} vs g-basis {j} at degree {n}")
             # (iii) anticommutation; at s == t the sum is twice i_xi{t}^2, zero iff it is
             for s in range(t, trank):
-                anti = h.i_at(s, n - 1) @ i_r[t]
+                anti = [(1, h.i_at(s, n - 1), i_r[t])]
                 if s != t:
-                    anti = anti + h.i_at(t, n - 1) @ i_r[s]
-                if not anti.is_zero():
+                    anti.append((1, h.i_at(t, n - 1), i_r[s]))
+                if not vanishes(*anti):
                     bad.append(f"axiom iii: i_xi{t} i_xi{s} + i_xi{s} i_xi{t} != 0 at degree {n}")
             # (iv) homotopy identity d i + i d = w
-            if d_prev @ i_r[t] + h.i_at(t, n + 1) @ d_r != defects[t]:
+            minus_w = [(-a, m) for a, m in defect.terms(t)]
+            if not vanishes((1, d_prev, i_r[t]), (1, h.i_at(t, n + 1), d_r), *minus_w):
                 bad.append(f"axiom iv: d i + i d != w for xi{t} at degree {n}")
     return ValidationReport.good() if not bad else ValidationReport.bad(*bad)
 
@@ -129,9 +135,8 @@ class HComplexMap(ComplexMap):
         bad = list(rep.violations)
         for t in range(self.source.pair.K.torus_rank):
             for n in self.source.degrees():
-                lhs = self.htarget.i_at(t, n) @ self.at(n)
-                rhs = self.at(n - 1) @ self.hsource.i_at(t, n)
-                if lhs != rhs:
+                if not vanishes((1, self.htarget.i_at(t, n), self.at(n)),
+                                (-1, self.at(n - 1), self.hsource.i_at(t, n))):
                     bad.append(f"map does not commute with i_xi{t} at degree {n}")
         return ValidationReport.good() if not bad else ValidationReport.bad(*bad)
 

@@ -18,7 +18,16 @@ from functools import cached_property
 from itertools import combinations
 from typing import Dict, Optional, Sequence, Tuple
 
-from .linalg import Matrix, SparseVector, add_into, independent_over, inverse, rank, sparse_columns
+from .linalg import (
+    Matrix,
+    SparseVector,
+    add_into,
+    independent_over,
+    inverse,
+    rank,
+    sparse_columns,
+    vanishes,
+)
 from .scalars import ONE, Scalar, as_scalar
 
 
@@ -371,9 +380,8 @@ class SubpairEmbedding:
                 bad.append(f"alg_embed does not preserve bracket on basis pair ({j},{k})")
         # iota compatibility: embedding of small torus generators matches big iota
         if self.small.K.torus_rank > 0:
-            lhs = self.alg_embed @ self.small.iota
-            rhs = self.big.iota @ self.grp_embed.torus_embedding()
-            if lhs != rhs:
+            if not vanishes((1, self.alg_embed, self.small.iota),
+                            (-1, self.big.iota, self.grp_embed.torus_embedding())):
                 bad.append("iota maps are incompatible with the torus embedding")
         # weight compatibility: components of an embedded weight vector restrict correctly
         for j, img in enumerate(images):

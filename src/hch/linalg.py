@@ -25,7 +25,11 @@ readers outside the package.  A stored column is never changed once
 placed, so matrices share columns, and ``sparse_columns`` hands out copies.
 No sparse map in the package holds an explicit zero: ``add_into``
 accumulates into such a map everywhere but in the two inner loops that
-inline it, the product and ``_rref``.  ``Matrix(...)`` validates input from
+inline it, the product and ``_rref``.  ``@`` is for products that are kept.
+An identity, a sum of products and matrices that must be zero (d^2 = 0, a
+contraction axiom, a chain map's squares, a represented bracket), goes
+through ``vanishes``, which sums each column of it on [re, im, den] int
+cells and keeps no Scalar and no Matrix.  ``Matrix(...)`` validates input from
 Python callers (literal rows, tests): it range-checks, coerces and drops
 zeros.  A builder whose columns it produced itself, from Scalars of other
 matrices, places them through ``Matrix._raw`` and is not checked again; so
@@ -314,9 +318,6 @@ class Matrix:
                     row[c] = v
         return Matrix._raw(self.cols, self.rows, out)
 
-    def commutator(self, other: "Matrix") -> "Matrix":
-        return self @ other - other @ self
-
     def restrict_columns(self, cols: Sequence[int]) -> "Matrix":
         """Submatrix keeping the given columns, in the given order."""
         have = self.columns
@@ -340,6 +341,87 @@ class Matrix:
         entries = [[r, c, v.to_json()] for c, col in self.columns.items() for r, v in col.items()]
         entries.sort()  # row-major; positions are distinct, so no two values are compared
         return {"rows": self.rows, "cols": self.cols, "entries": entries}
+
+
+# -- identities -----------------------------------------------------------------
+
+
+def vanishes(*terms) -> bool:
+    """Whether the sum of the terms is the zero matrix: a term (s, A, B) is
+    s * A @ B and a term (s, M) is s * M, with s an int or a Scalar.  No
+    terms is the empty sum, which vanishes.
+
+    The sum is formed column by column over the right factors' columns
+    (Gustavson's order, as in ``@``), each entry as a cell [re, im, den] of
+    ints read from the Scalars' canonical triples; a cell cross-multiplies
+    only when a summand's denominator differs from its own, so every sum is
+    exact over Q(i).  The first nonzero column decides, and no Scalar or
+    Matrix is built.  A shape mismatch raises ValueError, as ``@`` and ``+``
+    do.
+    """
+    shape = None
+    # per term: s as (a, b, d); its sign, 1 or -1 when s is 1 or -1, else 0;
+    # the left factor's columns, None for a plain term; the right factor's
+    parts = []
+    for term in terms:
+        if len(term) == 3:
+            s, a, b = term
+            if a.cols != b.rows:
+                raise ValueError("shape mismatch in matrix product")
+            rc, left, right = (a.rows, b.cols), a.columns, b.columns
+        else:
+            s, m = term
+            rc, left, right = (m.rows, m.cols), None, m.columns
+        if shape is None:
+            shape = rc
+        elif rc != shape:
+            raise ValueError("shape mismatch in matrix addition")
+        if isinstance(s, int):
+            sa, sb, sd = s, 0, 1
+        else:
+            s = as_scalar(s)
+            sa, sb, sd = s._a, s._b, s._d
+        sign = sa if sa in (1, -1) and not sb and sd == 1 else 0
+        parts.append((sa, sb, sd, sign, left, right))
+    cols = parts[0][5] if len(parts) == 1 else set().union(*[p[5] for p in parts])
+    for c in cols:
+        acc: Dict[int, List[int]] = {}
+        for sa, sb, sd, sign, left, right in parts:
+            bcol = right.get(c)
+            if bcol is None:
+                continue
+            # a plain term adds its own column bcol, with factor 1
+            for k, w in (bcol.items() if left is not None else ((None, ONE),)):
+                acol = bcol if left is None else left.get(k)
+                if acol is None:
+                    continue
+                wa, wb, wd = w._a, w._b, w._d
+                if sign < 0:
+                    wa, wb = -wa, -wb
+                elif not sign:
+                    wa, wb, wd = wa * sa - wb * sb, wa * sb + wb * sa, wd * sd
+                for r, v in acol.items():
+                    va, vb = v._a, v._b
+                    if wb:
+                        x, y = va * wa - vb * wb, va * wb + vb * wa
+                    else:
+                        x, y = va * wa, vb * wa
+                    e = v._d * wd
+                    cell = acc.get(r)
+                    if cell is None:
+                        acc[r] = [x, y, e]
+                    elif cell[2] == e:
+                        cell[0] += x
+                        cell[1] += y
+                    else:
+                        d = cell[2]
+                        cell[0] = cell[0] * e + x * d
+                        cell[1] = cell[1] * e + y * d
+                        cell[2] = d * e
+        for cell in acc.values():
+            if cell[0] or cell[1]:
+                return False
+    return True
 
 
 # -- elimination --------------------------------------------------------------

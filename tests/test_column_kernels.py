@@ -4,21 +4,25 @@
 empty column.  Its product, column pick, transpose, block diagonal and the
 Kronecker placer ``kron_into`` must equal the coordinate-map kernels kept in
 ``dense_reference`` on random sparse Q(i) matrices, including products whose
-terms cancel exactly and shapes with no rows or no columns.  ``==`` and
-``is_zero`` compare column maps, so every builder must keep the storage
-invariant; the last tests walk the matrices the builders make.
+terms cancel exactly and shapes with no rows or no columns.  The identity
+kernel ``vanishes`` must decide a sum of products and matrices as the
+reference sum's ``is_zero`` does.  ``==`` and ``is_zero`` compare column
+maps, so every builder must keep the storage invariant; the last tests walk
+the matrices the builders make.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_reference as ref
+from hch import scalars
 from hch.complexes import ComplexMap, cone, hom_complex, single_term
 from hch.gkmodules import kron_into
 from hch.hcomplexes import HComplexMap, check_h_axioms, h_cone, h_tensor
-from hch.linalg import Matrix
-from hch.scalars import I, Scalar
+from hch.linalg import Matrix, vanishes
+from hch.scalars import I, ONE, Scalar
 from hch.sl2 import finite_irrep, principal_series, torus_pair
 from test_hcomplexes import resolution_h
 
@@ -111,6 +115,100 @@ def test_kron_into_matches_the_coordinate_map_placer(data, n, roff, coff, signs,
     assert got == Matrix(rows, cols, ents)
     assert_stored_exactly(got)
     assert factors == before  # the factors' columns are read, never changed
+
+
+# -- the identity kernel: a sum of products and matrices decided without forming it -----
+
+THIRD, HALF = Scalar(Fraction(1, 3)), Scalar(Fraction(1, 2))
+# denominators 1, 2 and 3, with and without i
+SUM_VALUES = [0] * 6 + [1, -1, 2, I, -I, Scalar(1, -1), HALF, THIRD,
+                        Scalar(0, Fraction(-2, 3)), Scalar(Fraction(1, 2), Fraction(1, 3))]
+COEFFICIENTS = [1, -1, 2, I, HALF, -THIRD, Scalar(1, Fraction(1, 3))]
+
+
+def sum_matrices(rows, cols):
+    cells = st.lists(st.sampled_from(SUM_VALUES), min_size=rows * cols, max_size=rows * cols)
+    return cells.map(lambda vs: Matrix(rows, cols, {(k // cols, k % cols): v
+                                                    for k, v in enumerate(vs)}))
+
+
+def reference_sum(rows, cols, terms):
+    """The sum of the terms, each product by the coordinate-map reference."""
+    out = Matrix.zeros(rows, cols)
+    for s, *factors in terms:
+        out = out + (ref.matmul(*factors) if len(factors) == 2 else factors[0]).scale(s)
+    return out
+
+
+@st.composite
+def sums(draw):
+    """(rows, cols, terms): one to three product terms and up to two plain
+    terms; on request a last plain term closes the sum to zero, and then, on
+    request, one entry of it moves by a random value."""
+    rows, cols = draw(dims), draw(dims)
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, 4))
+        terms.append((draw(st.sampled_from(COEFFICIENTS)),
+                      draw(sum_matrices(rows, k)), draw(sum_matrices(k, cols))))
+    for _ in range(draw(st.integers(0, 2))):
+        terms.append((draw(st.sampled_from(COEFFICIENTS)), draw(sum_matrices(rows, cols))))
+    if draw(st.booleans()):
+        close = reference_sum(rows, cols, terms).scale(-1)
+        if rows and cols and draw(st.booleans()):
+            rc = (draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1)))
+            ents = dict(close.entries)
+            ents[rc] = ents.get(rc, scalars.ZERO) + draw(st.sampled_from(SUM_VALUES))
+            close = Matrix(rows, cols, ents)
+        terms.append((1, close))
+    return rows, cols, terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=sums())
+def test_vanishes_decides_as_the_reference_sum(case):
+    rows, cols, terms = case
+    assert vanishes(*terms) == reference_sum(rows, cols, terms).is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), r=dims, k=dims, c=dims)
+def test_vanishes_on_built_zeros(data, r, k, c):
+    a, b = data.draw(sum_matrices(r, k)), data.draw(sum_matrices(k, c))
+    m = data.draw(sum_matrices(r, c))
+    assert vanishes((1, a, b), (-1, a, b))
+    assert vanishes((HALF, m), (HALF, m), (-1, m))
+    # a third and two thirds of each entry, summed against the entry itself:
+    # the cells meet denominators that differ
+    assert vanishes((THIRD, a, b), (Scalar(Fraction(2, 3)), a, b), (-1, a, b))
+    if r and c:
+        one = Matrix(r, c, {(r - 1, c - 1): ONE})
+        assert not vanishes((THIRD, a, b), (Scalar(Fraction(2, 3)), a, b), (-1, a, b), (THIRD, one))
+
+
+def test_vanishes_on_no_terms_and_on_shape_mismatches():
+    assert vanishes()
+    a, b = Matrix.identity(2), Matrix.identity(3)
+    with pytest.raises(ValueError, match="product"):
+        vanishes((1, a, b))
+    with pytest.raises(ValueError, match="addition"):
+        vanishes((1, a, a), (1, b))
+    with pytest.raises(ValueError, match="addition"):
+        vanishes((1, a), (-1, Matrix.zeros(2, 3)))
+
+
+def test_vanishes_builds_no_scalar_and_no_matrix(monkeypatch):
+    a = Matrix.from_rows([[1, I, 0], [HALF, 0, -THIRD], [0, 2, Scalar(1, 1)]])
+    square, minus_third = a @ a, -THIRD
+    built = []
+    of, raw = scalars._of, Matrix._raw
+    monkeypatch.setattr(scalars, "_of", lambda *t: built.append("Scalar") or of(*t))
+    monkeypatch.setattr(Matrix, "_raw", staticmethod(lambda *t: built.append("Matrix") or raw(*t)))
+    monkeypatch.setattr(Matrix, "__init__", lambda *t: built.append("Matrix"))
+    assert vanishes((1, a, a), (-1, square))
+    assert vanishes((THIRD, a, a), (minus_third, square))
+    assert not vanishes((1, a, a), (-2, square))
+    assert built == []
 
 
 # -- the storage invariant on what the builders make ---------------------------------

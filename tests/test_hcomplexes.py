@@ -1,6 +1,7 @@
 """Contraction axioms, h-constructions, and their failure reporting."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +20,7 @@ from hch.gkmodules import FiniteModule
 from hch.liepairs import DiagGroup, LieAlgebra, Pair
 from hch.linalg import Matrix
 from hch.resolution import StandardResolution
-from hch.scalars import ONE, ZERO, Scalar
+from hch.scalars import I, ONE, ZERO, Scalar
 from hch.sl2 import finite_irrep, so2_pair, torus_pair, trivial_k_pair
 from test_resolution import sl2_sum_pair
 import dense_reference as ref
@@ -311,17 +312,17 @@ def test_check_h_axioms_matches_the_whole_term_check_on_h_constructions(op):
     assert assert_same_report(built) == ()
 
 
-def plus_entry(m: Matrix, rc) -> Matrix:
-    """m with 1 added to entry rc."""
+def plus_entry(m: Matrix, rc, amount=ONE) -> Matrix:
+    """m with amount (1 by default) added to entry rc."""
     ents = dict(m.entries)
-    ents[rc] = ents.get(rc, ZERO) + ONE
+    ents[rc] = ents.get(rc, ZERO) + amount
     return Matrix(m.rows, m.cols, ents)
 
 
-def with_i_entry(h: HComplex, t: int, n: int, rc) -> HComplex:
-    """h with 1 added to entry rc of i_xi_t at degree n."""
+def with_i_entry(h: HComplex, t: int, n: int, rc, amount=ONE) -> HComplex:
+    """h with amount (1 by default) added to entry rc of i_xi_t at degree n."""
     maps = {s: dict(per) for s, per in h.i_maps.items()}
-    maps[t][n] = plus_entry(h.i_at(t, n), rc)
+    maps[t][n] = plus_entry(h.i_at(t, n), rc, amount)
     return HComplex(h.base, maps)
 
 
@@ -346,13 +347,14 @@ def nonzero_columns(m: Matrix):
     return {c for (_, c) in m.entries}
 
 
-def corrupted(kind: str, h: HComplex, n: int) -> HComplex:
-    """A copy of h that breaks ``kind`` on an interior column of degree n."""
+def corrupted(kind: str, h: HComplex, n: int, amount=ONE) -> HComplex:
+    """A copy of h that breaks ``kind`` on an interior column of degree n; an
+    i-map kind adds amount (1 by default) to one i-map entry."""
     base = h.base
     w = base.term(n).k_weights
     wprev = base.term(n - 1).k_weights
     if kind == "axiom i:":
-        return with_i_entry(h, 0, n, first_entry(h, n, lambda r, c: wprev[r] != w[c]))
+        return with_i_entry(h, 0, n, first_entry(h, n, lambda r, c: wprev[r] != w[c]), amount)
     if kind == "axiom ii:":
         # the action of u+ (not in iota) gains an entry whose column i_xi0 does not kill
         j = 0
@@ -367,11 +369,11 @@ def corrupted(kind: str, h: HComplex, n: int) -> HComplex:
     if kind == "axiom iii:":
         below = nonzero_columns(h.i_at(0, n - 1))
         return with_i_entry(h, 0, n, first_entry(
-            h, n, lambda r, c: wprev[r] == w[c] and r in below))
+            h, n, lambda r, c: wprev[r] == w[c] and r in below), amount)
     if kind == "axiom iv:":
         left = nonzero_columns(base.diff(n - 1))
         return with_i_entry(h, 0, n, first_entry(
-            h, n, lambda r, c: wprev[r] == w[c] and r in left))
+            h, n, lambda r, c: wprev[r] == w[c] and r in left), amount)
     if kind == "d^2 != 0":
         above = nonzero_columns(base.diff(n + 1))
         c = base.interior_cols(n)[0]
@@ -391,6 +393,30 @@ def test_check_h_axioms_matches_the_whole_term_check_on_corrupted_resolutions(ki
     h = corrupted(kind, resolution_h("so2", 3), n)
     want = assert_same_report(h)
     assert any(v.startswith(kind) for v in want), want
+
+
+@pytest.mark.parametrize("amount", [Scalar(Fraction(1, 3)), I], ids=["third", "i"])
+@pytest.mark.parametrize("kind, n", [(k, n) for k, n in CORRUPTIONS
+                                     if k in ("axiom i:", "axiom iii:", "axiom iv:")])
+def test_check_h_axioms_matches_the_whole_term_check_on_a_non_integral_i_entry(kind, n, amount):
+    # the identity checks meet an entry off the Gaussian integers, or one with an
+    # imaginary part, in the i-map and in every product that reads it
+    h = corrupted(kind, resolution_h("so2", 3), n, amount)
+    want = assert_same_report(h)
+    assert any(v.startswith(kind) for v in want), want
+
+
+def test_identity_checks_form_no_product(monkeypatch):
+    h = resolution_h("so2", 4)
+    fresh = resolution_h("so2", 3).base
+    products = []
+    matmul = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
+    assert check_h_axioms(h).ok
+    assert fresh.check_complex().ok
+    assert ComplexMap.identity(h.base).validate().ok
+    assert HComplexMap.identity_h(h).validate().ok
+    assert products == []
 
 
 def test_check_h_axioms_matches_the_whole_term_check_on_two_generators():
