@@ -57,7 +57,7 @@ from collections import defaultdict
 from collections.abc import ItemsView, Mapping
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .scalars import ONE, ZERO, Scalar, as_scalar
+from .scalars import ONE, ZERO, Scalar, as_scalar, triple
 
 Vector = Tuple[Scalar, ...]
 SparseVector = Dict[int, Scalar]
@@ -376,11 +376,7 @@ def vanishes(*terms) -> bool:
             shape = rc
         elif rc != shape:
             raise ValueError("shape mismatch in matrix addition")
-        if isinstance(s, int):
-            sa, sb, sd = s, 0, 1
-        else:
-            s = as_scalar(s)
-            sa, sb, sd = s._a, s._b, s._d
+        sa, sb, sd = triple(s)
         sign = sa if sa in (1, -1) and not sb and sd == 1 else 0
         parts.append((sa, sb, sd, sign, left, right))
     cols = parts[0][5] if len(parts) == 1 else set().union(*[p[5] for p in parts])

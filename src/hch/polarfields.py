@@ -9,22 +9,21 @@ and everything (cos phi, sin phi, x_1, x_2, the polar derivatives) is a
 Laurent polynomial in z over Q(i) times a power of r, so the result is again
 a combination of r^lam z^m with exact coefficients.  Used to derive K-type
 band tables from first principles instead of trusting hand algebra.
+
+The sums run on Gaussian-integer cells [re, im, den] read from the canonical
+triples of the inputs, as ``linalg.vanishes`` and ``Poly.__call__`` do: the
+only Scalars built are the nonzero output coefficients.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, Tuple
+from math import lcm
+from typing import Dict, List, Tuple
 
-from .linalg import add_into
-from .scalars import I, Scalar, as_scalar
+from .scalars import Scalar, _reduced, triple
 
 # a K-finite function is a sparse map {n: c_n} standing for sum c_n r^lam z^n
 KFunction = Dict[int, Scalar]
-
-HALF = Scalar(Fraction(1, 2))
-HALF_I = Scalar(0, Fraction(1, 2))  # i/2
-NEG_HALF_I = -HALF_I                # -i/2 = 1/(2i)
 
 
 def vector_field_apply(X: Tuple[Tuple, Tuple], lam, f: KFunction) -> KFunction:
@@ -32,56 +31,42 @@ def vector_field_apply(X: Tuple[Tuple, Tuple], lam, f: KFunction) -> KFunction:
 
     Uses d1 f_n = r^{lam-1} (((lam-n)/2) z^{n+1} + ((lam+n)/2) z^{n-1}),
          d2 f_n = r^{lam-1} ((i(n-lam)/2) z^{n+1} + (i(n+lam)/2) z^{n-1}),
-    and x1 = r (z + 1/z)/2, x2 = r (z - 1/z)/(2i).
+    and x1 = r (z + 1/z)/2, x2 = r (z - 1/z)/(2i).  The first slot
+    a*x1 + c*x2 of the row vector x X carries (a - ic)/2 on z and (a + ic)/2
+    on 1/z, the second b*x1 + d*x2 likewise (b -+ id)/2.  Multiplied out:
+
+        X f_n = (lam - n) (a - d - i(b + c))/4  f_{n+2}
+              + (lam (a + d) + i n (b - c))/2   f_n
+              + (lam + n) (a - d + i(b + c))/4  f_{n-2}.
+
+    Every sum is formed on ints over the common denominator 4 * den(lam) *
+    lcm(den(a), .., den(d)) * lcm(den(c_n)), and a coefficient that sums to
+    zero is dropped.
     """
-    (a, b), (c, d) = X
-    a, b, c, d = (as_scalar(x) for x in (a, b, c, d))
-    lam = as_scalar(lam)
-    # first slot coefficient a*x1 + c*x2, second b*x1 + d*x2 (row vector x X):
-    # one slot per nonzero entry: (coefficient of z, of 1/z, partial derivative 1 or 2)
-    slots = []
-    for entry, plus, minus, deriv in ((a, HALF, HALF, 1), (c, NEG_HALF_I, HALF_I, 1),
-                                      (b, HALF, HALF, 2), (d, NEG_HALF_I, HALF_I, 2)):
-        if not entry.is_zero():
-            slots.append((entry * plus, entry * minus, deriv))
-    out: KFunction = {}
+    cells = [triple(x) for row in X for x in row]
+    dx = lcm(*[q for _, _, q in cells])
+    (ar, ai), (br, bi), (cr, ci), (dr, di) = [(p * (dx // q), s * (dx // q)) for p, s, q in cells]
+    lr, li, ld = triple(lam)
+    # numerators over dx of a - d -+ i(b + c), 2(a + d) and 2i(b - c)
+    mr, mi, pr, pi = ar - dr, ai - di, br + cr, bi + ci
+    up_r, up_i, down_r, down_i = mr + pi, mi - pr, mr - pi, mi + pr
+    sr, si, tr, ti = 2 * (ar + dr), 2 * (ai + di), 2 * (ci - bi), 2 * (br - cr)
+    # each shift's coefficient of f_n is u + n * v with Gaussian-integer u, v
+    # over 4 * ld * dx: (lam -+ n) times the up / down factor, and the middle one
+    shifts = ((2, lr * up_r - li * up_i, lr * up_i + li * up_r, -ld * up_r, -ld * up_i),
+              (0, lr * sr - li * si, lr * si + li * sr, ld * tr, ld * ti),
+              (-2, lr * down_r - li * down_i, lr * down_i + li * down_r, ld * down_r, ld * down_i))
+    den = lcm(*[cn._d for cn in f.values()])
+    acc: Dict[int, List[int]] = {}
     for n, cn in f.items():
-        ns = as_scalar(n)
-        # r^{lam-1}-graded pieces of the partial derivatives
-        up, down = (lam - ns) * HALF, (lam + ns) * HALF
-        d1 = ((n + 1, up), (n - 1, down))
-        d2 = ((n + 1, -(I * up)), (n - 1, I * down))
-        for u_plus, u_minus, deriv in slots:
-            dd = d1 if deriv == 1 else d2
-            for s, u in ((1, u_plus), (-1, u_minus)):
-                cu = cn * u
-                for m, v in dd:
-                    add_into(out, m + s, cu * v)
-    return out
-
-
-def x1x2_power(k: int) -> KFunction:
-    """Exact K-type expansion of (x1 x2)^k, dropping the overall r^{2k}.
-
-    x1 x2 = r^2 (z^2 - z^{-2}) / (4i), multiplied out as a Laurent polynomial.
-    """
-    base: KFunction = {2: Scalar(1) / (Scalar(4) * I), -2: Scalar(-1) / (Scalar(4) * I)}
-    out: KFunction = {0: Scalar(1)}
-    for _ in range(k):
-        nxt: KFunction = {}
-        for n, c in out.items():
-            for m, d in base.items():
-                add_into(nxt, n + m, c * d)
-        out = nxt
-    return out
-
-
-def quarter_rotation_apply(k: int, f: KFunction) -> KFunction:
-    """Rotation by k quarter turns: f(x . w^k) with w = [[0,1],[-1,0]].
-
-    x . w = (-x2, x1) is the rotation phi -> phi + pi/2, so z^n picks up i^{kn}.
-    """
-    out: KFunction = {}
-    for n, c in f.items():
-        add_into(out, n, c * (I ** ((k * n) % 4)))
-    return out
+        k = den // cn._d
+        ca, cb = cn._a * k, cn._b * k
+        for s, ur, ui, vr, vi in shifts:
+            x, y = ur + n * vr, ui + n * vi
+            if cb or ca != 1:
+                x, y = x * ca - y * cb, x * cb + y * ca
+            cell = acc.setdefault(n + s, [0, 0])
+            cell[0] += x
+            cell[1] += y
+    den *= 4 * ld * dx
+    return {m: _reduced(x, y, den) for m, (x, y) in acc.items() if x or y}

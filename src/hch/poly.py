@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from .scalars import ONE, ZERO, Scalar, as_scalar
+from .scalars import ONE, ZERO, Scalar, _reduced, as_scalar, triple
 
 
 class Poly:
@@ -96,12 +96,21 @@ class Poly:
         return out
 
     def __call__(self, n) -> Scalar:
-        if n.__class__ is not int:  # a Scalar times an int needs no coercion first
-            n = as_scalar(n)
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * n + c if acc else c
-        return acc
+        cs = self.coeffs
+        if len(cs) < 2:
+            return cs[0] if cs else ZERO
+        # Horner on the int cell (a + b*i)/d at n = (p + q*i)/r; one Scalar at the end
+        p, q, r = triple(n)
+        top = cs[-1]
+        a, b, d = top._a, top._b, top._d
+        for c in cs[-2::-1]:
+            a, b, d = a * p - b * q, a * q + b * p, d * r
+            e = c._d
+            if e == d:
+                a, b = a + c._a, b + c._b
+            else:
+                a, b, d = a * e + c._a * d, b * e + c._b * d, d * e
+        return _reduced(a, b, d)
 
     def __repr__(self):
         if self.is_zero():

@@ -7,14 +7,17 @@ compare the triple). Arithmetic works on the ints alone. When both operands
 have d = 1 (Gaussian integers, the usual case in resolution, Hom and tensor
 matrices) the result is stored as computed; otherwise one normalizer divides
 by ``math.gcd(a, b, d)``. ``re`` and ``im`` are read-only ``Fraction`` views,
-built on each read.
+built on each read. Three int-cell paths sum on triples [re, im, den] and
+build no Scalar per partial sum: ``linalg.vanishes`` (none at all),
+``polarfields.vector_field_apply`` (one per nonzero coefficient) and
+``Poly.__call__`` (one per value), each through ``_reduced``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Optional
+from typing import Optional, Tuple
 
 
 def _ratio(x):
@@ -214,14 +217,22 @@ def _reduced(a: int, b: int, d: int) -> Scalar:
     return _of(a, b, d)
 
 
+def triple(x) -> Tuple[int, int, int]:
+    """The canonical triple (a, b, d) of an int, Fraction or Scalar, read
+    without building a Scalar."""
+    if isinstance(x, Scalar):
+        return x._a, x._b, x._d
+    if isinstance(x, int):
+        return x, 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    raise TypeError(f"cannot coerce {x!r} to Scalar")
+
+
 def as_scalar(x) -> Scalar:
     if isinstance(x, Scalar):
         return x
-    if isinstance(x, int):
-        return _of(x, 0, 1)
-    if isinstance(x, Fraction):
-        return _of(x.numerator, 0, x.denominator)
-    raise TypeError(f"cannot coerce {x!r} to Scalar")
+    return _of(x, 0, 1) if isinstance(x, int) else _of(*triple(x))
 
 
 ZERO = Scalar(0)

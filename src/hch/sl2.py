@@ -35,8 +35,8 @@ from .reports import HomologyReport
 from .gkmodules import BandModule, FiniteModule
 from .liepairs import CharacterRestriction, DiagGroup, LieAlgebra, Matrix, Pair, SubpairEmbedding
 from .poly import interpolate
-from .polarfields import quarter_rotation_apply, vector_field_apply
-from .scalars import I, ONE, Scalar, as_scalar
+from .polarfields import vector_field_apply
+from .scalars import I, ONE, ZERO, Scalar, as_scalar
 
 # matrices of the standard basis as vector-field data ((a,b),(c,d))
 E_MAT = ((0, 1), (0, 0))
@@ -152,15 +152,15 @@ def _derive_band(mat, lam, parity: int) -> BandOp:
     lam = as_scalar(lam)
     samples = [parity + 2 * t for t in range(-1, 2)]
     window = [n for n in range(-CHECK_RADIUS, CHECK_RADIUS + 1) if n % 2 == parity]
-    images = {n: vector_field_apply(mat, lam, {n: Scalar(1)}) for n in window}
+    images = {n: vector_field_apply(mat, lam, {n: ONE}) for n in window}
     by_shift: Dict[int, List] = {}
     for n in samples:
         for t, c in images[n].items():
             by_shift.setdefault(t - n, []).append((n, c))
     table = {}
     for s, pts in by_shift.items():
-        full = [(n, dict(pts).get(n, Scalar(0))) for n in samples]
-        p = interpolate(full)
+        at = dict(pts)
+        p = interpolate([(n, at.get(n, ZERO)) for n in samples])
         if p.degree > 1:
             raise OracleMismatchError(f"shift {s} coefficient not affine in n: {p!r}")
         if not p.is_zero():
@@ -208,15 +208,6 @@ class PrincipalSeriesModel:
         k0 = (self.e - self.f).scale(-I)
         return BandModule(so2_pair(), self.epsilon, [u_plus, k0, u_minus],
                           params={"lambda": self.lam})
-
-    def w_value(self, n: int) -> Scalar:
-        """Action of the rotation w = [[0,1],[-1,0]] on f_n (oracle-derived)."""
-        img = quarter_rotation_apply(1, {n: Scalar(1)})
-        return img[n]
-
-    def minus_identity_value(self, n: int) -> Scalar:
-        img = quarter_rotation_apply(2, {n: Scalar(1)})
-        return img[n]
 
 
 def principal_series(lam, epsilon: int) -> PrincipalSeriesModel:

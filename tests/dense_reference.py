@@ -8,13 +8,18 @@ restriction are the routines the sparse ones replaced, kept as oracles.
 dimensions are references with no caller in the package.  The product,
 column pick, transpose, block diagonal and Kronecker placer written on one
 {(row, col): Scalar} map are the kernels the column-map ``Matrix`` replaced,
-kept as oracles for it.
+kept as oracles for it.  The Scalar vector-field application and Horner
+evaluation are the oracles of the int-cell kernels that replaced them; the
+(x1 x2)^k expansion and the quarter-turn rotation values have no caller in
+the package.
 """
+
+from fractions import Fraction
 
 from hch.complexes import _hom_diff
 from hch.gkmodules import FiniteModule
 from hch.linalg import Matrix, add_into, kernel_basis, rank
-from hch.scalars import ONE, ZERO, as_scalar
+from hch.scalars import I, ONE, ZERO, Scalar, as_scalar
 
 # -- coordinate tuples ------------------------------------------------------------
 
@@ -226,3 +231,86 @@ def wide_window_band_dims(op, source, target, N=96):
     adjoint = Matrix(len(lines), len(targets),
                      {(i, tindex[m]): c for i, line in enumerate(lines) for m, c in line.items()})
     return len(kernel), len(kernel_basis(adjoint))
+
+
+# -- the Scalar oracles of the band derivation -------------------------------------
+
+HALF = Scalar(Fraction(1, 2))
+HALF_I = Scalar(0, Fraction(1, 2))  # i/2
+NEG_HALF_I = -HALF_I                # -i/2 = 1/(2i)
+
+
+def vector_field_apply(X, lam, f):
+    """``polarfields.vector_field_apply`` slot by slot on Scalars, as it was
+    written before its int-cell kernel: x1 = r (z + 1/z)/2 and
+    x2 = r (z - 1/z)/(2i) times the polar partial derivatives
+    d1 f_n = r^{lam-1} (((lam-n)/2) z^{n+1} + ((lam+n)/2) z^{n-1}) and
+    d2 f_n = r^{lam-1} ((i(n-lam)/2) z^{n+1} + (i(n+lam)/2) z^{n-1})."""
+    (a, b), (c, d) = X
+    a, b, c, d = (as_scalar(x) for x in (a, b, c, d))
+    lam = as_scalar(lam)
+    slots = []
+    for entry, plus, minus, deriv in ((a, HALF, HALF, 1), (c, NEG_HALF_I, HALF_I, 1),
+                                      (b, HALF, HALF, 2), (d, NEG_HALF_I, HALF_I, 2)):
+        if not entry.is_zero():
+            slots.append((entry * plus, entry * minus, deriv))
+    out = {}
+    for n, cn in f.items():
+        ns = as_scalar(n)
+        up, down = (lam - ns) * HALF, (lam + ns) * HALF
+        d1 = ((n + 1, up), (n - 1, down))
+        d2 = ((n + 1, -(I * up)), (n - 1, I * down))
+        for u_plus, u_minus, deriv in slots:
+            dd = d1 if deriv == 1 else d2
+            for s, u in ((1, u_plus), (-1, u_minus)):
+                cu = cn * u
+                for m, v in dd:
+                    add_into(out, m + s, cu * v)
+    return out
+
+
+def poly_at(p, n):
+    """Horner's rule for the Poly p at n on Scalars, as ``Poly.__call__``
+    evaluated before it summed on int cells."""
+    n = as_scalar(n)
+    acc = ZERO
+    for c in reversed(p.coeffs):
+        acc = acc * n + c if acc else c
+    return acc
+
+
+def x1x2_power(k):
+    """Exact K-type expansion of (x1 x2)^k, dropping the overall r^{2k}.
+
+    x1 x2 = r^2 (z^2 - z^{-2}) / (4i), multiplied out as a Laurent polynomial.
+    """
+    base = {2: ONE / (Scalar(4) * I), -2: Scalar(-1) / (Scalar(4) * I)}
+    out = {0: ONE}
+    for _ in range(k):
+        nxt = {}
+        for n, c in out.items():
+            for m, d in base.items():
+                add_into(nxt, n + m, c * d)
+        out = nxt
+    return out
+
+
+def quarter_rotation_apply(k, f):
+    """Rotation by k quarter turns: f(x . w^k) with w = [[0,1],[-1,0]].
+
+    x . w = (-x2, x1) is the rotation phi -> phi + pi/2, so z^n picks up i^{kn}.
+    """
+    out = {}
+    for n, c in f.items():
+        add_into(out, n, c * (I ** ((k * n) % 4)))
+    return out
+
+
+def w_value(n):
+    """Action of the rotation w = [[0,1],[-1,0]] on the K-type f_n."""
+    return quarter_rotation_apply(1, {n: ONE})[n]
+
+
+def minus_identity_value(n):
+    """Action of -1 = w^2 on the K-type f_n."""
+    return quarter_rotation_apply(2, {n: ONE})[n]

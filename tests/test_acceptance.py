@@ -25,7 +25,6 @@ from hch.complexes import ComplexMap, cone, hom_complex, tensor_complex
 from hch.gkmodules import restrict_module, trivial_module
 from hch.hcomplexes import HComplexMap, check_h_axioms, h_cone, h_shift, h_tensor
 from hch.liepairs import SubpairEmbedding
-from hch.polarfields import x1x2_power
 from hch.relhomology import ext_via_chain_maps, ext_via_duality, rel_homology
 from hch.resolution import StandardResolution
 from hch.scalars import Scalar
@@ -39,6 +38,7 @@ from hch.sl2 import (
     trivial_k_pair,
 )
 
+import dense_reference as ref
 from test_complexes import random_complex
 
 
@@ -86,7 +86,7 @@ def test_criterion_02_odd_case_vanishing():
 def test_criterion_03_kernel_representative_oracle():
     rep = sl2_branching_report(4, 0)
     (vec,) = rep.representatives[1]
-    oracle = x1x2_power(2)
+    oracle = ref.x1x2_power(2)
     ks = sorted(oracle)
     assert sorted(vec) == ks
     ratio = vec[ks[0]] / oracle[ks[0]]
@@ -97,13 +97,12 @@ def test_criterion_03_kernel_representative_oracle():
 
 def test_criterion_04_normalizer_structure():
     t0 = time.monotonic()
-    ps = principal_series(2, 0)
     minus_one = Scalar(-1)
     one = Scalar(1)
     for N in (6, 10, 14):
         window = [n for n in range(-N, N + 1) if n % 2 == 0]
-        rho = [n for n in window if ps.w_value(n) == minus_one]
-        triv = [n for n in window if ps.w_value(n) == one]
+        rho = [n for n in window if ref.w_value(n) == minus_one]
+        triv = [n for n in window if ref.w_value(n) == one]
         assert class_indices(2, 4)(N) == rho, f"C1 window {N}"
         assert class_indices(0, 4)(N) == triv, f"C0 window {N}"
     dims = {}

@@ -10,7 +10,7 @@ from hch.gkmodules import EmptyWindowError, check_hc
 from hch.liepairs import SubpairEmbedding
 from hch.linalg import add_into, sparse_columns
 from hch.poly import Poly
-from hch.polarfields import vector_field_apply, x1x2_power
+from hch.polarfields import vector_field_apply
 from hch.scalars import I, Scalar
 import hch.sl2
 from hch.sl2 import (
@@ -30,6 +30,8 @@ from hch.sl2 import (
     torus_pair,
     trivial_k_pair,
 )
+
+import dense_reference as ref
 
 
 def S(x):
@@ -127,15 +129,16 @@ def test_casimir_scalar_on_principal_series():
 
 
 def test_finite_group_action_values():
-    ps0 = principal_series(3, 0)
-    ps1 = principal_series(3, 1)
+    """Guards the rotation oracles in ``dense_reference`` (``w_value``,
+    ``minus_identity_value``), not package code: the class indices that
+    acceptance criterion 4 checks against ``w_value`` rest on them."""
     for n in range(-6, 7, 2):
-        assert ps0.minus_identity_value(n) == Scalar(1)
-        assert ps1.minus_identity_value(n + 1) == Scalar(-1)
+        assert ref.minus_identity_value(n) == Scalar(1)
+        assert ref.minus_identity_value(n + 1) == Scalar(-1)
     # w^4 = 1 and w^2 = (-1)^epsilon on every type
-    for ps, eps in ((ps0, 0), (ps1, 1)):
+    for eps in (0, 1):
         for n in range(-6 + eps, 7, 2):
-            w = ps.w_value(n)
+            w = ref.w_value(n)
             assert w ** 4 == Scalar(1)
             assert w ** 2 == Scalar((-1) ** eps)
             assert w == I ** (n % 4)
@@ -299,7 +302,7 @@ def test_kernel_representative_matches_power_oracle():
     # lam = 4: kernel line is the expansion of (x1 x2)^2, oracle-expanded
     r = sl2_branching_report(4, 0)
     (rep,) = r.representatives[1]
-    oracle = x1x2_power(2)
+    oracle = ref.x1x2_power(2)
     # proportional: cross-multiply on the common support
     ks = sorted(oracle)
     assert sorted(rep) == ks
@@ -337,7 +340,7 @@ def test_w_fixed_theta_kernel_is_4z():
             assert stab.certified and dim == (1 if want else 0), (lam, residue)
             if want:
                 (rep,) = reps
-                assert sorted(rep) == sorted(x1x2_power(lam // 2)), lam
+                assert sorted(rep) == sorted(ref.x1x2_power(lam // 2)), lam
 
 
 def test_so2_branching():
