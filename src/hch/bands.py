@@ -26,7 +26,6 @@ both past N*, and certifies the dimension when they agree.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .linalg import Matrix, add_into, kernel_basis
@@ -169,42 +168,9 @@ class DegenerateBandError(ValueError):
     """Kernel or cokernel not finite: a zero operator, or a target class no line reaches."""
 
 
-class MaxWindowError(ValueError):
-    """HCH_MAX_WINDOW is set to a value that is not an integer, or is below 1."""
-
-
-class UncertifiedStabilizationError(RuntimeError):
-    """HCH_MAX_WINDOW is below the check window W + 8, so no dimension is certified."""
-
-    def __init__(self, message, stabilization: Stabilization):
-        super().__init__(message)
-        self.stabilization = stabilization
-
-
-def _windows(nstar: int) -> List[int]:
-    """The windows W = max(16, N*) and W + 8 that are at most HCH_MAX_WINDOW.
-
-    The floor 16 fixes the windows of every operator with N* <= 15 at
-    (16, 24), so their reports, which record the windows and the
-    representatives read on the last one, do not depend on N*.  A cap below
-    W leaves the one window [cap].
-    """
-    w = max(16, nstar)
-    cap = os.environ.get("HCH_MAX_WINDOW")
-    if cap is None:
-        return [w, w + 8]
-    try:
-        cap = int(cap)
-    except ValueError:
-        raise MaxWindowError(f"HCH_MAX_WINDOW must be an integer, got {cap!r}") from None
-    if cap < 1:
-        raise MaxWindowError(f"HCH_MAX_WINDOW must be at least 1, got {cap}")
-    return [n for n in (w, w + 8) if n <= cap] or [cap]
-
-
 def _stabilize(kind: str, nstar: int, columns: Callable[[int], List[int]],
                matrix: Callable[[int, List[int]], Matrix]):
-    """Kernel dims on the windows W = max(16, N*) and W + 8, certified when equal.
+    """Kernel dim on the windows W = max(16, N*) and W + 8, both past N*.
 
     columns(N) returns the indices of the matrix columns for window N and
     matrix(N, cols) the matrix.  Both windows lie past N*, so the dims of a
@@ -213,21 +179,19 @@ def _stabilize(kind: str, nstar: int, columns: Callable[[int], List[int]],
     dimension is infinite and unequal dims raise DegenerateBandError.  The
     check is exact when the column class gains an index on each side between
     W and W + 8, which holds for every class of modulus <= 8; every caller of
-    ``class_indices`` uses modulus 2 or 4.  Returns (dim, representatives,
-    Stabilization), with representatives read on the window W + 8.
+    ``class_indices`` uses modulus 2 or 4.  The floor 16 fixes the windows of
+    every operator with N* <= 15 at (16, 24), so their reports, which record
+    the windows and the representatives, do not depend on N*.  Returns (dim,
+    representatives, Stabilization), with representatives read on the window
+    W + 8; the Stabilization is always certified.
     """
-    windows = _windows(nstar)
+    w = max(16, nstar)
+    windows = [w, w + 8]
     dims = []
     for N in windows:
         cols = columns(N)
         basis = kernel_basis(matrix(N, cols))
         dims.append(len(basis))
-    if len(windows) < 2:
-        raise UncertifiedStabilizationError(
-            f"{kind} dims {dims} on windows {windows}: HCH_MAX_WINDOW stops below "
-            f"the check window {max(16, nstar) + 8} past N* = {nstar}",
-            Stabilization(windows, dims, False),
-        )
     if dims[0] != dims[1]:
         raise DegenerateBandError(f"{kind} dims {dims} differ past N* = {nstar}")
     reps = [{n: c for n, c in zip(cols, v) if not c.is_zero()} for v in basis]
@@ -238,9 +202,9 @@ def band_kernel(op: BandOp, indices: Callable[[int], List[int]]):
     """Certified kernel of a band operator restricted to the given index classes.
 
     indices(N) must return the source K-type indices inside the window |n| <= N.
-    Returns (dim, representatives, Stabilization); raises DegenerateBandError
-    on the zero operator and UncertifiedStabilizationError when HCH_MAX_WINDOW
-    is below the check window past N* = root_bound(op).
+    Returns (dim, representatives, Stabilization), certified by the windows
+    past N* = root_bound(op); raises DegenerateBandError when the kernel is
+    not finite, as for the zero operator.
     """
     if op.is_zero():
         raise DegenerateBandError("kernel of the zero band operator is not finite")

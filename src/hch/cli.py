@@ -5,12 +5,10 @@ embeddings, run a verification or homology computation, and emit the result as
 JSON or TSV.  Exit codes: 0 success, 2 validation failure (schema or
 mathematical, including the library's named failures on well-formed input:
 a degenerate band operator (the zero operator, or a target class no line
-reaches), a band table the vector-field oracle refutes, an algebra without an
-sl2 triple, a relative standard complex whose boundary does not square to
-zero, an HCH_MAX_WINDOW that is not an integer or is below 1), 3 computation
-finished but HCH_MAX_WINDOW is below a row's check window W + 8, where
-W = max(16, N*), so its dimensions are not certified (the window data is
-still emitted).
+reaches), a band table the vector-field oracle refutes, a relative standard
+complex whose boundary does not square to zero).  Every ``sl2-demo`` row is
+certified: its windows W = max(16, N*) and W + 8 lie past the root bound N*
+(``bands.root_bound``), past which no window changes a dimension.
 """
 
 import argparse
@@ -23,19 +21,16 @@ from .complexes import NotAComplexError
 from .hcomplexes import check_h_axioms
 from .relhomology import coinvariants, euler_poincare, rel_homology
 from .resolution import StandardResolution
-from .bands import DegenerateBandError, MaxWindowError, UncertifiedStabilizationError
-from .gkmodules import UnsupportedAlgebraError
+from .bands import DegenerateBandError
 from .scalars import ONE
 from .schemas import SchemaError, load_finite_module, load_pair, load_subpair
 from .sl2 import SUBPAIR_CATALOG, OracleMismatchError, sl2_branching_report
 
 EXIT_OK = 0
 EXIT_INVALID = 2
-EXIT_UNCERTIFIED = 3
 
 # library failures on well-formed input: exit 2, named by their class
-LIBRARY_ERRORS = (DegenerateBandError, MaxWindowError, NotAComplexError, OracleMismatchError,
-                  UnsupportedAlgebraError)
+LIBRARY_ERRORS = (DegenerateBandError, NotAComplexError, OracleMismatchError)
 
 
 def _read_json(path: str, what: str):
@@ -70,6 +65,15 @@ def _trimmed_dims(dims, top: int):
 # -- subcommands ---------------------------------------------------------------
 
 
+def _subpair_violations(emb):
+    """(location, violation) for both pairs of a subpair, then its embedding."""
+    for name, p in (("small", emb.small), ("big", emb.big)):
+        for v in p.validate().violations:
+            yield f"subpair.{name}", v
+    for v in emb.validate().violations:
+        yield "subpair", v
+
+
 def _cmd_verify(args) -> int:
     if not args.pair and not args.subpair:
         raise SchemaError("verify", "need --pair or --subpair")
@@ -80,17 +84,16 @@ def _cmd_verify(args) -> int:
         problems += [f"pair: {v}" for v in rep.violations]
     if args.subpair:
         emb = load_subpair(_read_json(args.subpair, "subpair"))
-        for name, p in (("small", emb.small), ("big", emb.big)):
-            rep = p.validate()
-            problems += [f"subpair.{name}: {v}" for v in rep.violations]
-        rep = emb.validate()
-        problems += [f"subpair: {v}" for v in rep.violations]
+        problems += [f"{loc}: {v}" for loc, v in _subpair_violations(emb)]
     _emit(_json_text({"ok": not problems, "violations": problems}), args.output)
     return EXIT_OK if not problems else EXIT_INVALID
 
 
 def _load_subpair_module(args):
     emb = load_subpair(_read_json(args.subpair, "subpair"))
+    violation = next(_subpair_violations(emb), None)
+    if violation:
+        raise SchemaError(*violation)
     module = load_finite_module(emb.small, _read_json(args.module, "module"))
     return emb, module
 
@@ -162,31 +165,21 @@ def _cmd_sl2_demo(args) -> int:
     lams = _parse_lambdas(args.lam)
     rows = []
     for lam in lams:
-        base = {"lambda": str(lam), "epsilon": args.epsilon}
-        try:
-            rep = sl2_branching_report(lam, args.epsilon, args.subpair)
-        except UncertifiedStabilizationError as e:
-            # emit the raw window data for the failed stage; dims stay unknown
-            rows.append({**base, "dim_H0": None, "dim_H1": None, "EP": None,
-                         "certified": False, "windows": e.stabilization.to_json()})
-            continue
-        rows.append({**base, "dim_H0": rep.dims.get(0, 0),
+        rep = sl2_branching_report(lam, args.epsilon, args.subpair)
+        rows.append({"lambda": str(lam), "epsilon": args.epsilon,
+                     "dim_H0": rep.dims.get(0, 0),
                      "dim_H1": rep.dims.get(1, 0),
                      "EP": rep.euler_characteristic(),
                      "certified": rep.certified()})
     if args.format == "tsv":
         lines = ["lambda\tepsilon\tdim_H0\tdim_H1\tEP\tcertified"]
         for r in rows:
-            cells = [r["lambda"], str(r["epsilon"])]
-            cells += ["-" if r[k] is None else str(r[k])
-                      for k in ("dim_H0", "dim_H1", "EP")]
+            cells = [str(r[k]) for k in ("lambda", "epsilon", "dim_H0", "dim_H1", "EP")]
             cells.append("true" if r["certified"] else "false")
             lines.append("\t".join(cells))
         _emit("\n".join(lines) + "\n", args.output)
     else:
         _emit(_json_text({"rows": rows}), args.output)
-    if not all(r["certified"] for r in rows):
-        return EXIT_UNCERTIFIED
     return EXIT_OK
 
 

@@ -27,10 +27,11 @@ class HomologyReport:
     """Per-degree homology dimensions with representatives.
 
     Representatives are coordinate vectors for finite computations, or sparse
-    {K-type index: coefficient} maps for band computations.  The certified flag
-    of a stabilization entry is set only when the windows W = max(16, N*) and
-    W + 8 produced identical dimensions, both past the operator's root bound
-    N* (``bands.root_bound``), past which no window can change them.
+    {K-type index: coefficient} maps for band computations.  Every band
+    stabilization entry is certified: its windows W = max(16, N*) and W + 8
+    lie past the operator's root bound N* (``bands.root_bound``), past which
+    no window changes a dimension, and windows that disagree raise
+    ``bands.DegenerateBandError`` instead of giving an entry.
     """
 
     dims: Dict[int, int] = field(default_factory=dict)

@@ -1,6 +1,5 @@
 """Band operators: coefficient polynomials, composition, windowed kernels."""
 
-import os
 from fractions import Fraction
 
 import pytest
@@ -8,7 +7,6 @@ import pytest
 from hch.bands import (
     BandOp,
     DegenerateBandError,
-    UncertifiedStabilizationError,
     band_cokernel,
     band_kernel,
     class_indices,
@@ -145,34 +143,12 @@ def test_degenerate_kernel_detected():
         band_kernel(BandOp({0: Poly()}), class_indices(0, 1))
 
 
-def test_uncertified_when_windows_exhausted(monkeypatch):
-    shift = BandOp({1: Poly([1])})  # N* = 1: the windows 16 and 24
-    dim, _, stab = band_kernel(shift, class_indices(0, 1))
-    assert dim == 0 and stab.certified
-    monkeypatch.setenv("HCH_MAX_WINDOW", "20")  # below the check window 24
-    with pytest.raises(UncertifiedStabilizationError) as exc:
-        band_kernel(shift, class_indices(0, 1))
-    assert exc.value.stabilization.certified is False
-    assert exc.value.stabilization.dims_per_window == [0]
-
-
-def test_max_window_env_cap(monkeypatch):
+def test_windows_follow_from_the_root_bound():
     def windows(op):
-        try:
-            return band_kernel(op, class_indices(0, 2))[2].windows
-        except UncertifiedStabilizationError as e:
-            return e.stabilization.windows
+        return band_kernel(op, class_indices(0, 2))[2].windows
 
     small, wide = hyperbolic_band(0), hyperbolic_band(30)  # N* = 3 and 33
     assert windows(small) == [16, 24] and windows(wide) == [33, 41]
-    monkeypatch.setenv("HCH_MAX_WINDOW", "41")
-    assert windows(small) == [16, 24] and windows(wide) == [33, 41]
-    monkeypatch.setenv("HCH_MAX_WINDOW", "20")
-    assert windows(small) == [16] and windows(wide) == [20]
-    monkeypatch.setenv("HCH_MAX_WINDOW", "4")
-    assert windows(small) == [4] and windows(wide) == [4]
-    monkeypatch.setenv("HCH_MAX_WINDOW", "40")
-    assert windows(wide) == [33]
 
 
 def test_bandop_json_roundtrip():

@@ -8,7 +8,7 @@ import pytest
 from hch.bands import DegenerateBandError
 from hch import cli
 from hch.cli import main
-from hch.gkmodules import UnsupportedAlgebraError, restrict_module
+from hch.gkmodules import restrict_module, trivial_module
 from hch.liepairs import SubpairEmbedding
 from hch.linalg import Matrix
 from hch.relhomology import RelativeStandardComplex
@@ -166,6 +166,24 @@ def test_non_equivariant_module_is_exit_2(files, tmp_path, capsys, command):
     assert err == "error: module: action of g-basis 0 is not K-equivariant at entry (0,1)\n"
 
 
+@pytest.mark.parametrize("command", ["homology", "ext", "ep", "coinv"])
+def test_invalid_subpair_is_exit_2(tmp_path, capsys, command):
+    # k0 given the weight 2 in the small pair: Ad(K) no longer fixes its image iota(xi_0)
+    pair = so2_pair()
+    obj = SubpairEmbedding.identity(pair).to_json()
+    obj["small"]["ad_grading"][1] = {"torus": [2]}
+    sub, mod = tmp_path / "sub.json", tmp_path / "C.json"
+    sub.write_text(json.dumps(obj))
+    mod.write_text(json.dumps(trivial_module(pair).to_json()))
+    code, out, err = run(capsys, command, "--subpair", str(sub), "--module", str(mod))
+    assert code == 2 and out == ""
+    assert err == ("error: subpair.small: iota(xi_0) has a component of nonzero Ad-weight"
+                   " at basis 1\n")
+    code, out, _ = run(capsys, "verify", "--subpair", str(sub))
+    assert code == 2
+    assert json.loads(out)["violations"][0] == err[len("error: "):-1]
+
+
 def test_sl2_demo_sweep_table(capsys):
     code, out, _ = run(capsys, "sl2-demo",
                        "--lambda", "0,1,2,3,4,5,6,7,8",
@@ -191,15 +209,6 @@ def test_sl2_demo_json_round_trip_and_determinism(capsys):
     assert parsed["rows"][2]["lambda"] == "1/2"
 
 
-def test_sl2_demo_uncertified_is_exit_3_with_window_data(capsys, monkeypatch):
-    monkeypatch.setenv("HCH_MAX_WINDOW", "4")
-    code, out, _ = run(capsys, "sl2-demo", "--lambda", "2", "--format", "json")
-    assert code == 3
-    row = json.loads(out)["rows"][0]
-    assert row["certified"] is False
-    assert row["windows"]["dims_per_window"]  # raw window data still emitted
-
-
 def test_sl2_demo_rows_past_the_old_ladder(capsys):
     code, out, _ = run(capsys, "sl2-demo", "--lambda", "24,26,30")
     assert code == 0
@@ -209,7 +218,8 @@ def test_sl2_demo_rows_past_the_old_ladder(capsys):
     assert out.splitlines()[1:] == [f"{lam}\t0\t2\t1\t1\ttrue" for lam in (26, 30)]
 
 
-def test_sl2_demo_beyond_the_last_window_is_exit_3(capsys, monkeypatch):
+def test_sl2_demo_rows_far_past_the_floor_windows(capsys):
+    # lambda = 50 reads the windows 53 and 61, lambda = 30 and 34 the windows 33/41 and 37/45
     code, out, _ = run(capsys, "sl2-demo", "--lambda", "50", "--format", "json")
     assert code == 0
     row, = json.loads(out)["rows"]
@@ -217,35 +227,20 @@ def test_sl2_demo_beyond_the_last_window_is_exit_3(capsys, monkeypatch):
     code, out, _ = run(capsys, "sl2-demo", "--lambda", "30,34")
     assert code == 0
     assert out.splitlines()[1:] == ["30\t0\t3\t1\t2\ttrue", "34\t0\t3\t1\t2\ttrue"]
-    # lambda = 50 has N* = 53: a cap of 60 keeps the window 53 and drops the check window 61
-    monkeypatch.setenv("HCH_MAX_WINDOW", "60")
-    code, out, _ = run(capsys, "sl2-demo", "--lambda", "50", "--format", "json")
-    assert code == 3
-    row, = json.loads(out)["rows"]
-    assert row["certified"] is False and row["dim_H1"] is None
-    assert row["windows"]["windows"] == [53]
-    # lambda = 34 needs the windows 37 and 45, lambda = 30 only 33 and 41
-    monkeypatch.setenv("HCH_MAX_WINDOW", "44")
-    code, out, _ = run(capsys, "sl2-demo", "--lambda", "30,34")
-    assert code == 3
-    assert out.splitlines()[1:] == ["30\t0\t3\t1\t2\ttrue", "34\t0\t-\t-\t-\tfalse"]
 
 
-@pytest.mark.parametrize("cap", ["abc", "2.5", ""])
-def test_sl2_demo_malformed_max_window_is_exit_2(capsys, monkeypatch, cap):
-    monkeypatch.setenv("HCH_MAX_WINDOW", cap)
-    code, out, err = run(capsys, "sl2-demo", "--lambda", "2")
-    assert code == 2 and out == ""
-    assert err == f"error: MaxWindowError: HCH_MAX_WINDOW must be an integer, got {cap!r}\n"
-
-
-@pytest.mark.parametrize("cap", ["0", "-3"])
-def test_sl2_demo_max_window_below_one_is_exit_2(capsys, monkeypatch, cap):
-    # no window of that size holds a K-type: malformed input, not an uncertified row
-    monkeypatch.setenv("HCH_MAX_WINDOW", cap)
-    code, out, err = run(capsys, "sl2-demo", "--lambda", "2")
-    assert code == 2 and out == ""
-    assert err == f"error: MaxWindowError: HCH_MAX_WINDOW must be at least 1, got {cap}\n"
+@pytest.mark.parametrize("value", ["4", "abc", "-3"])
+def test_sl2_demo_ignores_a_max_window_variable(capsys, monkeypatch, value):
+    # the windows follow from N* alone: no environment setting drops one of them
+    argv = ["sl2-demo", "--lambda", "2,30,50"]
+    monkeypatch.delenv("HCH_MAX_WINDOW", raising=False)
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0
+    monkeypatch.setenv("HCH_MAX_WINDOW", value)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, expected, "")
+    assert [line.split("\t")[2:] for line in out.splitlines()[1:]] == [
+        ["3", "1", "2", "true"]] * 3
 
 
 def test_sl2_demo_accepts_a_negative_lambda_list(capsys):
@@ -281,13 +276,9 @@ def _raise(exc):
      ["sl2-demo", "--lambda", "2"]),
     ("hch.sl2.principal_series", OracleMismatchError("band table disagrees"),
      ["sl2-demo", "--lambda", "2"]),
-    ("hch.cli.euler_poincare", UnsupportedAlgebraError("no sl2 triple"),
-     ["ep", "--subpair", "diag", "--module", "F2"]),
 ])
-def test_library_errors_are_exit_2_with_class_name(files, capsys, monkeypatch,
-                                                   target, exc, argv):
+def test_library_errors_are_exit_2_with_class_name(capsys, monkeypatch, target, exc, argv):
     monkeypatch.setattr(target, _raise(exc))
-    argv = [files.get(a, a) for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {type(exc).__name__}: {exc}\n"

@@ -9,12 +9,12 @@ from dense_reference import wide_window_band_dims
 from hch.bands import (
     BandOp,
     DegenerateBandError,
-    UncertifiedStabilizationError,
     band_cokernel,
     band_kernel,
     class_indices,
     root_bound,
 )
+from hch.linalg import kernel_basis
 from hch.poly import Poly
 from hch.scalars import Scalar
 from hch.sl2 import principal_series, sl2_branching_report
@@ -82,31 +82,20 @@ def test_sweep_rows_stop_at_the_first_two_windows():
 @pytest.mark.parametrize("eps", [0, 1])
 @pytest.mark.parametrize("subpair", ["diagonal_torus", "torus_normalizer"])
 def test_every_certified_row_equals_the_wide_window_reference(subpair, eps):
-    uncertified = []
     for lam in [*range(-4, 61), *RATIONALS]:
         theta = principal_series(lam, eps).theta
         c1, c0 = hch.sl2._coinvariant_classes(eps, subpair)
         h1, h0 = wide_window_band_dims(theta, c1, c0)
-        try:
-            rep = sl2_branching_report(lam, eps, subpair)
-        except UncertifiedStabilizationError:
-            uncertified.append(lam)
-            continue
+        rep = sl2_branching_report(lam, eps, subpair)
         assert rep.certified()
         assert rep.dims == {0: h0, 1: h1}, lam
-    assert uncertified == []
 
 
-def test_a_window_below_nstar_never_certifies(monkeypatch):
-    # theta at lambda = 30 reads H1 = 0 on the window 24, below N* = 33
+def test_a_window_below_nstar_reads_a_wrong_dimension():
+    # theta at lambda = 30 reads H1 = 0 on the window 24, below N* = 33; the kernel is a line
     theta = principal_series(30, 0).theta
     even = class_indices(0, 2)
-    monkeypatch.setenv("HCH_MAX_WINDOW", "24")
-    with pytest.raises(UncertifiedStabilizationError, match=r"past N\* = 33") as exc:
-        band_kernel(theta, even)
-    assert exc.value.stabilization.windows == [24]
-    assert exc.value.stabilization.dims_per_window == [0]
-    monkeypatch.delenv("HCH_MAX_WINDOW")
+    assert len(kernel_basis(theta.windowed_matrix(even(24))[1])) == 0
     dim, _, stab = band_kernel(theta, even)
     assert dim == 1 and stab.windows == [33, 41] and stab.dims_per_window == [1, 1]
 
