@@ -151,6 +151,18 @@ def test_windows_follow_from_the_root_bound():
     assert windows(small) == [16, 24] and windows(wide) == [33, 41]
 
 
+def test_max_window_env_cap(monkeypatch):
+    # HCH_MAX_WINDOW no longer caps a window: kernels and cokernels keep both windows past N*
+    even = class_indices(0, 2)
+    for value in ("4", "20", "40", "abc"):
+        monkeypatch.setenv("HCH_MAX_WINDOW", value)
+        for op, windows in ((hyperbolic_band(0), [16, 24]), (hyperbolic_band(30), [33, 41])):
+            _, _, stab = band_kernel(op, even)
+            assert stab.windows == windows and stab.certified
+            _, _, stab = band_cokernel(op, even, even)
+            assert stab.windows == windows and stab.certified
+
+
 def test_bandop_json_roundtrip():
     op = hyperbolic_band(Fraction(7, 3))
     assert BandOp.from_json(op.to_json()) == op

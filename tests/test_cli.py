@@ -8,6 +8,7 @@ import pytest
 from hch.bands import DegenerateBandError
 from hch import cli
 from hch.cli import main
+from hch.complexes import NotAComplexError
 from hch.gkmodules import restrict_module, trivial_module
 from hch.liepairs import SubpairEmbedding
 from hch.linalg import Matrix
@@ -276,9 +277,13 @@ def _raise(exc):
      ["sl2-demo", "--lambda", "2"]),
     ("hch.sl2.principal_series", OracleMismatchError("band table disagrees"),
      ["sl2-demo", "--lambda", "2"]),
+    ("hch.cli.euler_poincare", NotAComplexError("d^2 != 0 at degree 1"),
+     ["ep", "--subpair", "diag", "--module", "F2"]),
 ])
-def test_library_errors_are_exit_2_with_class_name(capsys, monkeypatch, target, exc, argv):
+def test_library_errors_are_exit_2_with_class_name(files, capsys, monkeypatch,
+                                                   target, exc, argv):
     monkeypatch.setattr(target, _raise(exc))
+    argv = [files.get(a, a) for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {type(exc).__name__}: {exc}\n"

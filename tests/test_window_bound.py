@@ -91,13 +91,16 @@ def test_every_certified_row_equals_the_wide_window_reference(subpair, eps):
         assert rep.dims == {0: h0, 1: h1}, lam
 
 
-def test_a_window_below_nstar_reads_a_wrong_dimension():
-    # theta at lambda = 30 reads H1 = 0 on the window 24, below N* = 33; the kernel is a line
+def test_a_window_below_nstar_never_certifies():
+    # theta at lambda = 30 reads H1 = 0 on the window 24, below N* = 33; the kernel is a line,
+    # and band_kernel certifies it on windows that both lie past N*
     theta = principal_series(30, 0).theta
     even = class_indices(0, 2)
+    assert root_bound(theta) == 33
     assert len(kernel_basis(theta.windowed_matrix(even(24))[1])) == 0
     dim, _, stab = band_kernel(theta, even)
     assert dim == 1 and stab.windows == [33, 41] and stab.dims_per_window == [1, 1]
+    assert stab.certified
 
 
 def test_a_target_class_no_line_reaches_is_degenerate():
