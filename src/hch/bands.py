@@ -139,13 +139,6 @@ class BandOp:
             return "BandOp(0)"
         return "BandOp(" + ", ".join(f"{s:+d}: {p!r}" for s, p in sorted(self.table.items())) + ")"
 
-    def to_json(self):
-        return {str(s): p.to_json() for s, p in sorted(self.table.items())}
-
-    @staticmethod
-    def from_json(obj) -> "BandOp":
-        return BandOp({int(s): Poly.from_json(p) for s, p in obj.items()})
-
 
 def root_bound(op: BandOp) -> int:
     """N*: the window radius past which op's kernel and cokernel are complete.

@@ -15,8 +15,8 @@ d^2 verdict, formed once and kept: it names each degree n where d^(n+1) d^n
 != 0 on the interior columns as ``d^2 != 0 at degree n``, and
 ``require_complex`` raises it as the one NotAComplexError.  Every identity
 here (d^2 = 0, the certificate's premise below, a chain map's commuting
-squares, the equivariant Hom's closure) is decided by ``linalg.vanishes``
-without forming its products; ``@`` forms only products that are kept.
+squares) is decided by ``linalg.vanishes`` without forming its products;
+``@`` forms only products that are kept.
 
 ``homology_dim`` is the one rank formula for an unmarked complex, dim H^n =
 dim C^n - rank d^n - rank d^(n-1), with each rank eliminated once per complex
@@ -286,8 +286,8 @@ def trivial_dim_zero(pair: Pair) -> FiniteModule:
     return FiniteModule(pair, [], [Matrix.zeros(0, 0) for _ in range(pair.g.dim)])
 
 
-def single_term(module: FiniteModule, degree: int = 0) -> Complex:
-    return Complex(module.pair, {degree: module}, {})
+def single_term(module: FiniteModule) -> Complex:
+    return Complex(module.pair, {0: module}, {})
 
 
 class ComplexMap:
@@ -526,77 +526,18 @@ def _hom_diff(M: Complex, N: Complex, n: int) -> Matrix:
     return Matrix._raw(dst.dim, src.dim, columns)
 
 
-def _equivariance_constraints(M: Complex, N: Complex, n: int) -> Matrix:
-    """Linear conditions for degree-n maps to be (g, K)-morphisms.
-
-    Per block F: M^i -> N^{i+n}: one row per entry pairing different
-    K-weights (it must vanish), then for each g-basis action the rows of
-    an F - F am = (an (x) 1 - 1 (x) am^T) F; rows may be empty.
-    """
-    lay = HomLayout(M, N, n)
-    columns: Dict[int, SparseVector] = {}
-    nrows = 0
-    for i in lay.blocks:
-        tm, tn, off = M.terms[i], N.terms[i + n], lay.offsets[i]
-        for r, wr in enumerate(tn.k_weights):
-            for c, wc in enumerate(tm.k_weights):
-                if wr != wc:
-                    columns[off + r * tm.dim + c] = {nrows: ONE}
-                    nrows += 1
-        for am, an in zip(tm.g_action, tn.g_action):
-            kron_into(columns, an, tm.dim, nrows, off)
-            kron_into(columns, tn.dim, am.transpose(), nrows, off, negate=True)
-            nrows += tn.dim * tm.dim
-    return Matrix._raw(nrows, lay.dim, columns)
-
-
-def hom_complex(M: Complex, N: Complex, equivariant: bool = False) -> Complex:
-    """Hom^n(M, N) as a complex of plain spaces.
-
-    With equivariant=True the terms are cut down to (g, K)-equivariant maps;
-    0-cocycles are then genuine morphisms of complexes of modules.
-    """
-    degs_n = []
-    for i in M.degrees():
-        for j in N.degrees():
-            degs_n.append(j - i)
+def hom_complex(M: Complex, N: Complex) -> Complex:
+    """Hom^n(M, N) as a complex of plain spaces."""
+    degs_n = [j - i for i in M.degrees() for j in N.degrees()]
     if not degs_n:
         return Complex(trivial_pair(), {}, {})
-    lo, hi = min(degs_n), max(degs_n)
-    if not equivariant:
-        terms = {}
-        diffs = {}
-        for n in range(lo, hi + 1):
-            d = HomLayout(M, N, n).dim
-            if d:
-                terms[n] = plain_space(d)
-        for n in range(lo, hi + 1):
-            d = _hom_diff(M, N, n)
-            if not d.is_zero():
-                diffs[n] = d
-        return Complex(trivial_pair(), terms, diffs)
-    # equivariant: per degree, the canonical kernel of the constraints.  Its
-    # vectors are 1 at their own free column, which is their largest index,
-    # and 0 at the others, so the differential's coordinates are read at the
-    # free columns; one ``vanishes`` checks that the image lies in the span.
-    bases: Dict[int, List[SparseVector]] = {}
-    for n in range(lo, hi + 1):
-        cons = _equivariance_constraints(M, N, n)
-        bases[n] = kernel_on(cons, range(cons.cols))
-    terms = {n: plain_space(len(b)) for n, b in bases.items() if b}
+    terms = {}
     diffs = {}
-    for n in range(lo, hi + 1):
-        src, dst = bases.get(n, []), bases.get(n + 1, [])
-        if not src or not dst:
-            continue
-        big = _hom_diff(M, N, n)
-        img = big @ Matrix._from_sparse_columns(big.cols, src)
-        free = {max(v): k for k, v in enumerate(dst)}
-        cols = ((c, {free[r]: x for r, x in col.items() if r in free})
-                for c, col in img.columns.items())
-        d = Matrix._raw(len(dst), len(src), {c: col for c, col in cols if col})
-        if not vanishes((1, Matrix._from_sparse_columns(big.rows, dst), d), (-1, img)):
-            raise ValueError("equivariant Hom not closed under the differential")
+    for n in range(min(degs_n), max(degs_n) + 1):
+        dim = HomLayout(M, N, n).dim
+        if dim:
+            terms[n] = plain_space(dim)
+        d = _hom_diff(M, N, n)
         if not d.is_zero():
             diffs[n] = d
     return Complex(trivial_pair(), terms, diffs)

@@ -4,6 +4,11 @@ A finite module stores one action matrix per g-basis element plus a K-weight
 per module basis vector.  Weak modules are allowed: the defect w(xi), the
 difference between the declared torus weights and the action of iota(xi),
 is computed rather than assumed zero.
+
+A band module keeps one ``BandOp`` per g-basis element: its bracket
+identities, defect and Casimir certificate are identities of band operators.
+Its finite windows are ``BandOp.windowed_matrix``, which the kernels of
+``bands`` read; it has no JSON form, since ``schemas`` reads finite modules.
 """
 
 from __future__ import annotations
@@ -355,20 +360,6 @@ def check_hc(m: "FiniteModule | BandModule") -> CasimirReport:
 # -- banded K-type models ------------------------------------------------------
 
 
-class EmptyWindowError(ValueError):
-    """A truncation window contains no K-type of the module's parity."""
-
-
-@dataclass
-class TruncatedSlice:
-    """Finite window onto a band module, with non-truncated operator images."""
-
-    indices: List[int]
-    enlarged: List[int]
-    matrices: List[Matrix]  # one per g-basis element, indices -> enlarged
-    weights: List[int]
-
-
 class BandModule:
     """Z-indexed multiplicity-one K-type tower with banded g-action.
 
@@ -377,14 +368,12 @@ class BandModule:
     shift s with coefficient polynomial in n.
     """
 
-    def __init__(self, pair: Pair, parity: int, band_ops: Sequence[BandOp],
-                 params: Optional[Dict[str, Scalar]] = None):
+    def __init__(self, pair: Pair, parity: int, band_ops: Sequence[BandOp]):
         if pair.K.torus_rank != 1:
             raise ValueError("band modules require a rank-1 torus")
         self.pair = pair
         self.parity = parity % 2
         self.band_ops = list(band_ops)
-        self.params = dict(params or {})
         if len(self.band_ops) != pair.g.dim:
             raise ValueError("need one band operator per g-basis element")
 
@@ -428,33 +417,3 @@ class BandModule:
             return CasimirReport(False, [], f"Casimir coefficient {p!r} is not constant in n")
         val = p(0)
         return CasimirReport(True, [val])
-
-    def indices(self, lo: int, hi: int) -> List[int]:
-        return [n for n in range(lo, hi + 1) if n % 2 == self.parity]
-
-    def truncate(self, lo: int, hi: int) -> TruncatedSlice:
-        idx = self.indices(lo, hi)
-        if not idx:
-            raise EmptyWindowError(f"window [{lo},{hi}] holds no K-type of parity {self.parity}")
-        ms = max(op.max_shift() for op in self.band_ops) if self.band_ops else 0
-        enlarged = self.indices(lo - ms, hi + ms)
-        pos = {n: i for i, n in enumerate(enlarged)}
-        mats = []
-        for op in self.band_ops:
-            lines = ((c, op.apply_line(n)) for c, n in enumerate(idx))
-            mats.append(Matrix._raw(len(enlarged), len(idx), {
-                c: {pos[t]: v for t, v in line.items()} for c, line in lines if line}))
-        return TruncatedSlice(idx, enlarged, mats, list(idx))
-
-    def to_json(self):
-        return {
-            "parity": self.parity,
-            "band_ops": [op.to_json() for op in self.band_ops],
-            "params": {k: v.to_json() for k, v in sorted(self.params.items())},
-        }
-
-    @staticmethod
-    def from_json(pair: Pair, obj) -> "BandModule":
-        ops = [BandOp.from_json(o) for o in obj["band_ops"]]
-        params = {k: Scalar.from_json(v) for k, v in obj.get("params", {}).items()}
-        return BandModule(pair, int(obj["parity"]), ops, params)

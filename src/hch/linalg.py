@@ -25,7 +25,8 @@ readers outside the package.  A stored column is never changed once
 placed, so matrices share columns, and ``sparse_columns`` hands out copies.
 No sparse map in the package holds an explicit zero: ``add_into``
 accumulates into such a map everywhere but in the two inner loops that
-inline it, the product and ``_rref``.  ``@`` is for products that are kept.
+inline it, the product and ``_rref``.  A Matrix has no ``*``: ``@`` is the
+matrix product, for products that are kept, and ``scale`` the scalar multiple.
 An identity, a sum of products and matrices that must be zero (d^2 = 0, a
 contraction axiom, a chain map's squares, a represented bracket), goes
 through ``vanishes``, which sums each column of it on [re, im, den] int
@@ -299,13 +300,6 @@ class Matrix:
             if acc:
                 out[c] = acc
         return Matrix._raw(self.rows, other.cols, out)
-
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            return self @ other
-        return self.scale(other)
-
-    __rmul__ = scale
 
     def transpose(self) -> "Matrix":
         out: Dict[int, SparseVector] = {}

@@ -49,7 +49,11 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(tuple(self.coeffs))
+        # a constant hashes like the Scalar it equals
+        cs = self.coeffs
+        if len(cs) < 2:
+            return hash(cs[0] if cs else ZERO)
+        return hash(tuple(cs))
 
     def __add__(self, other):
         other = _as_poly(other)
@@ -126,13 +130,6 @@ class Poly:
             else:
                 parts.append(f"({c!r})*n^{k}")
         return " + ".join(parts)
-
-    def to_json(self):
-        return [c.to_json() for c in self.coeffs]
-
-    @staticmethod
-    def from_json(obj) -> "Poly":
-        return Poly([Scalar.from_json(c) for c in obj])
 
 
 def interpolate(points) -> Poly:

@@ -2,11 +2,12 @@
 
 A ``Scalar`` keeps three Python ints ``(a, b, d)`` and stands for
 (a + b*i)/d. The triple is canonical: d > 0 and gcd(a, b, d) = 1, so zero is
-``(0, 0, 1)`` and equal values have equal triples (equality and hashing
-compare the triple). Arithmetic works on the ints alone. When both operands
-have d = 1 (Gaussian integers, the usual case in resolution, Hom and tensor
-matrices) the result is stored as computed; otherwise one normalizer divides
-by ``math.gcd(a, b, d)``. ``re`` and ``im`` are read-only ``Fraction`` views,
+``(0, 0, 1)`` and equal values have equal triples (equality compares the
+triple; a real Scalar hashes like the int or ``Fraction`` it equals).
+Arithmetic works on the ints alone. When both operands have d = 1 (Gaussian
+integers, the usual case in resolution, Hom and tensor matrices) the result
+is stored as computed; otherwise one normalizer divides by
+``math.gcd(a, b, d)``. ``re`` and ``im`` are read-only ``Fraction`` views,
 built on each read. Three int-cell paths sum on triples [re, im, den] and
 build no Scalar per partial sum: ``linalg.vanishes`` (none at all),
 ``polarfields.vector_field_apply`` (one per nonzero coefficient) and
@@ -133,9 +134,6 @@ class Scalar:
         """The least integer >= (|a| + |b|)/d, an upper bound on |self|."""
         return -(-(abs(self._a) + abs(self._b)) // self._d)
 
-    def conjugate(self) -> "Scalar":
-        return _of(self._a, -self._b, self._d)
-
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
@@ -163,7 +161,11 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self._a, self._b, self._d))
+        # equal values hash equal: a real Scalar hashes like its int or Fraction
+        a, b, d = self._a, self._b, self._d
+        if b:
+            return hash((a, b, d))
+        return hash(a) if d == 1 else hash(Fraction(a, d))
 
     # -- display / serialization --------------------------------------------
 
@@ -178,14 +180,6 @@ class Scalar:
 
     def to_json(self):
         return {"re": str(self.re), "im": str(self.im)}
-
-    @staticmethod
-    def from_json(obj) -> "Scalar":
-        if isinstance(obj, dict):
-            return Scalar(obj.get("re", 0), obj.get("im", 0))
-        if isinstance(obj, (int, str)):
-            return Scalar(obj)
-        raise TypeError(f"cannot parse scalar from {obj!r}")
 
 
 _set_a = Scalar._a.__set__

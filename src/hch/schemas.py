@@ -1,15 +1,17 @@
 """Reading the JSON inputs of the batch front end, in one checked pass.
 
 ``load_pair``, ``load_subpair`` and ``load_finite_module`` are the one reader
-of the input format.  Each walks its document once: a field is checked where
-it is read and turned into its value right there (every rational goes through
-``scalars._ratio`` once), and each part is built from parts already checked,
-a matrix placed through ``Matrix._raw``.  A malformed file fails with the name
-and location of the offending field (e.g. ``pair.g.brackets[3]``) instead of a
-KeyError deep inside the library; a constructor's own ``ValueError`` (a
-character of the wrong shape, an iota of the wrong size) is reported at the
-loader's location.  Modules are also checked mathematically (bracket
-representation, K-equivariance) before anything is computed on them.
+of the input format: the library's classes write JSON (``to_json``, which
+reports and digests use too) but none reads it back.  Each walks its
+document once: a field is checked where it is read and turned into its value
+right there (every rational goes through ``scalars._ratio`` once), and each
+part is built from parts already checked, a matrix placed through
+``Matrix._raw``.  A malformed file fails with the name and location of the
+offending field (e.g. ``pair.g.brackets[3]``) instead of a KeyError deep
+inside the library; a constructor's own ``ValueError`` (a character of the
+wrong shape, an iota of the wrong size) is reported at the loader's location.
+Modules are also checked mathematically (bracket representation,
+K-equivariance) before anything is computed on them.
 """
 
 from typing import Any, Dict, Tuple

@@ -88,15 +88,6 @@ def so2_pair() -> Pair:
     return Pair(g, K, grading, iota)
 
 
-def rotation_basis_embedding() -> Matrix:
-    """Coordinates of (u+, k0, u-) in the (e, h, f) basis, as columns."""
-    return Matrix.from_rows([
-        [I, -I, -I],
-        [Scalar(1), Scalar(0), Scalar(1)],
-        [I, I, -I],
-    ])
-
-
 def finite_irrep(m: int, pair: Optional[Pair] = None) -> FiniteModule:
     """The (m+1)-dimensional irrep, highest weight m, over torus_pair by default.
 
@@ -206,8 +197,7 @@ class PrincipalSeriesModel:
         u_plus = self.theta + i_sum
         u_minus = self.theta - i_sum
         k0 = (self.e - self.f).scale(-I)
-        return BandModule(so2_pair(), self.epsilon, [u_plus, k0, u_minus],
-                          params={"lambda": self.lam})
+        return BandModule(so2_pair(), self.epsilon, [u_plus, k0, u_minus])
 
 
 def principal_series(lam, epsilon: int) -> PrincipalSeriesModel:

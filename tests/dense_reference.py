@@ -3,7 +3,8 @@
 The package passes Lie-algebra elements and coordinate vectors as sparse
 {index: Scalar} maps.  The tuple helpers here build and read coordinate
 tuples, and the dense bracket, ad, Jacobi check, embedding, action matrix and
-restriction are the routines the sparse ones replaced, kept as oracles.
+restriction are the routines the sparse ones replaced, kept as oracles; the
+coordinates of sl2's rotation-adapted basis have no caller in the package.
 ``cokernel_dim``, ``homotopy_classes_dim`` and the wide-window band
 dimensions are references with no caller in the package.  The product,
 column pick, transpose, block diagonal and Kronecker placer written on one
@@ -135,6 +136,15 @@ def p_complement(pair):
     from ``pair.complement``."""
     chosen, projection, _ = pair.complement
     return [unit_vec(pair.g.dim, j) for j in chosen], projection
+
+
+def rotation_basis_embedding():
+    """Coordinates of (u+, k0, u-) in the (e, h, f) basis, as columns."""
+    return Matrix.from_rows([
+        [I, -I, -I],
+        [Scalar(1), Scalar(0), Scalar(1)],
+        [I, I, -I],
+    ])
 
 
 # -- the coordinate-map matrix kernels --------------------------------------------

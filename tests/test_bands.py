@@ -51,11 +51,6 @@ def test_poly_shift():
         assert q.shift(5)(n) == q(n + 5)
 
 
-def test_poly_json_roundtrip():
-    p = Poly([S(1, 2), S(0, -1), S(Fraction(3, 7))])
-    assert Poly.from_json(p.to_json()) == p
-
-
 def test_bandop_apply_and_compose():
     a = BandOp({2: Poly([0, 1])})       # f_n -> n f_{n+2}
     b = BandOp({-2: Poly([1])})         # f_n -> f_{n-2}
@@ -161,8 +156,3 @@ def test_max_window_env_cap(monkeypatch):
             assert stab.windows == windows and stab.certified
             _, _, stab = band_cokernel(op, even, even)
             assert stab.windows == windows and stab.certified
-
-
-def test_bandop_json_roundtrip():
-    op = hyperbolic_band(Fraction(7, 3))
-    assert BandOp.from_json(op.to_json()) == op

@@ -18,23 +18,20 @@ from hch.complexes import (
     Complex,
     ComplexMap,
     HomLayout,
-    _equivariance_constraints,
     _hom_diff,
     chain_maps,
     cone,
-    hom_complex,
     plain_space,
-    single_term,
     tensor_complex,
     trivial_pair,
 )
-from hch.gkmodules import FiniteModule, direct_sum, kron, kron_into, tensor, trivial_module
+from hch.gkmodules import FiniteModule, direct_sum, kron, kron_into, tensor
 from hch.hcomplexes import HComplex, HComplexMap, h_cone, h_tensor
-from hch.linalg import Matrix, kernel_basis, solve
+from hch.linalg import Matrix, kernel_basis
 from hch.resolution import StandardResolution
 from hch.scalars import Scalar
 from hch.sl2 import SUBPAIR_CATALOG, finite_irrep, so2_pair, torus_pair, trivial_k_pair
-from dense_reference import apply, from_columns, unit_vec
+from dense_reference import from_columns, unit_vec
 
 PAIRS = {"so2": so2_pair, "torus": torus_pair, "trivial_k": trivial_k_pair}
 
@@ -290,120 +287,6 @@ def test_random_complexes_match_reference(seed):
     assert_same_complex(cone(incl)[0], ref_cone(incl))
     assert tensor_complex(M, N).check_complex().ok
     assert chain_maps(M, N) == ref_chain_maps(M, N)
-
-
-def ref_equivariance_constraints(M, N, n):
-    lay = HomLayout(M, N, n)
-    rows = []
-    for i in lay.blocks:
-        tm, tn = M.term(i), N.term(i + n)
-        cols_m = tm.dim
-        for r in range(tn.dim):
-            for c in range(cols_m):
-                if tn.k_weights[r] != tm.k_weights[c]:
-                    rows.append({lay.offsets[i] + r * cols_m + c: Scalar(1)})
-        for am, an in zip(tm.g_action, tn.g_action):
-            for r in range(tn.dim):
-                for c in range(cols_m):
-                    row = {}
-                    for (a, b), v in an.entries.items():
-                        if a == r:
-                            k = lay.offsets[i] + b * cols_m + c
-                            row[k] = row.get(k, Scalar(0)) + v
-                    for (b, c2), v in am.entries.items():
-                        if c2 == c:
-                            k = lay.offsets[i] + r * cols_m + b
-                            row[k] = row.get(k, Scalar(0)) - v
-                    if any(not v.is_zero() for v in row.values()):
-                        rows.append(row)
-    return Matrix(len(rows), lay.dim, {(r, k): v for r, row in enumerate(rows)
-                                       for k, v in row.items()})
-
-
-@pytest.mark.parametrize("name", sorted(PAIRS))
-def test_equivariance_constraints_cut_out_the_reference_space(name):
-    h = resolution_h(name, 2).base
-    unit = single_term(trivial_module(h.pair))
-    for M, N in ((h, unit), (unit, h)):
-        for n in range(-3, 4):
-            got = _equivariance_constraints(M, N, n)
-            want = ref_equivariance_constraints(M, N, n)
-            assert got.cols == want.cols
-            assert kernel_basis(got) == kernel_basis(want)
-
-
-def ref_equivariant_hom(M, N):
-    """Equivariant Hom the long way: a dense kernel basis per degree, then one
-    exact solve per basis vector for the differential's coordinates."""
-    degs = [j - i for i in M.degrees() for j in N.degrees()]
-    bases = {}
-    for n in range(min(degs), max(degs) + 1):
-        cons = _equivariance_constraints(M, N, n)
-        bases[n] = kernel_basis(cons) if cons.cols else []
-    diffs = {}
-    for n, src in bases.items():
-        dst = bases.get(n + 1, [])
-        if not src or not dst:
-            continue
-        big, dst_mat = _hom_diff(M, N, n), from_columns(dst)
-        cols = [solve(dst_mat, apply(big, v)) for v in src]
-        if None in cols:
-            raise ValueError("equivariant Hom not closed under the differential")
-        d = from_columns(cols, rows=len(dst))
-        if not d.is_zero():
-            diffs[n] = d
-    return Complex(trivial_pair(), {n: plain_space(len(b)) for n, b in bases.items() if b}, diffs)
-
-
-@pytest.mark.parametrize("name", ["so2", "torus"])
-@pytest.mark.parametrize("cutoff", [2, 3])
-def test_equivariant_hom_matches_the_solved_reference(name, cutoff):
-    h = resolution_h(name, cutoff).base
-    unit = single_term(trivial_module(h.pair))
-    for M, N in ((h, unit), (unit, h)):
-        assert_same_complex(hom_complex(M, N, equivariant=True), ref_equivariant_hom(M, N))
-    # the differential branch runs: Hom(h, unit) has a nonzero map at degree 1
-    assert not hom_complex(h, unit, equivariant=True).diff(1).is_zero()
-
-
-def identity_complex(m, scale):
-    """m --id--> m in degrees 0 and 1, with m's basis rescaled by diag(scale)."""
-    n = len(scale)
-    D = Matrix.diagonal(scale)
-    D_inv = Matrix.diagonal([Scalar(1) / x for x in scale])
-    rescaled = FiniteModule(m.pair, m.k_weights, [D @ a @ D_inv for a in m.g_action])
-    return Complex(m.pair, {0: rescaled, 1: rescaled}, {0: Matrix.identity(n)})
-
-
-def test_equivariant_hom_reads_coordinates_at_the_free_columns():
-    # an equivariant map from M to N is a multiple of diag(3, 4, 5) on each
-    # block: a basis vector with unequal entries, so a coordinate read
-    # anywhere but at its free column is wrong
-    F = finite_irrep(2)
-    M, N = identity_complex(F, [1, 2, 3]), identity_complex(F, [3, 8, 15])
-    for a, b in ((M, N), (N, M), (M, M)):
-        got = hom_complex(a, b, equivariant=True)
-        assert_same_complex(got, ref_equivariant_hom(a, b))
-        assert got.diffs and got.homology().dims == {n: 0 for n in got.degrees()}
-
-
-@pytest.mark.parametrize("name", ["so2", "torus"])
-def test_equivariant_hom_of_a_truncation_with_itself_is_not_closed(name):
-    h = resolution_h(name, 2).base
-    not_closed = "equivariant Hom not closed under the differential"
-    with pytest.raises(ValueError, match=not_closed):
-        hom_complex(h, h, equivariant=True)
-    with pytest.raises(ValueError, match=not_closed):
-        ref_equivariant_hom(h, h)
-
-
-def test_equivariant_hom_between_irreps_is_schur():
-    P = torus_pair()
-    irreps = {k: finite_irrep(k, P) for k in (1, 2, 3)}
-    for p, m in irreps.items():
-        for q, n in irreps.items():
-            hom = hom_complex(single_term(m), single_term(n), equivariant=True)
-            assert hom.homology().dims.get(0, 0) == (1 if p == q else 0)
 
 
 # -- the placer ----------------------------------------------------------------------

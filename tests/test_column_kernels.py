@@ -216,7 +216,7 @@ def test_vanishes_builds_no_scalar_and_no_matrix(monkeypatch):
 
 def built_matrices():
     """Every matrix of a resolution, an h-tensor, an h-cone, two Hom complexes
-    and a band-module slice, by name."""
+    and a band-module window, by name."""
     h = resolution_h("so2", 3)
     small = resolution_h("so2", 2)
     out = {}
@@ -232,17 +232,18 @@ def built_matrices():
     # F2 -> F2 by the identity, as a two-term complex with d = 1
     two_term, _, _ = cone(ComplexMap.identity(single_term(finite_irrep(2, torus_pair()))))
     for name, hom in (("hom", hom_complex(small.base, two_term)),
-                      ("hom_equivariant", hom_complex(two_term, two_term, equivariant=True))):
+                      ("hom_cone", hom_complex(two_term, two_term))):
         out.update({(name, "d", n): d for n, d in hom.diffs.items()})
-    band = principal_series(4, 0).module.truncate(-6, 6)
-    out.update({("band", j): m for j, m in enumerate(band.matrices)})
+    window = list(range(-6, 7, 2))
+    for j, op in enumerate(principal_series(4, 0).module.band_ops):
+        out[("band", j)] = op.windowed_matrix(window)[1]
     return out
 
 
 def test_builders_store_no_empty_column_and_no_zero():
     found = built_matrices()
     assert {key[0] for key in found} == {"resolution", "h_tensor", "h_cone", "hom",
-                                         "hom_equivariant", "band"}
+                                         "hom_cone", "band"}
     for key, m in found.items():
         try:
             assert_stored_exactly(m)

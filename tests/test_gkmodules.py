@@ -6,8 +6,6 @@ from fractions import Fraction
 import pytest
 
 from hch.gkmodules import (
-    BandModule,
-    EmptyWindowError,
     FiniteModule,
     UnsupportedAlgebraError,
     casimir_matrix,

@@ -21,6 +21,7 @@ from hch.linalg import (
 )
 from hch.liepairs import DiagGroup, LieAlgebra, Pair
 from hch.scalars import I, ONE, ZERO, Scalar
+from hch import schemas
 from hch.schemas import load_finite_module
 from dense_reference import apply, as_map, cokernel_dim, column, from_columns, vec, vec_is_zero
 
@@ -36,8 +37,11 @@ def test_scalar_field_ops():
 
 
 def test_scalar_json_roundtrip():
+    # the one reader of the input format reads back what to_json writes
     a = Scalar(Fraction(-7, 3), Fraction(2, 9))
-    assert Scalar.from_json(a.to_json()) == a
+    assert schemas._scalar(a.to_json(), "x") == a
+    m = Matrix.from_rows([[a, 0], [I, Fraction(1, 2)], [0, -1]])
+    assert schemas._matrix(m.to_json(), "m") == m
 
 
 def test_rank_empty_and_identity():

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from hch.bands import BandOp, band_kernel, class_indices
-from hch.gkmodules import EmptyWindowError, check_hc
+from hch.bands import band_kernel, class_indices
+from hch.gkmodules import check_hc
 from hch.liepairs import SubpairEmbedding
 from hch.linalg import add_into, sparse_columns
 from hch.poly import Poly
@@ -20,10 +20,8 @@ from hch.sl2 import (
     KAPPA_MAT,
     SUBPAIR_CATALOG,
     OracleMismatchError,
-    finite_irrep,
     principal_series,
     sl2_branching_report,
-    rotation_basis_embedding,
     sl2,
     sl2_rotation_basis,
     so2_pair,
@@ -53,7 +51,7 @@ def test_rotation_basis_is_isomorphic():
     """The (u+, k0, u-) structure constants match the (e,h,f) computation."""
     g = sl2()
     rot = sl2_rotation_basis()
-    eb = rotation_basis_embedding()
+    eb = ref.rotation_basis_embedding()
     cols = sparse_columns(eb)
     for j in range(3):
         for k in range(3):
@@ -144,19 +142,14 @@ def test_finite_group_action_values():
             assert w == I ** (n % 4)
 
 
-def test_truncate_windows():
+def test_u_plus_window_keeps_every_image_line():
     ps = principal_series(4, 0)
-    sl = ps.module.truncate(-2, 2)
-    assert sl.indices == [-2, 0, 2]
-    theta_like = sl.matrices[0]  # u+ on the window
-    assert theta_like.cols == 3 and theta_like.rows == len(sl.enlarged)
-    with pytest.raises(EmptyWindowError):
-        principal_series(4, 0).module.truncate(1, 1)
-    one = ps.module.truncate(0, 0)
-    # u+ f_0 = lambda f_2, u- f_0 = lambda f_-2: check against theta entries
-    up = one.matrices[0]
-    pos = {n: i for i, n in enumerate(one.enlarged)}
-    assert up[(pos[2], 0)] == Scalar(4)
+    targets, up = ps.module.band_ops[0].windowed_matrix([-2, 0, 2])
+    # u+ has Ad-weight 2: the window [-2, 2] lands on [0, 4], with no line cut off
+    assert targets == [0, 2, 4] and (up.rows, up.cols) == (3, 3)
+    # u+ f_0 = lambda f_2 and u- f_0 = lambda f_-2
+    assert up[(targets.index(2), 1)] == Scalar(4)
+    assert ps.module.band_ops[2].apply_line(0)[-2] == Scalar(4)
 
 
 def test_derivation_oracle_consistency_window():
